@@ -61,10 +61,10 @@ def _load_spec(args):
     except SpecError as exc:
         raise CliFormatError(f"bad collection document: {exc}") from exc
     if args.field:
-        if args.field != "Q" and not (
-            args.field.startswith("F") and args.field[1:].isdigit()
-        ):
-            raise CliFormatError(f"bad field {args.field!r}")
+        try:
+            model.check_field_name(args.field)
+        except SpecError as exc:
+            raise CliFormatError(str(exc)) from None
         spec.field_name = args.field
     return spec
 
@@ -295,11 +295,12 @@ def cmd_report(args):
 
 def cmd_fullness(args):
     spec = _load_spec(args)
-    h, _ = heights.height(spec)
+    cx = nhh.assemble_differential(spec) if spec.is_exact else None
+    h, _ = heights.height(spec, cx)
     verdict = fullness.not_full_check(h)
     if verdict is None:
         if spec.is_exact:
-            verdict = fullness.full_check(spec)
+            verdict = fullness.full_check(spec, cx=cx)
         else:
             verdict = fullness.FullnessVerdict(
                 fullness.INCONCLUSIVE,

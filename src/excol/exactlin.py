@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 
 class ExactLinError(ValueError):
@@ -68,7 +69,7 @@ class RationalField:
 
 class PrimeField:
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise ExactLinError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
@@ -176,15 +177,6 @@ class Matrix:
                 m[r, c] = field.of(v)
         return m
 
-    @classmethod
-    def from_columns(cls, vectors, ambient_dim, field=QQ):
-        """Assemble column vectors (sparse dicts) into a matrix."""
-        m = cls(ambient_dim, len(vectors), None, field)
-        for c, vec in enumerate(vectors):
-            for r, v in vec.items():
-                m[r, c] = v
-        return m
-
     def __getitem__(self, key):
         return self.entries.get(key, self.field.zero)
 
@@ -202,12 +194,6 @@ class Matrix:
 
     def is_zero(self):
         return not self.entries
-
-    def transpose(self):
-        t = Matrix(self.cols, self.rows, None, self.field)
-        for (r, c), v in self.entries.items():
-            t.entries[(c, r)] = v
-        return t
 
     def compose(self, other):
         """Matrix product self @ other (apply other first)."""
@@ -342,14 +328,6 @@ def kernel_basis(m):
     return Subspace(m.cols, basis, f)
 
 
-def image_basis(m):
-    """Column space of m, as a Subspace of k^rows."""
-    cols = {}
-    for (r, c), v in m.entries.items():
-        cols.setdefault(c, {})[r] = v
-    return Subspace.span(m.rows, list(cols.values()), m.field)
-
-
 class Subspace:
     """A subspace of k^ambient_dim, stored by a reduced (RREF) basis.
 
@@ -368,10 +346,6 @@ class Subspace:
                 raise ExactLinError("vector exceeds ambient dimension")
         self.basis = rows
         self.pivots = pivots
-
-    @classmethod
-    def span(cls, ambient_dim, vectors, field=QQ):
-        return cls(ambient_dim, vectors, field)
 
     @classmethod
     def full(cls, ambient_dim, field=QQ):
@@ -403,11 +377,6 @@ class Subspace:
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)
 
-    def sum(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ExactLinError("ambient dimension mismatch")
-        return Subspace(self.ambient_dim, self.basis + other.basis, self.field)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -429,30 +398,3 @@ def subquotient_dim(z, b):
     if not z.contains_subspace(b):
         raise ContainmentError("B is not contained in Z")
     return z.dim - b.dim
-
-
-def preimage_subspace(m, target):
-    """{v : m v in target}, as a Subspace of the domain k^cols.
-
-    Computed as the kernel of q . m where q projects onto a complement of
-    the target, i.e. reduction of each column modulo the target basis.
-    """
-    if target.ambient_dim != m.rows:
-        raise ExactLinError("target lives in the wrong space")
-    f = m.field
-    cols = {}
-    for (r, c), v in m.entries.items():
-        cols.setdefault(c, {})[r] = v
-    residues = {c: target.reduce(vec) for c, vec in cols.items()}
-    red = Matrix(m.rows, m.cols, None, f)
-    for c, vec in residues.items():
-        for r, v in vec.items():
-            red.entries[(r, c)] = v
-    return kernel_basis(red)
-
-
-def apply_to_subspace(m, sub):
-    """Image m(sub) as a Subspace of the codomain."""
-    if sub.ambient_dim != m.cols:
-        raise ExactLinError("subspace lives in the wrong space")
-    return Subspace.span(m.rows, [m.apply(v) for v in sub.basis], m.field)

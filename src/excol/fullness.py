@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import products as pr
+from .exactlin import Matrix
 from .model import Cochain, CollectionSpec, FullnessData, SpecError
 from .nhh import assemble_differential, spectral_sequence
 
@@ -87,7 +88,9 @@ def full_check(spec, xi=None, pairing=None, cx=None):
 
     Verifies that xi sits at the deepest surviving column of the limit page,
     that every differential block vanishes on it, and that some per-object
-    pairing evaluates to a nonzero scalar.
+    pairing evaluates to a nonzero scalar.  A pairing must be a functional
+    on T^0 that vanishes on coboundaries, so its value depends only on the
+    class of xi.
     """
     if xi is None or pairing is None:
         data = spec.fullness_data
@@ -123,13 +126,17 @@ def full_check(spec, xi=None, pairing=None, cx=None):
             INCONCLUSIVE, "candidate is not a cocycle of the assembled differential"
         )
 
+    d_in = cx.differential(-1)
     for i, functional in sorted(pairing.items()):
         for chain, _, _ in functional.terms:
             if chain[0] != i:
                 raise SpecError(
                     f"pairing for object {i} names a chain starting at {chain[0]}"
                 )
-        fvec, _, _ = _cochain_vector(cx, functional)
+        fvec, _, _ = _cochain_vector(cx, functional, expect_t=0)
+        row = Matrix(1, d_in.rows, {(0, c): v for c, v in fvec.items()}, fld)
+        if not row.compose(d_in).is_zero():
+            raise SpecError(f"pairing for object {i} does not vanish on coboundaries")
         total = fld.zero
         for coord, val in vec.items():
             fval = fvec.get(coord)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import products as pr
+from .exactlin import ExactLinError, field_by_name
 
 ZERO = "ZERO"
 NONZERO = "NONZERO"
@@ -209,6 +210,28 @@ def _require(cond, msg):
         raise SpecError(msg)
 
 
+def _list(value, what):
+    _require(isinstance(value, list), f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _int_tuple(value, what):
+    _require(
+        isinstance(value, list) and all(isinstance(x, int) for x in value),
+        f"{what} must be a list of integers, got {value!r}",
+    )
+    return tuple(value)
+
+
+def check_field_name(name):
+    """Accept "Q" or "F<p>" with p prime; anything else is a SpecError."""
+    _require(isinstance(name, str), f"bad field {name!r}")
+    try:
+        field_by_name(name)
+    except ExactLinError as exc:
+        raise SpecError(f"bad field {name!r}: {exc}") from None
+
+
 def _parse_graded(records, n, key_fields, lo_le_hi):
     """Shared reader for ext / serre_ext lists."""
     out = {}
@@ -237,19 +260,15 @@ def _parse_product(rec, n, spec_dims, arity_two):
     _require(isinstance(rec, dict), f"bad product record {rec!r}")
     kind = rec.get("kind")
     _require(kind in (pr.AA, pr.AN, pr.NA), f"bad product kind {kind!r}")
-    chain = tuple(rec.get("chain", ()))
-    degs = tuple(rec.get("degs", ()))
-    _require(
-        all(isinstance(x, int) for x in chain + degs),
-        f"chain and degs must be integers in {rec!r}",
-    )
+    chain = _int_tuple(rec.get("chain", []), "product chain")
+    degs = _int_tuple(rec.get("degs", []), "product degs")
     if kind == pr.AA:
         key = pr.key_aa(chain, degs)
     elif kind == pr.AN:
-        _require("twist_src" in rec, f"AN product needs twist_src: {rec!r}")
+        _require(isinstance(rec.get("twist_src"), int), f"AN needs twist_src: {rec!r}")
         key = pr.key_an(rec["twist_src"], chain, degs)
     else:
-        _require("from" in rec, f"NA product needs 'from': {rec!r}")
+        _require(isinstance(rec.get("from"), int), f"NA product needs 'from': {rec!r}")
         key = pr.key_na(rec["from"], chain, degs)
     try:
         pr.check_key_shape(key, n)
@@ -277,7 +296,7 @@ def _parse_product(rec, n, spec_dims, arity_two):
         f"product lands in the zero space {tk}({ti},{tj})^{tdeg}",
     )
     table = {}
-    for entry in rec.get("entries", ()):
+    for entry in _list(rec.get("entries", []), "entries"):
         _require(
             isinstance(entry, list) and len(entry) == arity + 2,
             f"bad entry {entry!r} (want {arity} source indices, out, value)",
@@ -297,23 +316,26 @@ def _parse_product(rec, n, spec_dims, arity_two):
 
 
 def _parse_qualitative(rec, n):
-    _require(isinstance(rec, dict), "qualitative must be an object")
     window = rec.get("degree_window")
     if window is not None:
         _require(
-            isinstance(window, list) and len(window) == 2 and window[0] <= window[1],
+            isinstance(window, list)
+            and len(window) == 2
+            and all(isinstance(w, int) for w in window)
+            and window[0] <= window[1],
             f"bad degree_window {window!r}",
         )
         window = tuple(window)
     statuses = {}
-    for row in rec.get("statuses", ()):
+    for row in _list(rec.get("statuses", []), "statuses"):
         try:
             src, dst, deg, st = row["src"], row["dst"], row["deg"], row["status"]
         except (KeyError, TypeError):
             raise SpecError(f"bad qualitative row {row!r}") from None
         _require(st in (ZERO, NONZERO), f"bad status {st!r}")
+        ints = all(isinstance(v, int) for v in (src, dst, deg))
+        _require(ints, f"bad qualitative row {row!r}")
         _require(1 <= src <= n and 1 <= dst <= 2 * n, f"bad pair in {row!r}")
-        _require(isinstance(deg, int), f"bad degree in {row!r}")
         key = (src, dst, deg)
         _require(statuses.get(key, st) == st, f"conflicting statuses at {key}")
         if window is not None and st == NONZERO:
@@ -328,19 +350,19 @@ def _parse_qualitative(rec, n):
 def _parse_cochain(rec):
     _require(isinstance(rec, dict) and "terms" in rec, f"bad cochain {rec!r}")
     terms = []
-    for t in rec["terms"]:
+    for t in _list(rec["terms"], "cochain terms"):
         try:
             chain, degs, values = t["chain"], t["degs"], t["values"]
         except (KeyError, TypeError):
             raise SpecError(f"bad cochain term {t!r}") from None
         vals = {}
-        for pair in values:
+        for pair in _list(values, "cochain values"):
             _require(
                 isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], int),
                 f"bad cochain value {pair!r}",
             )
             vals[pair[0]] = _frac(pair[1])
-        terms.append((tuple(chain), tuple(degs), vals))
+        terms.append((_int_tuple(chain, "chain"), _int_tuple(degs, "degs"), vals))
     return Cochain(terms)
 
 
@@ -377,10 +399,11 @@ def parse(document):
         isinstance(dim_x, int) and dim_x >= 0, f"dim_x must be >= 0, got {dim_x!r}"
     )
     field_name = document.get("field", "Q")
-    _require(
-        field_name == "Q" or (field_name.startswith("F") and field_name[1:].isdigit()),
-        f"bad field {field_name!r}",
-    )
+    check_field_name(field_name)
+    for key in ("ext", "serre_ext", "products", "higher_products", "objects"):
+        _require(isinstance(document.get(key, []), list), f"{key} must be a list")
+    for key in ("qualitative", "flags", "metadata", "fullness"):
+        _require(isinstance(document.get(key, {}), dict), f"{key} must be an object")
 
     a_dims = _parse_graded(document.get("ext", ()), n, ("src", "dst"), False)
     n_dims = _parse_graded(
@@ -409,7 +432,8 @@ def parse(document):
     degrees = None
     if "objects" in document:
         objs = document["objects"]
-        _require(isinstance(objs, list) and len(objs) == n, "objects must list n items")
+        _require(len(objs) == n, "objects must list n items")
+        _require(all(isinstance(o, dict) for o in objs), "objects must be objects")
         labels = [o.get("label", f"E{i + 1}") for i, o in enumerate(objs)]
         if any("canonical_degree" in o for o in objs):
             _require(
@@ -431,8 +455,11 @@ def parse(document):
         fullness = FullnessData()
         if "xi" in rec:
             fullness.xi = _parse_cochain(rec["xi"])
-        for prec in rec.get("pairings", ()):
-            _require("obj" in prec, f"pairing needs obj: {prec!r}")
+        for prec in _list(rec.get("pairings", []), "pairings"):
+            _require(
+                isinstance(prec, dict) and isinstance(prec.get("obj"), int),
+                f"pairing needs obj: {prec!r}",
+            )
             fullness.pairings[prec["obj"]] = _parse_cochain(prec)
 
     return CollectionSpec(

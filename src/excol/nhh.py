@@ -16,9 +16,14 @@ d . d = 0 is verified exactly at build time and failures name the offending
 source terms.
 
 Total degree is t = q - p.  The decreasing column filtration by -p gives the
-spectral sequence; its page-r differential is exactly the arity-(r+1) part,
-computed through nested subquotients Z_r / B_r with explicit bases so that
-surviving cocycles can be extracted later.
+spectral sequence; its page-r differential is exactly the arity-(r+1) part.
+Every page comes from one filtered column reduction of each d_t, cached on
+the complex: with the coordinates ordered by (-mp, index), each pivot pairs
+a coordinate of T^t with one of T^{t+1} across a gap g = mp(row) - mp(col),
+the pair lives on the pages E_1 .. E_g, and the unpaired coordinates are
+the limit page and the cohomology (the persistence pairing of the
+filtration, as in Edelsbrunner-Harer, Computational Topology, ch. VII).
+Survivor bases are read off the same reduction on demand.
 """
 
 from __future__ import annotations
@@ -27,15 +32,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import products as pr
-from .exactlin import (
-    Matrix,
-    Subspace,
-    field_by_name,
-    kernel_basis,
-    rank,
-    subquotient_dim,
-)
-from .model import SpecError
+from .exactlin import Matrix, Subspace, field_by_name
+from .model import INF, SpecError
 from .pseudoheight import iter_chains
 
 
@@ -230,9 +228,7 @@ class NormalComplex:
         self.diffs = diffs  # t -> Matrix from T^t to T^{t+1}
         self.blocks = blocks
         self._mp_cache = {}
-
-    def degrees(self):
-        return sorted(self.by_t)
+        self._reduction = None
 
     def differential(self, t):
         got = self.diffs.get(t)
@@ -254,6 +250,12 @@ class NormalComplex:
                     got[off + i] = term.mp
             self._mp_cache[t] = got
         return got
+
+    def reduction(self):
+        """The filtered column reduction of every d_t, built on first use."""
+        if self._reduction is None:
+            self._reduction = FilteredReduction(self)
+        return self._reduction
 
 
 def assemble_differential(spec, check=True):
@@ -318,13 +320,90 @@ def _check_square_zero(cx):
 
 def total_cohomology(cx):
     """dim ker/im of the total differential in every populated degree."""
-    out = {}
-    ranks = {t: rank(m) for t, m in cx.diffs.items()}
-    for t, dim in sorted(cx.t_dims.items()):
-        r_out = ranks.get(t, 0)
-        r_in = ranks.get(t - 1, 0)
-        out[t] = dim - r_out - r_in
-    return out
+    pairs = cx.reduction().pairs
+    return {
+        t: dim - len(pairs.get(t, ())) - len(pairs.get(t - 1, ()))
+        for t, dim in sorted(cx.t_dims.items())
+    }
+
+
+# -- the filtered reduction ----------------------------------------------------
+
+
+def _filtration_order(cx, t):
+    """Coordinates of T^t sorted by (-mp, index): deepest filtration first."""
+    mps = cx.coordinate_mp(t)
+    return sorted(range(len(mps)), key=lambda i: (-mps[i], i))
+
+
+def _axpy(fld, x, a, y):
+    """x += a * y on sparse vectors, in place."""
+    for k, v in y.items():
+        s = fld.add(x.get(k, fld.zero), fld.mul(a, v))
+        if fld.is_zero(s):
+            x.pop(k, None)
+        else:
+            x[k] = s
+
+
+def _reduce(cx, t, track=False):
+    """Column-reduce d_t : T^t -> T^{t+1} in filtration order.
+
+    Columns are visited in the order (-mp, index) and only earlier columns
+    are added to later ones.  The pivot ("low") of a column is its nonzero
+    row of minimal mp, the largest index breaking ties.  Returns
+    {col: (low row, reduced column normalized at its low)} over the nonzero
+    reduced columns and, if track is set, {col: cocycle} over the zero
+    ones, the cocycle being the column's vector after the additions.
+    """
+    f = cx.field
+    rows = _filtration_order(cx, t + 1)
+    pos = {r: k for k, r in enumerate(rows)}
+    work = {}
+    for (r, c), v in cx.differential(t).entries.items():
+        work.setdefault(c, {})[pos[r]] = v
+    by_low = {}  # row position -> (reduced column, its cochain)
+    pivots = {}
+    cycles = {}
+    for c in _filtration_order(cx, t):
+        col = work.get(c, {})
+        chain = {c: f.one}
+        low = max(col, default=None)
+        while low in by_low:
+            coef = f.neg(col[low])
+            _axpy(f, col, coef, by_low[low][0])
+            if track:
+                _axpy(f, chain, coef, by_low[low][1])
+            low = max(col, default=None)
+        if col:
+            scale = f.inv(col[low])
+            col = {k: f.mul(scale, v) for k, v in col.items()}
+            if track:
+                chain = {k: f.mul(scale, v) for k, v in chain.items()}
+            by_low[low] = (col, chain)
+            pivots[c] = (rows[low], {rows[k]: v for k, v in col.items()})
+        elif track:
+            cycles[c] = chain
+    return pivots, cycles
+
+
+class FilteredReduction:
+    """The persistence pairing of every d_t under the column filtration.
+
+    pairs[t] maps a column of T^t to its low row of T^{t+1}; gaps[t] maps
+    every paired coordinate of T^t to g = mp(row) - mp(col) >= 1.  A paired
+    coordinate lives on the pages E_1 .. E_g and is killed by d_g; an
+    unpaired one lives on every page, E_inf included.
+    """
+
+    def __init__(self, cx):
+        self.pairs = {}
+        self.gaps = {t: {} for t in cx.t_dims}
+        for t in cx.diffs:
+            self.pairs[t] = {c: r for c, (r, _) in _reduce(cx, t)[0].items()}
+            mp, mp_next = cx.coordinate_mp(t), cx.coordinate_mp(t + 1)
+            for c, r in self.pairs[t].items():
+                self.gaps[t][c] = self.gaps[t + 1][r] = mp_next[r] - mp[c]
 
 
 # -- spectral sequence -------------------------------------------------------
@@ -333,137 +412,68 @@ def total_cohomology(cx):
 class SpectralSequencePages:
     """Page tables E_r (r >= 1), the limit page, and survivor bases."""
 
-    def __init__(self, pages, infinity, stable_page, survivors):
+    def __init__(self, pages, infinity, stable_page, cx):
         self.pages = pages  # r -> {(mp, q): dim}
         self.infinity = infinity
         self.stable_page = stable_page
-        self._survivors = survivors  # (mp, q) -> (Z, B) subspaces of T^t
+        self._cx = cx
+        self._reduced = {}  # t -> tracked reduction of d_t
 
     def page(self, r):
         top = max(self.pages)
         return self.pages[min(r, top)]
 
     def survivors(self, mp, q):
-        """Cocycle space and boundary space presenting E_inf at (mp, q)."""
-        return self._survivors.get((mp, q))
+        """Cocycle space and boundary space presenting E_inf at (mp, q).
 
-
-def _filtration_columns(cx, t, j):
-    """Coordinates of T^t lying in filtration level >= j."""
-    mps = cx.coordinate_mp(t)
-    return [i for i, mp in enumerate(mps) if mp >= j]
-
-
-def _restricted_kernel(cx, t, j, bound):
-    """{x in F^j T^t : d x in F^bound T^{t+1}} as a Subspace of T^t."""
-    cols = _filtration_columns(cx, t, j)
-    dim_t = cx.t_dims.get(t, 0)
-    if not cols:
-        return Subspace(dim_t, [], cx.field)
-    d = cx.diffs.get(t)
-    if d is None:
-        return Subspace(
-            dim_t, [{c: cx.field.one} for c in cols], cx.field
-        )
-    rows = [
-        i
-        for i, mp in enumerate(cx.coordinate_mp(t + 1))
-        if mp < bound
-    ]
-    row_pos = {r: i for i, r in enumerate(rows)}
-    col_pos = {c: i for i, c in enumerate(cols)}
-    m = Matrix.zero(len(rows), len(cols), cx.field)
-    for (r, c), v in d.entries.items():
-        if r in row_pos and c in col_pos:
-            m.entries[(row_pos[r], col_pos[c])] = v
-    small = kernel_basis(m)
-    lifted = [{cols[i]: v for i, v in vec.items()} for vec in small.basis]
-    return Subspace(dim_t, lifted, cx.field)
-
-
-def _apply_d(cx, t, sub):
-    d = cx.diffs.get(t)
-    dim_next = cx.t_dims.get(t + 1, 0)
-    if d is None or sub.dim == 0:
-        return Subspace(dim_next, [], cx.field)
-    return Subspace(dim_next, [d.apply(v) for v in sub.basis], cx.field)
+        Z = ker d cap F^mp and B = (ker d cap F^{mp+1}) + (im d cap F^mp)
+        in T^t: ker d cap F^j is spanned by the cocycles of the zero columns
+        of d_t at levels >= j, im d cap F^mp by the reduced columns of
+        d_{t-1} lying in F^mp.
+        """
+        if (mp, q) not in self.pages[1]:
+            return None
+        cx = self._cx
+        t = mp + q
+        for s in (t - 1, t):
+            if s not in self._reduced:
+                self._reduced[s] = _reduce(cx, s, track=True)
+        mps = cx.coordinate_mp(t)
+        cycles = self._reduced[t][1]
+        z = [v for c, v in cycles.items() if mps[c] >= mp]
+        b = [v for c, v in cycles.items() if mps[c] > mp] + [
+            col for _, col in self._reduced[t - 1][0].values()
+            if all(mps[k] >= mp for k in col)
+        ]
+        dim = cx.t_dims[t]
+        return Subspace(dim, z, cx.field), Subspace(dim, b, cx.field)
 
 
 def spectral_sequence(cx, max_page=None):
-    """Run the column-filtration spectral sequence page by page.
+    """The column-filtration spectral sequence, read off the reduction.
 
-    Pages are computed through stabilization (never fewer than max_page when
-    that is reachable); the limit page always comes from the closed formulas
-    ker-cap-filtration over boundaries, so convergence can be checked.
+    E_r at (mp, q) counts the coordinates of that bidegree that are unpaired
+    or paired with a gap >= r.  Pages run through r = width + 1, where only
+    the unpaired coordinates (the limit page) remain, and on to max_page as
+    copies of the limit page.
     """
     if max_page is not None and max_page < 1:
         raise SpecError(f"max_page must be >= 1, got {max_page}")
-    bidegrees = {}
-    for t, tms in cx.by_t.items():
-        for tm in tms:
-            key = (tm.mp, tm.q)
-            bidegrees[key] = bidegrees.get(key, 0) + tm.dim
-    if not bidegrees:
-        return SpectralSequencePages({1: {}}, {}, 1, {})
-    mp_values = sorted({mp for mp, _ in bidegrees})
-    width = mp_values[-1] - mp_values[0]
-    r_inf = width + 1
-    r_top = max(r_inf, max_page or 1)
-
-    # Z_r caches: (r, j, t) -> Subspace of T^t
-    zcache = {}
-
-    def z_space(r, j, t):
-        """{x in F^j T^t : d x in F^{j+r}}; r = 0 degenerates to F^j itself."""
-        if t not in cx.t_dims:
-            return Subspace(0, [], cx.field)
-        key = (r, j, t)
-        got = zcache.get(key)
-        if got is None:
-            if r > 0:
-                got = _restricted_kernel(cx, t, j, j + r)
-            else:
-                got = Subspace(
-                    cx.t_dims[t],
-                    [{c: cx.field.one} for c in _filtration_columns(cx, t, j)],
-                    cx.field,
-                )
-            zcache[key] = got
-        return got
-
-    pages = {}
-    for r in range(1, min(r_top, r_inf) + 1):
-        table = {}
-        for (mp, q) in bidegrees:
-            t = q + mp
-            z = z_space(r, mp, t)
-            border = z_space(r - 1, mp + 1, t).sum(
-                _apply_d(cx, t - 1, z_space(r - 1, mp - r + 1, t - 1))
-            )
-            dim = subquotient_dim(z, border)
-            if dim:
-                table[(mp, q)] = dim
-        pages[r] = table
-
-    infinity = {}
-    survivors = {}
-    for (mp, q) in bidegrees:
-        t = q + mp
-        z = z_space(r_inf, mp, t)  # = ker d cap F^mp: width exceeded
-        border = z_space(r_inf, mp + 1, t).sum(
-            _apply_d(cx, t - 1, z_space(r_inf, mp - r_inf, t - 1))
-        )
-        dim = subquotient_dim(z, border)
-        survivors[(mp, q)] = (z, border)
-        if dim:
-            infinity[(mp, q)] = dim
-
-    stable = 1
-    for r in sorted(pages, reverse=True):
-        if pages[r] != infinity:
-            stable = r + 1
-            break
-    last = max(pages)
-    for r in range(last + 1, (max_page or 0) + 1):
+    gaps = cx.reduction().gaps
+    lives = {}  # (mp, q) -> the last page each coordinate lives on
+    for t in cx.t_dims:
+        for i, mp in enumerate(cx.coordinate_mp(t)):
+            lives.setdefault((mp, t - mp), []).append(gaps[t].get(i, INF))
+    if not lives:
+        return SpectralSequencePages({1: {}}, {}, 1, cx)
+    mps = [mp for mp, _ in lives]
+    r_inf = max(mps) - min(mps) + 1
+    pages = {
+        r: {key: n for key, last in lives.items() if (n := sum(g >= r for g in last))}
+        for r in range(1, r_inf + 1)
+    }
+    infinity = pages[r_inf]
+    for r in range(r_inf + 1, (max_page or 0) + 1):
         pages[r] = dict(infinity)
-    return SpectralSequencePages(pages, infinity, min(stable, r_inf), survivors)
+    top_gap = max((g for gs in gaps.values() for g in gs.values()), default=0)
+    return SpectralSequencePages(pages, infinity, min(top_gap + 1, r_inf), cx)

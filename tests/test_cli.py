@@ -77,6 +77,21 @@ def test_backwards_ext_is_format_error(tmp_path, capsys):
     assert code == 2 and "bad collection document" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("field", 5),
+    ("field", "F4"),
+    ("flags", "x"),
+    ("qualitative", {"degree_window": ["a", 1]}),
+    ("objects", [1]),
+])
+def test_ill_typed_field_is_format_error(tmp_path, capsys, field, value):
+    doc = {"n": 1, "dim_x": 0, field: value}
+    path = tmp_path / "ill_typed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = run(capsys, "height", str(path))
+    assert code == 2 and "bad collection document" in err
+
+
 def test_engine_precondition_is_exit_one(capsys):
     # a qualitative-only table has no first page
     code, _, err = run(capsys, "e1", "burniat")

@@ -11,11 +11,8 @@ from excol.exactlin import (
     PrimeField,
     QQ,
     Subspace,
-    apply_to_subspace,
     field_by_name,
-    image_basis,
     kernel_basis,
-    preimage_subspace,
     rank,
     rref,
     subquotient_dim,
@@ -156,18 +153,6 @@ def test_prime_field_arithmetic():
         PrimeField(6)
     with pytest.raises(ExactLinError):
         f5.of(Fraction(1, 5))
-
-
-def test_preimage_and_image():
-    # m maps e0 -> e0, e1 -> e0: image is the first axis
-    m = Matrix.from_rows([[1, 1], [0, 0]])
-    img = image_basis(m)
-    assert img.dim == 1 and img.contains({0: Fraction(1)})
-    target = Subspace(2, [{0: Fraction(1)}])
-    pre = preimage_subspace(m, target)
-    assert pre.dim == 2  # everything maps into the first axis
-    moved = apply_to_subspace(m, Subspace.full(2))
-    assert moved == img
 
 
 def test_compose_and_apply():

@@ -16,7 +16,7 @@ from excol.fullness import (
     not_full_check,
 )
 from excol.heights import Height, height
-from excol.model import Cochain, CollectionSpec, SpecError
+from excol.model import Cochain, CollectionSpec, SpecError, parse, validate
 from excol.nhh import assemble_differential, spectral_sequence
 from excol.pseudoheight import pseudoheight
 
@@ -204,3 +204,46 @@ def test_verdicts_are_mutually_exclusive_on_fixtures():
             continue
         full = full_check(spec)
         assert not (not_full is not None and full.status == FULL)
+
+
+# two twisted loops and one pair chain whose differential is nonzero: T^{-1}
+# is spanned by the pair-chain generator g, and d g is a coboundary in T^0
+COBOUNDARY_DOCUMENT = {
+    "n": 2, "dim_x": 0,
+    "ext": [{"src": 1, "dst": 2, "deg": 0, "dim": 1}],
+    "serre_ext": [
+        {"twist_src": 1, "from": 1, "deg": 0, "dim": 1},
+        {"twist_src": 2, "from": 2, "deg": 0, "dim": 1},
+        {"twist_src": 1, "from": 2, "deg": 0, "dim": 1},
+    ],
+    "products": [
+        {"kind": "AN", "twist_src": 1, "chain": [1, 2], "degs": [0, 0],
+         "entries": [[0, 0, 0, "1"]]},
+        {"kind": "NA", "from": 2, "chain": [1, 2], "degs": [0, 0],
+         "entries": [[0, 0, 0, "1"]]},
+    ],
+}
+
+
+def test_full_check_rejects_pairing_that_sees_coboundaries():
+    spec = parse(COBOUNDARY_DOCUMENT)
+    assert validate(spec).ok
+    cx = assemble_differential(spec)
+    dg = cx.differential(-1).apply({0: Fraction(1)})
+    xi = Cochain([
+        (tm.chain, tm.degs, {0: dg[cx.term_offset(tm)]})
+        for tm in cx.by_t[0] if cx.term_offset(tm) in dg
+    ])
+    pairing = {1: Cochain([((1,), (0,), {0: Fraction(1)})])}
+    with pytest.raises(SpecError, match="coboundaries"):
+        full_check(spec, xi=xi, pairing=pairing, cx=cx)
+
+
+def test_full_check_rejects_pairing_outside_degree_zero():
+    # the pairing's only term lives in T^{-1}; its offset 0 must not be read
+    # as the offset-0 coordinate of T^0, where xi sits
+    spec = parse(COBOUNDARY_DOCUMENT)
+    xi = Cochain([((1,), (0,), {0: Fraction(1)})])
+    pairing = {1: Cochain([((1, 2), (0, 0), {0: Fraction(1)})])}
+    with pytest.raises(SpecError, match="want 0"):
+        full_check(spec, xi=xi, pairing=pairing)
