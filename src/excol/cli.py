@@ -17,11 +17,9 @@ import json
 import os
 import sys
 
-from . import fixtures, fullness, heights, model, nhh
+from . import fixtures, heights, model, nhh
 from .exactlin import ContainmentError, ExactLinError
 from .model import INF, SpecError
-from .pseudoheight import pseudoheight as compute_ph
-from .pseudoheight import qualitative_ph_bounds
 
 
 class CliFormatError(Exception):
@@ -70,15 +68,9 @@ def _load_spec(args):
 
 
 def _jval(v):
-    if v is None:
-        return None
-    if v == INF:
-        return "inf"
-    if v == -INF:
-        return "-inf"
-    if isinstance(v, float):
-        return int(v)
-    return v
+    if v in (INF, -INF):
+        return str(v)
+    return int(v) if isinstance(v, float) else v
 
 
 def _emit(payload, as_json, lines):
@@ -111,6 +103,10 @@ def _table_json(table):
     return [[mp, q, d] for (mp, q), d in sorted(table.items())]
 
 
+def _nhh_json(dims):
+    return {str(t): d for t, d in sorted(dims.items())}
+
+
 def cmd_validate(args):
     spec = _load_spec(args)
     report = model.validate(spec)
@@ -128,35 +124,36 @@ def cmd_validate(args):
     return 0 if report.ok else 1
 
 
+def _analysis(args):
+    return heights.Analysis(_load_spec(args))
+
+
+def _witness(a):
+    chain = a.bounds.witness_chain
+    return list(chain) if chain else None
+
+
+def _interval(a):
+    """Keys and line of an open (qualitative) pseudoheight interval."""
+    lo, hi = _jval(a.bounds.lower), _jval(a.bounds.upper)
+    payload = {"ph_ac_lower": lo, "ph_ac_upper": hi, "witness": _witness(a)}
+    return payload, f"anticanonical pseudoheight interval: [{lo}, {hi}]"
+
+
 def cmd_pseudoheight(args):
-    spec = _load_spec(args)
-    if spec.is_exact:
-        res = compute_ph(spec)
-        payload = {
-            "ph": _jval(res.value),
-            "ph_ac": _jval(res.value_ac),
-            "witness": list(res.witness) if res.witness else None,
-        }
+    a = _analysis(args)
+    if a.spec.is_exact:
+        payload = {"ph": _jval(a.ph), "ph_ac": _jval(a.ph_ac), "witness": _witness(a)}
         lines = [
-            f"pseudoheight: {_jval(res.value)}",
-            f"anticanonical pseudoheight: {_jval(res.value_ac)}",
-            f"witness chain: {res.witness}",
+            f"pseudoheight: {payload['ph']}",
+            f"anticanonical pseudoheight: {payload['ph_ac']}",
+            f"witness chain: {a.bounds.witness_chain}",
         ]
         if args.anticanonical:
             lines = lines[1:] + lines[:1]
-        _emit(payload, args.json, lines)
-        return 0
-    bounds = qualitative_ph_bounds(spec)
-    payload = {
-        "ph_ac_lower": _jval(bounds.lower),
-        "ph_ac_upper": _jval(bounds.upper),
-        "witness": list(bounds.witness_chain) if bounds.witness_chain else None,
-    }
-    lines = [
-        "anticanonical pseudoheight interval: "
-        f"[{_jval(bounds.lower)}, {_jval(bounds.upper)}]",
-        f"upper bound witness chain: {bounds.witness_chain}",
-    ]
+    else:
+        payload, line = _interval(a)
+        lines = [line, f"upper bound witness chain: {a.bounds.witness_chain}"]
     _emit(payload, args.json, lines)
     return 0
 
@@ -176,9 +173,7 @@ def cmd_e1(args):
 
 
 def cmd_ss(args):
-    spec = _load_spec(args)
-    cx = nhh.assemble_differential(spec)
-    ss = nhh.spectral_sequence(cx, max_page=args.max_page)
+    ss = nhh.spectral_sequence(_analysis(args).complex, max_page=args.max_page)
     payload = {
         "pages": {str(r): _table_json(t) for r, t in sorted(ss.pages.items())},
         "stable_page": ss.stable_page,
@@ -197,57 +192,39 @@ def cmd_ss(args):
 
 
 def cmd_height(args):
-    spec = _load_spec(args)
-    if spec.is_exact:
-        ph = compute_ph(spec)
-        h, nhh_dims = heights.height(spec)
-        payload = {
-            "ph": _jval(ph.value),
-            "ph_ac": _jval(ph.value_ac),
-            "he_lo": _jval(h.lo),
-            "he_hi": _jval(h.hi),
-            "nhh": {str(t): d for t, d in sorted(nhh_dims.items())},
-        }
+    a = _analysis(args)
+    h = a.height
+    if a.spec.is_exact:
+        payload = {"ph": _jval(a.ph), "ph_ac": _jval(a.ph_ac)}
+        payload["nhh"] = _nhh_json(a.cohomology)
         lines = [
-            f"pseudoheight: {_jval(ph.value)} (witness {ph.witness})",
+            f"pseudoheight: {payload['ph']} (witness {a.bounds.witness_chain})",
             f"height: {h}",
             "normal cohomology dims: "
-            + ", ".join(f"{t}: {d}" for t, d in sorted(nhh_dims.items())),
+            + ", ".join(f"{t}: {d}" for t, d in payload["nhh"].items()),
         ]
         if h.nhh_vanishes:
             lines.append(
                 "warning: normal cohomology vanishes entirely; "
                 "see the fullness command"
             )
-        _emit(payload, args.json, lines)
-        return 0
-    bounds = qualitative_ph_bounds(spec)
-    h, _ = heights.height(spec)
-    payload = {
-        "ph_ac_lower": _jval(bounds.lower),
-        "ph_ac_upper": _jval(bounds.upper),
-        "he_lo": _jval(h.lo),
-        "he_hi": _jval(h.hi),
-        "witness": list(bounds.witness_chain) if bounds.witness_chain else None,
-    }
-    lines = [
-        "anticanonical pseudoheight interval: "
-        f"[{_jval(bounds.lower)}, {_jval(bounds.upper)}]",
-        f"height: {h}",
-    ]
+    else:
+        payload, line = _interval(a)
+        lines = [line, f"height: {h}"]
+    payload.update(he_lo=_jval(h.lo), he_hi=_jval(h.hi))
     _emit(payload, args.json, lines)
     return 0
 
 
 def cmd_report(args):
-    spec = _load_spec(args)
+    a = _analysis(args)
     hoh = None
     if args.hoh:
         try:
             hoh = [int(x) for x in args.hoh.split(",")]
         except ValueError:
             raise CliFormatError(f"bad --hoh list {args.hoh!r}") from None
-    rep = heights.build_report(spec, hoh_x_dims=hoh)
+    rep = a.report(hoh)
     payload = {
         "ph": _jval(rep.ph),
         "ph_ac": _jval(rep.ph_ac),
@@ -259,19 +236,15 @@ def cmd_report(args):
         "iso_range": _jval(rep.iso_range),
         "mono_degree": _jval(rep.mono_degree),
         "deformation_equivalent": rep.deformation_equivalent,
-        "witness": list(rep.witness) if rep.witness else None,
+        "witness": _witness(a),
     }
     if rep.nhh_dims is not None:
-        payload["nhh"] = {str(t): d for t, d in sorted(rep.nhh_dims.items())}
+        payload["nhh"] = _nhh_json(rep.nhh_dims)
     if rep.hoh_x_dims is not None:
         payload["hoh_x"] = rep.hoh_x_dims
         payload["hoh_a"] = rep.hoh_a_dims
-    if rep.ph is None and rep.ph_bounds is not None:
-        b = rep.ph_bounds
-        ph_line = (
-            "anticanonical pseudoheight interval: "
-            f"[{_jval(b.lower)}, {_jval(b.upper)}]"
-        )
+    if rep.ph is None:
+        ph_line = _interval(a)[1]
     else:
         ph_line = f"pseudoheight: {_jval(rep.ph)} (anticanonical {_jval(rep.ph_ac)})"
     lines = [
@@ -294,18 +267,7 @@ def cmd_report(args):
 
 
 def cmd_fullness(args):
-    spec = _load_spec(args)
-    cx = nhh.assemble_differential(spec) if spec.is_exact else None
-    h, _ = heights.height(spec, cx)
-    verdict = fullness.not_full_check(h)
-    if verdict is None:
-        if spec.is_exact:
-            verdict = fullness.full_check(spec, cx=cx)
-        else:
-            verdict = fullness.FullnessVerdict(
-                fullness.INCONCLUSIVE,
-                "no exact data: cannot run the cocycle certificate",
-            )
+    verdict = _analysis(args).fullness
     payload = {"status": verdict.status, "evidence": verdict.evidence}
     _emit(payload, args.json, [f"{verdict.status}: {verdict.evidence}"])
     return 0

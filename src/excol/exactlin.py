@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 
 class ExactLinError(ValueError):
@@ -67,10 +66,28 @@ class RationalField:
         return hash("Q")
 
 
+MAX_PRIME = 1 << 64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(p):
+    """Miller-Rabin with the bases 2..37: deterministic for p < 3.18 * 10^23."""
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 1 << k, p) != p - 1 for k in range(s)):
+            return False
+    return True
+
+
 class PrimeField:
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-            raise ExactLinError(f"{p} is not prime")
+        if not (p < MAX_PRIME and is_prime(p)):
+            raise ExactLinError(f"{p} is not a prime below 2^64")
         self.p = p
         self.name = f"F{p}"
         self.zero = 0
@@ -130,8 +147,11 @@ def field_by_name(name):
     """Resolve "Q" or "F<p>" to a field object."""
     if name == "Q":
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
-        return PrimeField(int(name[1:]))
+    digits = name[1:]
+    if name.startswith("F") and digits.isascii() and digits.isdigit():
+        if len(digits.lstrip("0")) > len(str(MAX_PRIME)):  # before int(): no huge parse
+            raise ExactLinError(f"{len(digits)}-digit p is not below 2^64")
+        return PrimeField(int(digits))
     raise ExactLinError(f"unknown field {name!r}")
 
 

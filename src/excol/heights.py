@@ -13,15 +13,20 @@ when a class in the -p = 0 column sits at that minimal degree (nothing maps
 out of that column and nothing of smaller degree can hit it).  Qualitative
 data goes through the pseudoheight interval; a pinned interval attained on a
 length-0 chain is again exact.
+
+`Analysis` computes each of these stages at most once per spec; the module
+functions below are projections of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
-from .model import INF, SpecError
+from .fullness import INCONCLUSIVE, FullnessVerdict, full_check, not_full_check
+from .model import INF
 from .nhh import assemble_differential, spectral_sequence, total_cohomology
-from .pseudoheight import PhBounds, pseudoheight, qualitative_ph_bounds
+from .pseudoheight import PhBounds, qualitative_ph_bounds
 
 
 @dataclass(frozen=True)
@@ -37,76 +42,15 @@ class Height:
         return self.lo == self.hi
 
     def shifted(self, amount):
-        lo = self.lo - amount if self.lo != INF else INF
-        hi = self.hi - amount if self.hi != INF else INF
-        return Height(lo, hi, self.nhh_vanishes)
+        return Height(self.lo - amount, self.hi - amount, self.nhh_vanishes)
 
     def __str__(self):
         def fmt(v):
-            if v == INF:
-                return "inf"
-            if v == -INF:
-                return "-inf"
-            return str(int(v))
+            return str(v) if v in (INF, -INF) else str(int(v))
 
         if self.is_point:
             return fmt(self.lo)
         return f"[{fmt(self.lo)}, {fmt(self.hi)}]"
-
-
-def heph_shortcut(spec):
-    """Height equals pseudoheight when the witness chain has length 0.
-
-    A class on a length-0 chain at the minimal total degree receives no
-    differential and emits none, so it survives to the limit page.
-    """
-    ph = pseudoheight(spec)
-    if ph.witness is not None and len(ph.witness) == 1:
-        return ph.value
-    return None
-
-
-def height(spec, cx=None):
-    """Height of the collection, as a point or an interval.
-
-    Returns (Height, nhh_dims | None); nhh dims are only available on the
-    exact route.
-    """
-    if spec.is_exact:
-        if cx is None:
-            cx = assemble_differential(spec)
-        nhh = total_cohomology(cx)
-        if spec.higher_complete:
-            nonzero = [t for t, d in nhh.items() if d > 0]
-            if not nonzero:
-                return Height(INF, INF, nhh_vanishes=True), nhh
-            h = min(nonzero)
-            return Height(h, h), nhh
-        # trusted through the page driven by the largest supplied arity
-        trusted = spec.max_arity
-        ss = spectral_sequence(cx, max_page=trusted)
-        page = ss.page(trusted)
-        degrees = [mp + q for (mp, q), d in page.items() if d > 0]
-        if not degrees:
-            return Height(INF, INF, nhh_vanishes=True), nhh
-        lo = min(degrees)
-        survivor_at_zero = any(
-            mp == 0 and mp + q == lo and d > 0 for (mp, q), d in page.items()
-        )
-        if survivor_at_zero or heph_shortcut(spec) == lo:
-            return Height(lo, lo), nhh
-        return Height(lo, INF), nhh
-    bounds = qualitative_ph_bounds(spec)
-    lo = bounds.lower
-    if (
-        bounds.pinned
-        and bounds.witness_chain is not None
-        and len(bounds.witness_chain) == 1
-    ):
-        v = bounds.lower + spec.dim_x
-        return Height(v, v), None
-    lo_abs = lo + spec.dim_x if lo not in (INF, -INF) else lo
-    return Height(lo_abs, INF), None
 
 
 def hkr_total(h_table):
@@ -143,21 +87,16 @@ def comparison_report(spec, h, hoh_x_dims=None, nhh_dims=None, **extra):
     Only the proven lower bound drives the comparison: iso range h.lo - 2,
     monomorphism at h.lo - 1, deformation equivalence at h.lo >= 4.
     """
-    lo = h.lo
-    iso = lo - 2 if lo != INF else INF
-    mono = lo - 1 if lo != INF else INF
+    iso = h.lo - 2
     hoh_a = None
     if hoh_x_dims is not None:
-        hoh_a = [
-            d if (iso == INF or k <= iso) else None
-            for k, d in enumerate(hoh_x_dims)
-        ]
+        hoh_a = [d if k <= iso else None for k, d in enumerate(hoh_x_dims)]
     return HeightReport(
         height=h,
         height_ac=h.shifted(spec.dim_x),
         iso_range=iso,
-        mono_degree=mono,
-        deformation_equivalent=(lo != INF and lo >= 4) or lo == INF,
+        mono_degree=h.lo - 1,
+        deformation_equivalent=h.lo >= 4,
         hoh_x_dims=hoh_x_dims,
         hoh_a_dims=hoh_a,
         nhh_dims=nhh_dims,
@@ -165,34 +104,117 @@ def comparison_report(spec, h, hoh_x_dims=None, nhh_dims=None, **extra):
     )
 
 
+class Analysis:
+    """Everything derived from one spec, each stage computed at most once.
+
+    The stages are lazy and memoized: the chain-engine bounds, the height
+    shortcut, the assembled complex (d . d checked once), its cohomology and
+    pages, the height, the report and the fullness verdict.  Every CLI
+    command reads its answer off one Analysis.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    @cached_property
+    def bounds(self):
+        """Anticanonical pseudoheight interval, pinned on exact data."""
+        return qualitative_ph_bounds(self.spec)
+
+    @property
+    def ph_ac(self):
+        """The anticanonical pseudoheight when the bounds pin it, else None."""
+        return self.bounds.lower if self.bounds.pinned else None
+
+    @property
+    def ph(self):
+        return None if self.ph_ac is None else self.ph_ac + self.spec.dim_x
+
+    @property
+    def shortcut(self):
+        """Height equals pseudoheight on pinned bounds with a length-0 witness.
+
+        A class on a length-0 chain at the minimal total degree receives no
+        differential and emits none, so it survives to the limit page.
+        """
+        witness = self.bounds.witness_chain
+        if witness is not None and len(witness) == 1 and self.bounds.pinned:
+            return self.ph
+        return None
+
+    @cached_property
+    def complex(self):
+        return assemble_differential(self.spec)
+
+    @cached_property
+    def cohomology(self):
+        """Normal cohomology dims on exact data, None otherwise."""
+        return total_cohomology(self.complex) if self.spec.is_exact else None
+
+    @cached_property
+    def pages(self):
+        return spectral_sequence(self.complex)
+
+    @cached_property
+    def height(self):
+        spec = self.spec
+        if not spec.is_exact:
+            if self.shortcut is not None:
+                return Height(self.shortcut, self.shortcut)
+            return Height(self.bounds.lower + spec.dim_x, INF)
+        page = None
+        if spec.higher_complete:
+            degrees = [t for t, d in self.cohomology.items() if d > 0]
+        else:
+            # trusted through the page driven by the largest supplied arity
+            page = self.pages.page(spec.max_arity)
+            degrees = [mp + q for (mp, q), d in page.items() if d > 0]
+        if not degrees:
+            return Height(INF, INF, nhh_vanishes=True)
+        lo = min(degrees)
+        if page is None or page.get((0, lo)) or self.shortcut == lo:
+            return Height(lo, lo)
+        return Height(lo, INF)
+
+    def report(self, hoh_x_dims=None):
+        """The comparison report; hoh_x_dims are the ambient HOH dims."""
+        shortcut = "heph" if self.shortcut is not None else "none"
+        return comparison_report(
+            self.spec,
+            self.height,
+            hoh_x_dims,
+            nhh_dims=self.cohomology,
+            ph=self.ph,
+            ph_ac=self.ph_ac,
+            used_shortcut=shortcut if self.spec.is_exact else "qualitative",
+            witness=self.bounds.witness_chain,
+            ph_bounds=self.bounds,
+        )
+
+    @cached_property
+    def fullness(self):
+        """NOT_FULL from a positive height, else the cocycle certificate."""
+        verdict = not_full_check(self.height)
+        if verdict is not None:
+            return verdict
+        if not self.spec.is_exact:
+            return FullnessVerdict(
+                INCONCLUSIVE, "no exact data: cannot run the cocycle certificate"
+            )
+        return full_check(self.spec, cx=self.complex)
+
+
+def heph_shortcut(spec):
+    """The height when the shortcut applies (see Analysis.shortcut), else None."""
+    return Analysis(spec).shortcut
+
+
+def height(spec):
+    """Height of the collection and the normal cohomology dims (exact only)."""
+    analysis = Analysis(spec)
+    return analysis.height, analysis.cohomology
+
+
 def build_report(spec, hoh_x_dims=None):
     """End-to-end report: pseudoheight, height, comparison ranges."""
-    if spec.is_exact:
-        ph = pseudoheight(spec)
-        h, nhh = height(spec)
-        shortcut = "none"
-        if heph_shortcut(spec) is not None:
-            shortcut = "heph"
-        return comparison_report(
-            spec,
-            h,
-            hoh_x_dims,
-            nhh_dims=nhh,
-            ph=ph.value,
-            ph_ac=ph.value_ac,
-            used_shortcut=shortcut,
-            witness=ph.witness,
-        )
-    bounds = qualitative_ph_bounds(spec)
-    h, _ = height(spec)
-    return comparison_report(
-        spec,
-        h,
-        hoh_x_dims,
-        nhh_dims=None,
-        ph=(bounds.lower + spec.dim_x) if bounds.pinned else None,
-        ph_ac=bounds.lower if bounds.pinned else None,
-        used_shortcut="qualitative",
-        witness=bounds.witness_chain,
-        ph_bounds=bounds,
-    )
+    return Analysis(spec).report(hoh_x_dims)

@@ -92,8 +92,8 @@ class QualitativeExtTable:
         the lower end is -inf: finitely many statuses cannot bound first
         possible nonvanishing from below.
         """
-        declared = sorted(d for (s, t, d) in self.statuses if s == src and t == dst)
         if self.degree_window is None:
+            declared = sorted(d for (s, t, d) in self.statuses if s == src and t == dst)
             hi = INF
             for d in declared:
                 if self.statuses[(src, dst, d)] == NONZERO:

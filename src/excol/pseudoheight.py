@@ -6,22 +6,22 @@ se(F, F') is the minimal degree with Ext(F, F') nonzero; the pseudoheight is
 the minimum over all 2^n - 1 chains.  Chains with an everywhere-zero link
 contribute +inf and are skipped.  The anticanonical variants subtract dim_x.
 
-With partial (three-valued) knowledge the same minimum is run over
-se-intervals, which reproduces the standard lower-bound lemmas: a Hom-free
-extended collection forces every link >= 1, hence value >= 1; if on top of
-that no chain is cyclically Ext^1-connected some link is >= 2, hence
-value >= 2.  A nonzero H^2(omega^{-1}) on a surface of line bundles caps the
-length-0 chains at 2.
+One walk computes the minimum over se-intervals.  Exact dims pin every
+interval.  Partial (three-valued) knowledge leaves them open, which
+reproduces the standard lower-bound lemmas: a Hom-free extended collection
+forces every link >= 1, hence value >= 1; if on top of that no chain is
+cyclically Ext^1-connected some link is >= 2, hence value >= 2.  A nonzero
+H^2(omega^{-1}) on a surface of line bundles caps the length-0 chains at 2.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .model import (
     INF,
     NONZERO,
-    UNKNOWN,
     ZERO,
     QualitativeExtTable,
     SpecError,
@@ -41,12 +41,8 @@ def iter_chains(n):
     """All strictly increasing index chains, shortest first, then lex."""
     if n > MAX_N:
         raise SpecError(f"chain enumeration capped at n <= {MAX_N}, got {n}")
-    for mask in range(1, 1 << n):
-        yield tuple(i + 1 for i in range(n) if mask >> i & 1)
-
-
-def _chains_sorted(n):
-    return sorted(iter_chains(n), key=lambda c: (len(c), c))
+    for length in range(1, n + 1):
+        yield from itertools.combinations(range(1, n + 1), length)
 
 
 def chain_links(chain):
@@ -60,47 +56,7 @@ def chain_links(chain):
     yield ("N", chain[0], chain[-1])
 
 
-@dataclass
-class PseudoheightResult:
-    value: float  # int or +inf
-    witness: tuple | None
-    dim_x: int
-
-    @property
-    def value_ac(self):
-        return self.value - self.dim_x if self.value != INF else INF
-
-
-def pseudoheight(spec):
-    """Exact pseudoheight with a witness chain.
-
-    Requires exact dims.  Ties prefer shorter witnesses (a length-0 witness
-    makes the height shortcut fire), then lexicographic order.
-    """
-    if not spec.is_exact:
-        raise SpecError("pseudoheight needs exact Ext dimensions")
-    se_a = {pair: rel_height(dims) for pair, dims in spec.a_dims.items()}
-    se_n = {pair: rel_height(dims) for pair, dims in spec.n_dims.items()}
-    best = INF
-    witness = None
-    for chain in _chains_sorted(spec.n):
-        total = 0
-        for kind, i, j in chain_links(chain):
-            se = se_a.get((i, j), INF) if kind == "A" else se_n.get((i, j), INF)
-            if se == INF:
-                total = INF
-                break
-            total += se
-        if total == INF:
-            continue
-        value = total - (len(chain) - 1)
-        if value < best:
-            best = value
-            witness = chain
-    return PseudoheightResult(best, witness, spec.dim_x)
-
-
-# -- qualitative engine ------------------------------------------------------
+# -- the chain engine ----------------------------------------------------------
 
 
 @dataclass
@@ -144,46 +100,82 @@ def effective_table(spec, table=None):
     return table.merged_with(updates)
 
 
-def _link_se_interval(spec, table, kind, i, j):
-    """se-interval of one link, in anticanonical degrees."""
-    if spec.is_exact and (spec.a_dims or spec.n_dims):
-        if kind == "A":
-            se = rel_height(spec.a_space(i, j))
-        else:
-            se = rel_height(spec.n_space(i, j)) - spec.dim_x
-        return (se, se) if se != INF else (INF, INF)
-    if kind == "A":
-        return table.se_interval(i, j)
-    return table.se_interval(j, spec.n + i)
+def _link_intervals(spec, table):
+    """se-intervals of the A links and of the twisted links, anticanonically.
+
+    Exact dims pin every interval; the twisted link is shifted by dim_x.
+    """
+    if spec.is_exact:
+        def pinned(dims, shift=0):
+            se = rel_height(dims) - shift
+            return (se, se)
+
+        return (
+            {pair: pinned(dims) for pair, dims in spec.a_dims.items()},
+            {pair: pinned(dims, spec.dim_x) for pair, dims in spec.n_dims.items()},
+        )
+    table = effective_table(spec, table)
+    pairs = list(itertools.combinations_with_replacement(range(1, spec.n + 1), 2))
+    return (
+        {(i, j): table.se_interval(i, j) for i, j in pairs if i < j},
+        {(i, j): table.se_interval(j, spec.n + i) for i, j in pairs},
+    )
 
 
 def qualitative_ph_bounds(spec, table=None):
-    """Anticanonical pseudoheight interval from three-valued knowledge.
+    """Anticanonical pseudoheight interval: the one walk over the chains.
 
     The witness chain attains the upper bound; length-0 witnesses are
-    preferred so the height shortcut can fire on a pinned interval.
+    preferred so the height shortcut can fire on a pinned interval.  Exact
+    data gives a pinned interval (or [inf, inf] when every chain is dead).
     """
-    table = effective_table(spec, table)
+    a_iv, n_iv = _link_intervals(spec, table)
+    dead = (INF, INF)
     lower = INF
     upper = INF
     witness = None
-    for chain in _chains_sorted(spec.n):
-        p = len(chain) - 1
-        lo_total = 0
-        hi_total = 0
-        for kind, i, j in chain_links(chain):
-            lo, hi = _link_se_interval(spec, table, kind, i, j)
-            lo_total = INF if lo == INF or lo_total == INF else lo_total + lo
-            hi_total = INF if hi == INF or hi_total == INF else hi_total + hi
-            if lo_total == INF:
-                break
+    for chain in iter_chains(spec.n):
+        lo_total, hi_total = n_iv.get((chain[0], chain[-1]), dead)
         if lo_total == INF:
             continue  # a link is known entirely zero: chain contributes nothing
-        lower = min(lower, lo_total - p)
-        if hi_total != INF and hi_total - p < upper:
-            upper = hi_total - p
-            witness = chain
+        for pair in zip(chain, chain[1:]):
+            lo, hi = a_iv.get(pair, dead)
+            if lo == INF:
+                break
+            lo_total += lo
+            hi_total += hi
+        else:
+            p = len(chain) - 1
+            lower = min(lower, lo_total - p)
+            if hi_total - p < upper:
+                upper = hi_total - p
+                witness = chain
     return PhBounds(lower, upper, witness)
+
+
+@dataclass
+class PseudoheightResult:
+    value: float  # int or +inf
+    witness: tuple | None
+    dim_x: int
+
+    @property
+    def value_ac(self):
+        return self.value - self.dim_x
+
+
+def pseudoheight(spec):
+    """Exact pseudoheight with a witness chain: the pinned chain-engine bounds.
+
+    Requires exact dims.  Ties prefer shorter witnesses (a length-0 witness
+    makes the height shortcut fire), then lexicographic order.
+    """
+    if not spec.is_exact:
+        raise SpecError("pseudoheight needs exact Ext dimensions")
+    bounds = qualitative_ph_bounds(spec)
+    return PseudoheightResult(
+        bounds.lower + spec.dim_x, bounds.witness_chain, spec.dim_x
+    )
 
 
 def link_status(spec, table, kind, i, j, deg):
@@ -211,7 +203,7 @@ def cyclically_ext1_connected(spec, table=None):
     """
     table = effective_table(spec, table)
     found_unknown = False
-    for chain in _chains_sorted(spec.n):
+    for chain in iter_chains(spec.n):
         statuses = [
             link_status(spec, table, kind, i, j, 1)
             for kind, i, j in chain_links(chain)

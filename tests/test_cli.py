@@ -83,6 +83,7 @@ def test_backwards_ext_is_format_error(tmp_path, capsys):
     ("flags", "x"),
     ("qualitative", {"degree_window": ["a", 1]}),
     ("objects", [1]),
+    pytest.param("field", "F" + "1" * 5000, id="field-5000-digits"),
 ])
 def test_ill_typed_field_is_format_error(tmp_path, capsys, field, value):
     doc = {"n": 1, "dim_x": 0, field: value}

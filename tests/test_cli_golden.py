@@ -1,0 +1,74 @@
+"""Golden command-line outputs: exit code and stdout, byte for byte.
+
+`cli_golden.json` holds one record per command line over every shipped
+fixture.  To rewrite it from the current tree after an intended output
+change, run `PYTHONPATH=src python tests/test_cli_golden.py` from the
+repository root and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from excol import fixtures
+from excol.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
+
+COMMANDS = ["validate", "pseudoheight", "e1", "ss", "height", "report", "fullness"]
+EXTRA = [
+    ["pseudoheight", "--anticanonical"],
+    ["ss", "--max-page", "5"],
+    ["report", "--hoh", "1,0,0,6,9"],
+]
+
+
+def command_lines():
+    out = []
+    for name in fixtures.fixture_list():
+        for cmd, *flags in [[c] for c in COMMANDS] + EXTRA:
+            for as_json in ([], ["--json"]):
+                out.append([cmd, name, *flags, *as_json])
+    return out
+
+
+def run_captured(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_golden_covers_every_command_line(golden):
+    assert [rec["argv"] for rec in golden] == command_lines()
+
+
+@pytest.mark.parametrize("index, argv", [
+    pytest.param(i, argv, id=" ".join(argv)) for i, argv in enumerate(command_lines())
+])
+def test_cli_output_matches_golden(golden, index, argv, monkeypatch):
+    monkeypatch.delenv("EXCOL_FIXTURES", raising=False)
+    rec = golden[index]
+    assert rec["argv"] == argv
+    assert run_captured(argv) == (rec["exit"], rec["stdout"])
+
+
+if __name__ == "__main__":
+    records = []
+    for argv in command_lines():
+        code, out = run_captured(argv)
+        records.append({"argv": argv, "exit": code, "stdout": out})
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        lines = [json.dumps(rec, sort_keys=True) for rec in records]
+        fh.write("[\n" + ",\n".join(lines) + "\n]\n")
+    print(f"wrote {len(records)} records to {GOLDEN}", file=sys.stderr)

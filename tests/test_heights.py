@@ -2,6 +2,7 @@ import pytest
 
 from excol import fixtures
 from excol.heights import (
+    Analysis,
     Height,
     build_report,
     comparison_report,
@@ -35,6 +36,27 @@ def test_shortcut_agrees_with_full_computation():
     assert heph_shortcut(spec) == h.lo
     assert min(t for t, d in total_cohomology(assemble_differential(spec)).items()
                if d) == 2
+
+
+def test_shortcut_fires_on_pinned_qualitative_bounds():
+    # burniat: anticanonical interval [2, 2] on a length-0 chain, dim_x = 2
+    assert heph_shortcut(fixtures.fixture_spec("burniat")) == 4
+
+
+def test_analysis_computes_each_stage_once():
+    a = Analysis(fixtures.fixture_spec("beilinson_p1"))
+    assert a.complex is a.complex and a.pages is a.pages
+    assert a.height is a.height and a.fullness is a.fullness
+    assert (a.height.lo, a.cohomology) == (0, {0: 1, 1: 3})
+    assert a.fullness.status == "FULL"
+    assert a.report().witness == a.bounds.witness_chain == (1, 2)
+
+
+def test_analysis_qualitative_has_no_complex_data():
+    a = Analysis(fixtures.fixture_spec("burniat"))
+    assert a.cohomology is None
+    assert a.report().used_shortcut == "qualitative"
+    assert a.fullness.status == "NOT_FULL"
 
 
 def test_shortcut_silent_on_longer_witness():

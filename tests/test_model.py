@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,24 @@ def test_parse_minimal_point_like_document():
     assert spec.n_space(1, 1) == {0: 1}
     assert spec.a_dims == {}
     assert spec.is_exact
+
+
+def test_large_prime_field_parses_quickly():
+    t0 = time.monotonic()
+    spec = parse({"n": 1, "dim_x": 0, "field": "F1000000000000000003"})
+    assert spec.field_name == "F1000000000000000003"
+    assert time.monotonic() - t0 < 1.0
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("F1000000000000000001", id="composite"),
+    pytest.param("F18446744073709551629", id="prime-above-2^64"),
+    pytest.param("F" + "1" * 5000, id="more-digits-than-int-accepts"),
+    pytest.param("F\u00b2", id="non-ascii-digit"),
+])
+def test_bad_prime_field_rejected(name):
+    with pytest.raises(SpecError):
+        parse({"n": 1, "dim_x": 0, "field": name})
 
 
 @pytest.mark.parametrize("name", fixtures.fixture_list())

@@ -27,6 +27,7 @@ def test_rel_height_godeaux_twisted_pair():
 def test_chain_enumeration():
     chains = list(iter_chains(3))
     assert len(chains) == 7
+    assert chains == sorted(chains, key=lambda c: (len(c), c))  # witness order
     assert (1, 2, 3) in chains
     assert list(chain_links((1, 3))) == [("A", 1, 3), ("N", 1, 3)]
 
@@ -81,6 +82,14 @@ def test_pseudoheight_all_chains_dead():
     spec = CollectionSpec(n=2, dim_x=0, a_dims={(1, 2): {0: 1}}, n_dims={})
     res = pseudoheight(spec)
     assert res.value == INF and res.witness is None
+
+
+def test_exact_spec_without_dims_pins_infinity():
+    # exact data with no Ext spaces at all: every chain is dead
+    spec = CollectionSpec(n=2, dim_x=1)
+    bounds = qualitative_ph_bounds(spec)
+    assert (bounds.lower, bounds.upper, bounds.witness_chain) == (INF, INF, None)
+    assert pseudoheight(spec).value == INF
 
 
 def test_pseudoheight_requires_exact_data():
