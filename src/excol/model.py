@@ -210,6 +210,11 @@ def _require(cond, msg):
         raise SpecError(msg)
 
 
+def _is_int(value):
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _list(value, what):
     _require(isinstance(value, list), f"{what} must be a list, got {value!r}")
     return value
@@ -217,7 +222,7 @@ def _list(value, what):
 
 def _int_tuple(value, what):
     _require(
-        isinstance(value, list) and all(isinstance(x, int) for x in value),
+        isinstance(value, list) and all(_is_int(x) for x in value),
         f"{what} must be a list of integers, got {value!r}",
     )
     return tuple(value)
@@ -243,7 +248,7 @@ def _parse_graded(records, n, key_fields, lo_le_hi):
         except KeyError as exc:
             raise SpecError(f"missing key {exc} in {rec!r}") from None
         for v in (a, b, deg, dim):
-            _require(isinstance(v, int), f"non-integer field in {rec!r}")
+            _require(_is_int(v), f"non-integer field in {rec!r}")
         _require(1 <= a <= n and 1 <= b <= n, f"object index out of range in {rec!r}")
         _require(dim >= 1, f"dims must be >= 1, got {dim}")
         if lo_le_hi:
@@ -265,10 +270,10 @@ def _parse_product(rec, n, spec_dims, arity_two):
     if kind == pr.AA:
         key = pr.key_aa(chain, degs)
     elif kind == pr.AN:
-        _require(isinstance(rec.get("twist_src"), int), f"AN needs twist_src: {rec!r}")
+        _require(_is_int(rec.get("twist_src")), f"AN needs twist_src: {rec!r}")
         key = pr.key_an(rec["twist_src"], chain, degs)
     else:
-        _require(isinstance(rec.get("from"), int), f"NA product needs 'from': {rec!r}")
+        _require(_is_int(rec.get("from")), f"NA product needs 'from': {rec!r}")
         key = pr.key_na(rec["from"], chain, degs)
     try:
         pr.check_key_shape(key, n)
@@ -303,7 +308,7 @@ def _parse_product(rec, n, spec_dims, arity_two):
         )
         *src_idx, out, val = entry
         _require(
-            all(isinstance(x, int) for x in src_idx) and isinstance(out, int),
+            all(_is_int(x) for x in src_idx) and _is_int(out),
             f"bad entry indices {entry!r}",
         )
         for t, idx in enumerate(src_idx):
@@ -321,7 +326,7 @@ def _parse_qualitative(rec, n):
         _require(
             isinstance(window, list)
             and len(window) == 2
-            and all(isinstance(w, int) for w in window)
+            and all(_is_int(w) for w in window)
             and window[0] <= window[1],
             f"bad degree_window {window!r}",
         )
@@ -333,7 +338,7 @@ def _parse_qualitative(rec, n):
         except (KeyError, TypeError):
             raise SpecError(f"bad qualitative row {row!r}") from None
         _require(st in (ZERO, NONZERO), f"bad status {st!r}")
-        ints = all(isinstance(v, int) for v in (src, dst, deg))
+        ints = all(_is_int(v) for v in (src, dst, deg))
         _require(ints, f"bad qualitative row {row!r}")
         _require(1 <= src <= n and 1 <= dst <= 2 * n, f"bad pair in {row!r}")
         key = (src, dst, deg)
@@ -358,7 +363,7 @@ def _parse_cochain(rec):
         vals = {}
         for pair in _list(values, "cochain values"):
             _require(
-                isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], int),
+                isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0]),
                 f"bad cochain value {pair!r}",
             )
             vals[pair[0]] = _frac(pair[1])
@@ -394,9 +399,9 @@ def parse(document):
     _require(not unknown, f"unknown top-level keys {sorted(unknown)}")
     n = document.get("n")
     dim_x = document.get("dim_x")
-    _require(isinstance(n, int) and n >= 1, f"n must be a count >= 1, got {n!r}")
+    _require(_is_int(n) and n >= 1, f"n must be a count >= 1, got {n!r}")
     _require(
-        isinstance(dim_x, int) and dim_x >= 0, f"dim_x must be >= 0, got {dim_x!r}"
+        _is_int(dim_x) and dim_x >= 0, f"dim_x must be >= 0, got {dim_x!r}"
     )
     field_name = document.get("field", "Q")
     check_field_name(field_name)
@@ -442,7 +447,7 @@ def parse(document):
             )
             degrees = [o["canonical_degree"] for o in objs]
             _require(
-                all(isinstance(d, int) for d in degrees), "bad canonical degrees"
+                all(_is_int(d) for d in degrees), "bad canonical degrees"
             )
 
     flags = dict(document.get("flags", {}))
@@ -457,7 +462,7 @@ def parse(document):
             fullness.xi = _parse_cochain(rec["xi"])
         for prec in _list(rec.get("pairings", []), "pairings"):
             _require(
-                isinstance(prec, dict) and isinstance(prec.get("obj"), int),
+                isinstance(prec, dict) and _is_int(prec.get("obj")),
                 f"pairing needs obj: {prec!r}",
             )
             fullness.pairings[prec["obj"]] = _parse_cochain(prec)

@@ -29,12 +29,13 @@ Survivor bases are read off the same reduction on demand.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import products as pr
 from .exactlin import Matrix, Subspace, field_by_name
 from .model import INF, SpecError
-from .pseudoheight import iter_chains
+from .pseudoheight import live_chains
 
 
 class DifferentialError(ValueError):
@@ -82,15 +83,25 @@ class ChainTerm:
         return sum(b * s for b, s in zip(combo, self.strides()))
 
 
+def _nonempty(space):
+    return (space,) if space else None
+
+
 def enumerate_terms(spec):
-    """All nonzero chain terms of the bigraded space."""
+    """All nonzero chain terms of the bigraded space.
+
+    Only chains whose every Ext space is nonempty are visited (see
+    `live_chains`); terms come shortest chain first, then by chain in lex
+    order, then by degree split.
+    """
     terms = []
-    for chain in iter_chains(spec.n):
-        p = len(chain) - 1
-        spaces = [spec.a_space(chain[s], chain[s + 1]) for s in range(p)]
-        spaces.append(spec.n_space(chain[0], chain[-1]))
-        if any(not sp for sp in spaces):
-            continue
+    for chain, spaces in live_chains(
+        spec.n,
+        lambda i, j: _nonempty(spec.a_space(i, j)),
+        lambda i, j: _nonempty(spec.n_space(i, j)),
+        (),
+        operator.add,
+    ):
         for degs in itertools.product(*[sorted(sp) for sp in spaces]):
             dims = tuple(sp[d] for sp, d in zip(spaces, degs))
             terms.append(ChainTerm(chain, tuple(degs), dims))

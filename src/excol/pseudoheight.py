@@ -3,8 +3,11 @@
 A chain is a strictly increasing tuple of object indices a_0 < ... < a_p.
 Its value is se(E_a0, E_a1) + ... + se(E_ap, S^{-1} E_a0) - p, where
 se(F, F') is the minimal degree with Ext(F, F') nonzero; the pseudoheight is
-the minimum over all 2^n - 1 chains.  Chains with an everywhere-zero link
-contribute +inf and are skipped.  The anticanonical variants subtract dim_x.
+the minimum over the chains whose every link is nonzero.  A chain with an
+everywhere-zero link contributes +inf, so `live_chains` never visits it: it
+walks depth first over the live links only, and its cost follows the live
+chains rather than all 2^n - 1 of them.  The anticanonical variants
+subtract dim_x.
 
 One walk computes the minimum over se-intervals.  Exact dims pin every
 interval.  Partial (three-valued) knowledge leaves them open, which
@@ -17,6 +20,7 @@ H^2(omega^{-1}) on a surface of line bundles caps the length-0 chains at 2.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .model import (
@@ -28,7 +32,7 @@ from .model import (
     hom_vanishing_from_degrees,
 )
 
-MAX_N = 24  # 2^n chains; every worked example has n <= 11
+MAX_N = 24  # every worked example has n <= 11
 
 
 def rel_height(dims):
@@ -37,12 +41,66 @@ def rel_height(dims):
     return min(nonzero) if nonzero else INF
 
 
-def iter_chains(n):
-    """All strictly increasing index chains, shortest first, then lex."""
+def _check_n(n):
     if n > MAX_N:
         raise SpecError(f"chain enumeration capped at n <= {MAX_N}, got {n}")
+
+
+def iter_chains(n):
+    """All strictly increasing index chains, shortest first, then lex."""
+    _check_n(n)
     for length in range(1, n + 1):
         yield from itertools.combinations(range(1, n + 1), length)
+
+
+def live_chains(n, a_link, n_link, zero, plus):
+    """The chains whose every link is live, in the order of `iter_chains`.
+
+    a_link(i, j) weighs the link Ext(E_i, E_j) and n_link(a_0, a_p) the
+    closing twisted link; either returns None for a dead link.  Yields
+    (chain, weight) with weight = plus(...plus(zero, w_1)..., w_closing),
+    the A links in order and the closing link last.
+
+    Each link is tested once.  For each length, a depth-first walk from
+    each a_0 then follows a live link only if a live closing link lies the
+    right number of live links beyond it, so every path it visits is the
+    prefix of a live chain: the cost is O(n^3) for the tests and the
+    reachability bits plus O(n) per prefix, and the memory is O(n^2).
+    """
+    _check_n(n)
+    objects = range(1, n + 1)
+    succ = {i: [] for i in objects}
+    close = {}
+    for i, j in itertools.combinations_with_replacement(objects, 2):
+        if i < j and (w := a_link(i, j)) is not None:
+            succ[i].append((j, w))
+        if (w := n_link(i, j)) is not None:
+            close[i, j] = w
+    # ends[a0][j] has bit r set iff r more live links lead from j to some
+    # a_p whose closing link N(a0, a_p) is live
+    ends = {}
+    for a0 in objects:
+        bits = {}
+        for j in range(n, a0 - 1, -1):
+            b = 1 if (a0, j) in close else 0
+            for k, _ in succ[j]:
+                b |= bits[k] << 1
+            bits[j] = b
+        ends[a0] = bits
+    for p in range(n):
+        for a0 in objects:
+            bits = ends[a0]
+            if not bits[a0] >> p & 1:
+                continue
+            stack = [((a0,), zero, p)]
+            while stack:
+                chain, acc, left = stack.pop()
+                if not left:
+                    yield chain, plus(acc, close[a0, chain[-1]])
+                    continue
+                for j, w in reversed(succ[chain[-1]]):
+                    if bits[j] >> (left - 1) & 1:
+                        stack.append((chain + (j,), plus(acc, w), left - 1))
 
 
 def chain_links(chain):
@@ -122,6 +180,20 @@ def _link_intervals(spec, table):
     )
 
 
+def _live_interval(intervals):
+    """Link weight for `live_chains`: the se-interval, None if known zero."""
+
+    def link(i, j):
+        iv = intervals.get((i, j))
+        return None if iv is None or iv[0] == INF else iv
+
+    return link
+
+
+def _add_intervals(u, v):
+    return (u[0] + v[0], u[1] + v[1])
+
+
 def qualitative_ph_bounds(spec, table=None):
     """Anticanonical pseudoheight interval: the one walk over the chains.
 
@@ -130,26 +202,17 @@ def qualitative_ph_bounds(spec, table=None):
     data gives a pinned interval (or [inf, inf] when every chain is dead).
     """
     a_iv, n_iv = _link_intervals(spec, table)
-    dead = (INF, INF)
     lower = INF
     upper = INF
     witness = None
-    for chain in iter_chains(spec.n):
-        lo_total, hi_total = n_iv.get((chain[0], chain[-1]), dead)
-        if lo_total == INF:
-            continue  # a link is known entirely zero: chain contributes nothing
-        for pair in zip(chain, chain[1:]):
-            lo, hi = a_iv.get(pair, dead)
-            if lo == INF:
-                break
-            lo_total += lo
-            hi_total += hi
-        else:
-            p = len(chain) - 1
-            lower = min(lower, lo_total - p)
-            if hi_total - p < upper:
-                upper = hi_total - p
-                witness = chain
+    for chain, (lo, hi) in live_chains(
+        spec.n, _live_interval(a_iv), _live_interval(n_iv), (0, 0), _add_intervals
+    ):
+        p = len(chain) - 1
+        lower = min(lower, lo - p)
+        if hi - p < upper:
+            upper = hi - p
+            witness = chain
     return PhBounds(lower, upper, witness)
 
 
@@ -202,14 +265,19 @@ def cyclically_ext1_connected(spec, table=None):
     (None, None) otherwise.
     """
     table = effective_table(spec, table)
+
+    def link(kind):
+        def nonzero(i, j):  # None if ZERO, else whether surely NONZERO
+            st = link_status(spec, table, kind, i, j, 1)
+            return None if st == ZERO else st == NONZERO
+
+        return nonzero
+
     found_unknown = False
-    for chain in iter_chains(spec.n):
-        statuses = [
-            link_status(spec, table, kind, i, j, 1)
-            for kind, i, j in chain_links(chain)
-        ]
-        if all(st == NONZERO for st in statuses):
+    for chain, nonzero in live_chains(
+        spec.n, link("A"), link("N"), True, operator.and_
+    ):
+        if nonzero:
             return (True, chain)
-        if not any(st == ZERO for st in statuses):
-            found_unknown = True
+        found_unknown = True
     return (None, None) if found_unknown else (False, None)

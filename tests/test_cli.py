@@ -93,6 +93,16 @@ def test_ill_typed_field_is_format_error(tmp_path, capsys, field, value):
     assert code == 2 and "bad collection document" in err
 
 
+def test_boolean_integer_is_format_error(tmp_path, capsys):
+    path = tmp_path / "booleans.json"
+    path.write_text(json.dumps({
+        "n": True, "dim_x": False,
+        "serre_ext": [{"twist_src": 1, "from": True, "deg": False, "dim": True}],
+    }), encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and "bad collection document" in err
+
+
 def test_engine_precondition_is_exit_one(capsys):
     # a qualitative-only table has no first page
     code, _, err = run(capsys, "e1", "burniat")

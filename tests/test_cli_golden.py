@@ -1,7 +1,9 @@
 """Golden command-line outputs: exit code and stdout, byte for byte.
 
 `cli_golden.json` holds one record per command line over every shipped
-fixture.  To rewrite it from the current tree after an intended output
+fixture, plus the `--json` records of `data/sparse15.json`: a sparse exact
+document with n = 15 where only 22 of the 32,767 chains are live, so it
+pins the outputs where the chain walks prune.  To rewrite it from the current tree after an intended output
 change, run `PYTHONPATH=src python tests/test_cli_golden.py` from the
 repository root and review the diff.
 """
@@ -17,7 +19,10 @@ import pytest
 from excol import fixtures
 from excol.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+GOLDEN = os.path.join(HERE, "cli_golden.json")
+SPARSE = "tests/data/sparse15.json"  # relative to ROOT, as recorded in argv
 
 COMMANDS = ["validate", "pseudoheight", "e1", "ss", "height", "report", "fullness"]
 EXTRA = [
@@ -33,6 +38,8 @@ def command_lines():
         for cmd, *flags in [[c] for c in COMMANDS] + EXTRA:
             for as_json in ([], ["--json"]):
                 out.append([cmd, name, *flags, *as_json])
+    for cmd in ["pseudoheight", "e1", "ss", "height", "report", "fullness"]:
+        out.append([cmd, SPARSE, "--json"])
     return out
 
 
@@ -58,12 +65,14 @@ def test_golden_covers_every_command_line(golden):
 ])
 def test_cli_output_matches_golden(golden, index, argv, monkeypatch):
     monkeypatch.delenv("EXCOL_FIXTURES", raising=False)
+    monkeypatch.chdir(ROOT)
     rec = golden[index]
     assert rec["argv"] == argv
     assert run_captured(argv) == (rec["exit"], rec["stdout"])
 
 
 if __name__ == "__main__":
+    os.chdir(ROOT)
     records = []
     for argv in command_lines():
         code, out = run_captured(argv)

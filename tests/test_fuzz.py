@@ -2,7 +2,8 @@
 
 Each example edits a shipped fixture document in one to three places
 (replacing, deleting or adding an entry at any depth) and feeds it to
-`model.parse` or to `cli.main`.
+`model.parse` or to `cli.main`.  A JSON boolean in place of any integer
+must be refused, although Python counts it as one.
 """
 
 import contextlib
@@ -105,6 +106,36 @@ def test_parse_raises_only_spec_error(data):
         model.parse(json.dumps(doc))
     except model.SpecError:
         pass
+
+
+def _int_leaves(node, path, out):
+    """Paths to the integers of a document, outside flags and metadata."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if key in ("flags", "metadata"):
+            continue
+        if isinstance(child, (dict, list)):
+            _int_leaves(child, path + (key,), out)
+        elif isinstance(child, int) and not isinstance(child, bool):
+            out.append(path + (key,))
+    return out
+
+
+INT_LEAVES = {name: _int_leaves(doc, (), []) for name, doc in DOCS.items()}
+
+
+@SETTINGS
+@given(st.data())
+def test_boolean_for_an_integer_is_rejected(data):
+    name = data.draw(st.sampled_from(sorted(DOCS)))
+    doc = copy.deepcopy(DOCS[name])
+    *parents, last = data.draw(st.sampled_from(INT_LEAVES[name]))
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(st.booleans())
+    with pytest.raises(model.SpecError):
+        model.parse(json.dumps(doc))
 
 
 @SETTINGS

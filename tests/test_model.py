@@ -48,6 +48,54 @@ def test_bad_prime_field_rejected(name):
         parse({"n": 1, "dim_x": 0, "field": name})
 
 
+BOOLEAN_DOCUMENT = {
+    "n": True,
+    "dim_x": False,
+    "serre_ext": [{"twist_src": 1, "from": True, "deg": False, "dim": True}],
+}
+
+
+def test_booleans_are_not_integers():
+    with pytest.raises(SpecError):
+        parse(json.dumps(BOOLEAN_DOCUMENT))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("n",), True),
+    (("dim_x",), False),
+    (("ext", 0, "src"), True),
+    (("ext", 0, "deg"), False),
+    (("serre_ext", 0, "from"), True),
+    (("serre_ext", 0, "dim"), True),
+    (("products", 0, "chain", 0), True),
+    (("products", 0, "degs", 0), False),
+    (("products", 0, "entries", 0, 0), False),
+    (("qualitative", "degree_window", 0), False),
+    (("qualitative", "statuses", 0, "deg"), True),
+    (("objects", 1, "canonical_degree"), False),
+])
+def test_boolean_in_an_integer_field_rejected(path, value):
+    doc = {
+        "n": 2, "dim_x": 1,
+        "ext": [{"src": 1, "dst": 2, "deg": 0, "dim": 1}],
+        "serre_ext": [{"twist_src": 1, "from": 1, "deg": 1, "dim": 1},
+                      {"twist_src": 1, "from": 2, "deg": 1, "dim": 1}],
+        "products": [{"kind": "AN", "twist_src": 1, "chain": [1, 2],
+                      "degs": [0, 1], "entries": [[0, 0, 0, "1"]]}],
+        "qualitative": {"degree_window": [0, 2], "statuses": [
+            {"src": 1, "dst": 2, "deg": 1, "status": "NONZERO"}]},
+        "objects": [{"canonical_degree": 0}, {"canonical_degree": -1}],
+    }
+    parse(json.dumps(doc))  # the unedited document is well formed
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(SpecError):
+        parse(json.dumps(doc))
+
+
 @pytest.mark.parametrize("name", fixtures.fixture_list())
 def test_fixture_round_trip(name):
     spec = fixtures.fixture_spec(name)
