@@ -1,17 +1,27 @@
 """Heights, spectral sequences and fullness certificates for exceptional
 collections, from user-supplied Ext-algebra data, over exact arithmetic."""
 
-from .exactlin import Matrix, Subspace, kernel_basis, rref, subquotient_dim
-from .fullness import beilinson_fixture, full_check, not_full_check
-from .heights import Analysis, HeightReport, build_report, height, heph_shortcut
-from .heights import hkr_total
-from .model import CollectionSpec, QualitativeExtTable, parse, serialize, validate
-from .nhh import assemble_differential, build_e1, spectral_sequence, total_cohomology
-from .pseudoheight import (
-    cyclically_ext1_connected,
-    pseudoheight,
-    qualitative_ph_bounds,
-    rel_height,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# submodule -> the public names it defines; both load on first access (PEP 562),
+# so `import excol` loads no submodule, and no public name is a submodule's name
+_EXPORTS = {
+    "exactlin": "Matrix Subspace kernel_basis rref subquotient_dim",
+    "fixtures": "beilinson_fixture",
+    "fullness": "full_check not_full_check",
+    "heights": "Analysis HeightReport build_report height heph_shortcut hkr_total",
+    "model": "CollectionSpec QualitativeExtTable parse serialize validate",
+    "nhh": "assemble_differential build_e1 spectral_sequence total_cohomology",
+    "pseudoheight": "cyclically_ext1_connected qualitative_ph_bounds rel_height",
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS and name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOME.get(name, name)}", __name__)
+    return module if name in _EXPORTS else getattr(module, name)

@@ -17,9 +17,7 @@ import json
 import os
 import sys
 
-from . import fixtures, heights, model, nhh
-from .exactlin import ContainmentError, ExactLinError
-from .model import INF, SpecError
+_ENGINE_ERRORS = ["model.SpecError", "nhh.DifferentialError", "exactlin.ExactLinError"]
 
 
 class CliFormatError(Exception):
@@ -43,6 +41,7 @@ def _load_document(path):
                     return fh.read()
             except OSError as exc:
                 raise CliFormatError(f"cannot read {cand}: {exc}") from exc
+    from . import fixtures
     try:
         return fixtures.fixture_document(base_noext)
     except KeyError:
@@ -53,22 +52,23 @@ def _load_document(path):
 
 
 def _load_spec(args):
+    from . import model
     doc = _load_document(args.input)
     try:
         spec = model.parse(doc)
-    except SpecError as exc:
+    except model.SpecError as exc:
         raise CliFormatError(f"bad collection document: {exc}") from exc
     if args.field:
         try:
             model.check_field_name(args.field)
-        except SpecError as exc:
+        except model.SpecError as exc:
             raise CliFormatError(str(exc)) from None
         spec.field_name = args.field
     return spec
 
 
 def _jval(v):
-    if v in (INF, -INF):
+    if v in (float("inf"), float("-inf")):
         return str(v)
     return int(v) if isinstance(v, float) else v
 
@@ -108,8 +108,8 @@ def _nhh_json(dims):
 
 
 def cmd_validate(args):
-    spec = _load_spec(args)
-    report = model.validate(spec)
+    from .model import validate
+    report = validate(_load_spec(args))
     lines = []
     payload = {"checks": [], "ok": report.ok}
     for check in report.checks:
@@ -125,7 +125,8 @@ def cmd_validate(args):
 
 
 def _analysis(args):
-    return heights.Analysis(_load_spec(args))
+    from .heights import Analysis
+    return Analysis(_load_spec(args))
 
 
 def _witness(a):
@@ -159,12 +160,12 @@ def cmd_pseudoheight(args):
 
 
 def cmd_e1(args):
-    spec = _load_spec(args)
-    table, _ = nhh.build_e1(spec)
+    from .nhh import build_e1
+    table, _ = build_e1(_load_spec(args))
     nonzero_t = [mp + q for (mp, q), d in table.items() if d]
     payload = {
         "entries": _table_json(table),
-        "min_total_degree": _jval(min(nonzero_t) if nonzero_t else INF),
+        "min_total_degree": _jval(min(nonzero_t, default=float("inf"))),
     }
     lines = _grid_lines("first page", table)
     lines.append(f"minimal total degree: {payload['min_total_degree']}")
@@ -173,7 +174,8 @@ def cmd_e1(args):
 
 
 def cmd_ss(args):
-    ss = nhh.spectral_sequence(_analysis(args).complex, max_page=args.max_page)
+    from .nhh import spectral_sequence
+    ss = spectral_sequence(_analysis(args).complex, max_page=args.max_page)
     payload = {
         "pages": {str(r): _table_json(t) for r, t in sorted(ss.pages.items())},
         "stable_page": ss.stable_page,
@@ -274,6 +276,7 @@ def cmd_fullness(args):
 
 
 def cmd_fixture(args):
+    from . import fixtures
     if args.list or args.input is None:
         names = fixtures.fixture_list()
         _emit({"fixtures": names}, args.json, names)
@@ -282,7 +285,8 @@ def cmd_fixture(args):
         spec = fixtures.fixture_spec(args.input)
     except KeyError:
         raise CliFormatError(f"unknown fixture {args.input!r}") from None
-    sys.stdout.write(model.serialize(spec))
+    from .model import serialize
+    sys.stdout.write(serialize(spec))
     return 0
 
 
@@ -315,6 +319,13 @@ def build_parser():
     return parser
 
 
+def _engine_errors():
+    """The errors that exit 1; a submodule not loaded cannot have raised one."""
+    loaded = vars(sys.modules[__package__])
+    found = (path.split(".") for path in _ENGINE_ERRORS)
+    return tuple(getattr(loaded[mod], cls) for mod, cls in found if mod in loaded)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command != "fixture" and args.input is None:
@@ -328,7 +339,7 @@ def main(argv=None):
     except CliFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SpecError, nhh.DifferentialError, ContainmentError, ExactLinError) as exc:
+    except _engine_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fullness import INCONCLUSIVE, FullnessVerdict, full_check, not_full_check
 from .model import INF
-from .nhh import assemble_differential, spectral_sequence, total_cohomology
 from .pseudoheight import PhBounds, qualitative_ph_bounds
 
 
@@ -144,15 +142,19 @@ class Analysis:
 
     @cached_property
     def complex(self):
+        from .nhh import assemble_differential
         return assemble_differential(self.spec)
 
     @cached_property
     def cohomology(self):
         """Normal cohomology dims on exact data, None otherwise."""
-        return total_cohomology(self.complex) if self.spec.is_exact else None
+        if self.spec.is_exact:
+            from .nhh import total_cohomology
+            return total_cohomology(self.complex)
 
     @cached_property
     def pages(self):
+        from .nhh import spectral_sequence
         return spectral_sequence(self.complex)
 
     @cached_property
@@ -194,6 +196,7 @@ class Analysis:
     @cached_property
     def fullness(self):
         """NOT_FULL from a positive height, else the cocycle certificate."""
+        from .fullness import INCONCLUSIVE, FullnessVerdict, full_check, not_full_check
         verdict = not_full_check(self.height)
         if verdict is not None:
             return verdict

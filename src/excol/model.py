@@ -453,6 +453,10 @@ def parse(document):
     flags = dict(document.get("flags", {}))
     unknown = set(flags) - KNOWN_FLAGS
     _require(not unknown, f"unknown flags {sorted(unknown)}")
+    for key, value in flags.items():
+        kind = "an integer" if key == "k_squared" else "true or false"
+        typed = _is_int(value) if key == "k_squared" else isinstance(value, bool)
+        _require(typed, f"flag {key} must be {kind}, got {value!r}")
 
     fullness = None
     if "fullness" in document:

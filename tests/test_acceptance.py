@@ -15,7 +15,8 @@ import pytest
 import _specgen
 from excol import fixtures
 from excol.cli import main as cli_main
-from excol.fullness import FULL, NOT_FULL, antisymmetrizer_line, beilinson_fixture
+from excol.fixtures import antisymmetrizer_line, beilinson_fixture
+from excol.fullness import FULL, NOT_FULL
 from excol.heights import build_report, height, hkr_total
 from excol.model import (
     NONZERO,

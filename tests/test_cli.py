@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from excol import fixtures, model
+from excol import cli, exactlin, fixtures, model, nhh
 from excol.cli import main
 
 
@@ -101,6 +101,36 @@ def test_boolean_integer_is_format_error(tmp_path, capsys):
     }), encoding="utf-8")
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2 and "bad collection document" in err
+
+
+def test_ill_typed_flag_is_format_error(tmp_path, capsys):
+    path = tmp_path / "flags.json"
+    path.write_text(json.dumps({
+        "n": 1, "dim_x": 0,
+        "flags": {"is_surface": "no", "k_squared": True, "line_bundles": 0},
+    }), encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and "bad collection document" in err
+
+
+@pytest.mark.parametrize("error, code", [
+    (model.SpecError("x"), 1),
+    (nhh.DifferentialError("x"), 1),
+    (exactlin.ExactLinError("x"), 1),
+    (exactlin.ContainmentError("x"), 1),
+    (ValueError("x"), None),
+    (KeyError("x"), None),
+])
+def test_only_engine_errors_exit_one(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", fail)
+    if code is None:
+        with pytest.raises(type(error)):
+            main(["validate", "point"])
+    else:
+        assert run(capsys, "validate", "point")[0] == code
 
 
 def test_engine_precondition_is_exit_one(capsys):

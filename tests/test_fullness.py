@@ -6,15 +6,8 @@ import pytest
 
 from excol import fixtures
 from excol.exactlin import Matrix, Subspace, kernel_basis
-from excol.fullness import (
-    FULL,
-    INCONCLUSIVE,
-    NOT_FULL,
-    antisymmetrizer_line,
-    beilinson_fixture,
-    full_check,
-    not_full_check,
-)
+from excol.fixtures import antisymmetrizer_line, beilinson_fixture
+from excol.fullness import FULL, INCONCLUSIVE, NOT_FULL, full_check, not_full_check
 from excol.heights import Height, height
 from excol.model import Cochain, CollectionSpec, SpecError, parse, validate
 from excol.nhh import assemble_differential, spectral_sequence

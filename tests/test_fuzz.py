@@ -3,7 +3,8 @@
 Each example edits a shipped fixture document in one to three places
 (replacing, deleting or adding an entry at any depth) and feeds it to
 `model.parse` or to `cli.main`.  A JSON boolean in place of any integer
-must be refused, although Python counts it as one.
+must be refused, although Python counts it as one, and so must a flag value
+of the wrong type.
 """
 
 import contextlib
@@ -121,7 +122,15 @@ def _int_leaves(node, path, out):
     return out
 
 
-INT_LEAVES = {name: _int_leaves(doc, (), []) for name, doc in DOCS.items()}
+NOT_A_BOOLEAN = st.none() | st.integers(-1, 2) | st.sampled_from(["no", "true"])
+# each path comes with values of the wrong type for it: booleans for the
+# integers and for k_squared, anything but a boolean for the other flags
+TYPED_LEAVES = {
+    name: [(path, st.booleans()) for path in _int_leaves(doc, (), [])]
+    + [(("flags", flag), st.booleans() if flag == "k_squared" else NOT_A_BOOLEAN)
+       for flag in doc.get("flags", {})]
+    for name, doc in DOCS.items()
+}
 
 
 @SETTINGS
@@ -129,11 +138,12 @@ INT_LEAVES = {name: _int_leaves(doc, (), []) for name, doc in DOCS.items()}
 def test_boolean_for_an_integer_is_rejected(data):
     name = data.draw(st.sampled_from(sorted(DOCS)))
     doc = copy.deepcopy(DOCS[name])
-    *parents, last = data.draw(st.sampled_from(INT_LEAVES[name]))
+    path, values = data.draw(st.sampled_from(TYPED_LEAVES[name]))
+    *parents, last = path
     node = doc
     for key in parents:
         node = node[key]
-    node[last] = data.draw(st.booleans())
+    node[last] = data.draw(values)
     with pytest.raises(model.SpecError):
         model.parse(json.dumps(doc))
 

@@ -1,0 +1,142 @@
+"""Each command imports only the modules on its own path.
+
+Every case runs one command line in a fresh interpreter and reads back the
+`excol.*` entries of `sys.modules`, so a stray top-level import anywhere in
+the package shows up as an extra module.  The documents are the shipped
+fixture files, read from disk, so that `fixtures` is loaded only by the
+`fixture` command.  The README's library imports and the
+`excol.pseudoheight` submodule are checked here too.
+"""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ROOT / "fixtures"
+
+# run one command, then print the loaded excol modules (and whether
+# dataclasses is loaded) as the last line of stdout
+PROBE = """
+import sys
+from excol.cli import main
+main(sys.argv[1:])
+loaded = sorted(m[len("excol."):] for m in sys.modules if m.startswith("excol."))
+print()
+print(" ".join(loaded + ["+dataclasses"] * ("dataclasses" in sys.modules)))
+"""
+
+
+def loaded_modules(*argv):
+    """The excol submodules a fresh interpreter loads to run `excol argv`."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True, text=True, env=env, cwd=ROOT, check=True,
+    ).stdout
+    return set(out.splitlines()[-1].split())
+
+
+PARSE = {"cli", "model", "products", "exactlin"}
+ANALYSIS = PARSE | {"heights", "pseudoheight"}
+ENGINE = ANALYSIS | {"nhh"}
+EXACT, QUALITATIVE = "beilinson_p1", "burniat"
+DATACLASSES = "+dataclasses"  # every command that parses a document has it
+
+CASES = [
+    ("validate", EXACT, PARSE),
+    ("validate", QUALITATIVE, PARSE),
+    ("pseudoheight", EXACT, ANALYSIS),
+    ("pseudoheight", QUALITATIVE, ANALYSIS),
+    ("e1", EXACT, PARSE | {"nhh", "pseudoheight"}),
+    ("e1", QUALITATIVE, PARSE | {"nhh", "pseudoheight"}),
+    ("ss", EXACT, ENGINE),
+    ("ss", QUALITATIVE, ENGINE),
+    ("height", EXACT, ENGINE),
+    ("height", QUALITATIVE, ANALYSIS),
+    ("report", EXACT, ENGINE),
+    ("report", QUALITATIVE, ANALYSIS),
+    ("fullness", EXACT, ENGINE | {"fullness"}),
+    ("fullness", QUALITATIVE, ENGINE | {"fullness"}),
+]
+
+
+@pytest.mark.parametrize("cmd, name, expected", CASES,
+                         ids=[f"{c}-{n}" for c, n, _ in CASES])
+def test_command_loads_only_its_modules(cmd, name, expected):
+    path = str(DOCS / f"{name}.json")
+    assert loaded_modules(cmd, path, "--json") == expected | {DATACLASSES}
+
+
+# one arity-3 product and nothing else; no shipped fixture has higher products
+HIGHER = {
+    "n": 4,
+    "dim_x": 0,
+    "ext": [
+        {"src": 1, "dst": 2, "deg": 0, "dim": 1},
+        {"src": 1, "dst": 4, "deg": -1, "dim": 1},
+        {"src": 2, "dst": 3, "deg": 0, "dim": 1},
+        {"src": 3, "dst": 4, "deg": 0, "dim": 1},
+    ],
+    "serre_ext": [
+        {"twist_src": 1, "from": 1, "deg": 0, "dim": 1},
+        {"twist_src": 1, "from": 4, "deg": 1, "dim": 1},
+    ],
+    "higher_products": [
+        {"kind": "AA", "arity": 3, "chain": [1, 2, 3, 4], "degs": [0, 0, 0],
+         "entries": [[0, 0, 0, 0, "1"]]},
+    ],
+}
+
+
+def test_validate_loads_nhh_only_for_higher_products(tmp_path):
+    path = tmp_path / "higher.json"
+    path.write_text(json.dumps(HIGHER), encoding="utf-8")
+    expected = PARSE | {"nhh", "pseudoheight", DATACLASSES}
+    assert loaded_modules("validate", str(path), "--json") == expected
+
+
+def test_fixture_list_loads_no_model_and_no_dataclasses():
+    assert loaded_modules("fixture", "--list") == {"cli", "fixtures"}
+
+
+@pytest.mark.parametrize("name", ["beilinson_p2", QUALITATIVE])
+def test_fixture_document_loads_no_engine(name):
+    expected = {"cli", "fixtures", "model", "products", "exactlin", DATACLASSES}
+    assert loaded_modules("fixture", name) == expected
+
+
+def test_fixture_name_as_input_loads_fixtures():
+    assert loaded_modules("validate", "point") == PARSE | {"fixtures", DATACLASSES}
+
+
+def test_import_excol_loads_no_submodule():
+    code = "import sys, excol; print(sorted(m for m in sys.modules if 'excol' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    ).stdout
+    assert out.split() == ["['excol']"]
+
+
+def test_pseudoheight_attribute_is_the_submodule():
+    import excol
+    from excol import pseudoheight as mod
+
+    assert mod.qualitative_ph_bounds is excol.qualitative_ph_bounds
+    assert excol.pseudoheight is mod
+
+
+def test_readme_library_imports_resolve():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = re.findall(r"^from (excol[\w.]*) import (.+)$", readme, re.M)
+    assert lines
+    for module, names in lines:
+        for name in names.split(","):
+            assert hasattr(importlib.import_module(module), name.strip()), name

@@ -96,6 +96,31 @@ def test_boolean_in_an_integer_field_rejected(path, value):
         parse(json.dumps(doc))
 
 
+# the string "no" is truthy, so it used to switch the surface deductions on
+ILL_TYPED_FLAGS = {"is_surface": "no", "k_squared": True, "line_bundles": 0}
+
+
+def test_ill_typed_flags_rejected():
+    with pytest.raises(SpecError, match="flag"):
+        parse(json.dumps({"n": 1, "dim_x": 0, "flags": ILL_TYPED_FLAGS}))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("is_surface", "no"),
+    ("ample_canonical", 1),
+    ("line_bundles", 0),
+    ("h2_anticanonical_nonzero", None),
+    ("higher_products_complete", "false"),
+    ("k_squared", True),
+    ("k_squared", "8"),
+    ("k_squared", 8.0),
+])
+def test_ill_typed_flag_rejected(flag, value):
+    parse({"n": 1, "dim_x": 0, "flags": {flag: 8 if flag == "k_squared" else False}})
+    with pytest.raises(SpecError, match=flag):
+        parse({"n": 1, "dim_x": 0, "flags": {flag: value}})
+
+
 @pytest.mark.parametrize("name", fixtures.fixture_list())
 def test_fixture_round_trip(name):
     spec = fixtures.fixture_spec(name)

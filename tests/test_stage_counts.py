@@ -2,17 +2,16 @@
 
 import contextlib
 import functools
-import importlib
 import io
 import sys
 
 import pytest
 
-from excol import fixtures, nhh
+# every module that imports a counted function by name is loaded before the
+# counters go in, so that its copy of the name is swapped as well
+from excol import fixtures, fullness, heights, nhh  # noqa: F401
+from excol import pseudoheight as ph_module
 from excol.cli import main
-
-# the package attribute `excol.pseudoheight` is the function, not the module
-ph_module = importlib.import_module("excol.pseudoheight")
 
 COMMANDS = ["validate", "pseudoheight", "e1", "ss", "height", "report", "fullness"]
 
