@@ -14,7 +14,6 @@ the known heights, and the assumptions list is the contract.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 FIXTURE_NAMES = [
     "beilinson_p1",
@@ -349,6 +348,7 @@ def _monomial_index(nvars):
 
 def _multiply_table(nvars, deg_a, deg_b):
     """Structure constants of S^a V (x) S^b V -> S^{a+b} V on monomials."""
+    from fractions import Fraction
     idx = _monomial_index(nvars)
     table = {}
     mons_a = _monomials(nvars, deg_a)
@@ -368,34 +368,27 @@ def beilinson_fixture(n):
     degree n-1 with symmetric powers S^{i+n-j} V; every product is polynomial
     multiplication.  Returns (spec, pairing, xi).
     """
+    from fractions import Fraction
+
     from . import products as pr
     from .model import Cochain, CollectionSpec, FullnessData, SpecError
     if not 2 <= n <= 6:
         raise SpecError(f"projective-space fixture needs 2 <= n <= 6, got {n}")
     nvars = n
-    a_dims = {}
-    n_dims = {}
+    a_dims, n_dims = {}, {}
+    powers = {}  # letter -> the symmetric power of V it is
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             if i < j:
                 a_dims[(i, j)] = {0: len(_monomials(nvars, j - i))}
+                powers[("A", i, j, 0)] = j - i
             n_dims[(i, j)] = {n - 1: len(_monomials(nvars, i + n - j))}
+            powers[("N", i, j, n - 1)] = i + n - j
     products = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for l in range(j + 1, n + 1):
-                key = pr.key_aa((i, j, l), (0, 0))
-                products[key] = _multiply_table(nvars, j - i, l - j)
-    for i in range(1, n + 1):  # twist source
-        for j1 in range(i, n + 1):
-            for j2 in range(j1 + 1, n + 1):
-                key = pr.key_an(i, (j1, j2), (0, n - 1))
-                products[key] = _multiply_table(nvars, j2 - j1, i + n - j2)
-    for j in range(1, n + 1):  # object carrying the twisted factor
-        for i1 in range(1, j + 1):
-            for i2 in range(i1 + 1, j + 1):
-                key = pr.key_na(j, (i1, i2), (n - 1, 0))
-                products[key] = _multiply_table(nvars, i1 + n - j, i2 - i1)
+    for x, y in itertools.product(powers, repeat=2):
+        key = pr.window_key((x, y))
+        if key is not None:
+            products[key] = _multiply_table(nvars, powers[x], powers[y])
 
     full_chain = tuple(range(1, n + 1))
     degs = (0,) * (n - 1) + (n - 1,)
@@ -448,6 +441,7 @@ def _permutation_sign(perm):
 
 def antisymmetrizer_line(nvars):
     """The fully antisymmetric tensor in V^(x)n coordinates (oracle helper)."""
+    from fractions import Fraction
     stride = [nvars ** (nvars - 1 - i) for i in range(nvars)]
     vec = {}
     for perm in itertools.permutations(range(nvars)):

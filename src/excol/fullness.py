@@ -52,11 +52,7 @@ def _cochain_vector(cx, cochain, expect_t=None, expect_p=None):
     seen_t = set()
     seen_p = set()
     for chain, degs, values in cochain.terms:
-        term = None
-        for tm in cx.terms:
-            if tm.chain == tuple(chain) and tm.degs == tuple(degs):
-                term = tm
-                break
+        term = cx.term_lookup.get((tuple(chain), tuple(degs)))
         if term is None:
             raise SpecError(f"cochain names a zero term: chain {chain} degs {degs}")
         seen_t.add(term.t)

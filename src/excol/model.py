@@ -261,7 +261,35 @@ def _parse_graded(records, n, key_fields, lo_le_hi):
     return out
 
 
-def _parse_product(rec, n, spec_dims, arity_two):
+def _product_problems(key, table, space_dim, n):
+    """Every problem of one product, as messages; [] when there is none.
+
+    A malformed key, or a source or target space that is zero, is the only
+    problem reported; otherwise each index outside its space is one.
+    """
+    try:
+        pr.check_key_shape(key, n)
+    except ValueError as exc:
+        return [str(exc)]
+    srcs = pr.source_spaces(key)
+    dims = [space_dim(*s) for s in srcs]
+    if 0 in dims:
+        k, i, j, d = srcs[dims.index(0)]
+        return [f"product {key} references the zero space {k}({i},{j})^{d}"]
+    tk, ti, tj, tdeg = pr.target_space(key)
+    tdim = space_dim(tk, ti, tj, tdeg)
+    if tdim == 0:
+        return [f"product {key} lands in the zero space {tk}({ti},{tj})^{tdeg}"]
+    problems = []
+    for src, row in table.items():
+        if len(src) != len(dims) or any(not (0 <= s < d) for s, d in zip(src, dims)):
+            problems.append(f"product {key} has dangling source {src}")
+        if any(not (0 <= o < tdim) for o in row):
+            problems.append(f"product {key} has dangling target in {row}")
+    return problems
+
+
+def _parse_product(rec, n, space_dim, arity_two):
     _require(isinstance(rec, dict), f"bad product record {rec!r}")
     kind = rec.get("kind")
     _require(kind in (pr.AA, pr.AN, pr.NA), f"bad product kind {kind!r}")
@@ -275,31 +303,12 @@ def _parse_product(rec, n, spec_dims, arity_two):
     else:
         _require(_is_int(rec.get("from")), f"NA product needs 'from': {rec!r}")
         key = pr.key_na(rec["from"], chain, degs)
-    try:
-        pr.check_key_shape(key, n)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
     arity = pr.arity_of(key)
     if arity_two:
         _require(arity == 2, f"products must have arity 2, got {arity}")
     else:
         _require(arity >= 3, f"higher products must have arity >= 3")
         _require(rec.get("arity") == arity, f"arity field mismatch in {rec!r}")
-    a_dims, n_dims = spec_dims
-    srcs = pr.source_spaces(key)
-    dims = []
-    for kind_s, i, j, deg in srcs:
-        space = a_dims.get((i, j), {}) if kind_s == "A" else n_dims.get((i, j), {})
-        d = space.get(deg, 0)
-        _require(d > 0, f"product references the zero space {kind_s}({i},{j})^{deg}")
-        dims.append(d)
-    tk, ti, tj, tdeg = pr.target_space(key)
-    tspace = a_dims.get((ti, tj), {}) if tk == "A" else n_dims.get((ti, tj), {})
-    tdim = tspace.get(tdeg, 0)
-    _require(
-        tdim > 0,
-        f"product lands in the zero space {tk}({ti},{tj})^{tdeg}",
-    )
     table = {}
     for entry in _list(rec.get("entries", []), "entries"):
         _require(
@@ -311,12 +320,12 @@ def _parse_product(rec, n, spec_dims, arity_two):
             all(_is_int(x) for x in src_idx) and _is_int(out),
             f"bad entry indices {entry!r}",
         )
-        for t, idx in enumerate(src_idx):
-            _require(0 <= idx < dims[t], f"dangling source index in {entry!r}")
-        _require(0 <= out < tdim, f"dangling target index in {entry!r}")
         row = table.setdefault(tuple(src_idx), {})
         _require(out not in row, f"duplicate entry {entry!r}")
         row[out] = _frac(val)
+    problems = _product_problems(key, table, space_dim, n)
+    if problems:
+        raise SpecError(problems[0])
     return key, pr.normalize_table(table)
 
 
@@ -415,16 +424,18 @@ def parse(document):
         document.get("serre_ext", ()), n, ("twist_src", "from"), True
     )
 
-    spec_dims = (a_dims, n_dims)
+    def space_dim(kind, i, j, deg):
+        return (a_dims if kind == "A" else n_dims).get((i, j), {}).get(deg, 0)
+
     prods = {}
     for rec in document.get("products", ()):
-        key, table = _parse_product(rec, n, spec_dims, arity_two=True)
+        key, table = _parse_product(rec, n, space_dim, arity_two=True)
         _require(key not in prods, f"duplicate product {key}")
         if table:
             prods[key] = table
     higher = {}
     for rec in document.get("higher_products", ()):
-        key, table = _parse_product(rec, n, spec_dims, arity_two=False)
+        key, table = _parse_product(rec, n, space_dim, arity_two=False)
         _require(key not in higher, f"duplicate higher product {key}")
         if table:
             higher[key] = table
@@ -671,37 +682,6 @@ def _check_structure(spec):
     return problems
 
 
-def _check_products_structure(spec):
-    problems = []
-    for key, table in list(spec.products.items()) + list(spec.higher.items()):
-        try:
-            pr.check_key_shape(key, spec.n)
-        except ValueError as exc:
-            problems.append(str(exc))
-            continue
-        srcs = pr.source_spaces(key)
-        dims = [spec.space_dim(k, i, j, d) for k, i, j, d in srcs]
-        tk, ti, tj, tdeg = pr.target_space(key)
-        tdim = spec.space_dim(tk, ti, tj, tdeg)
-        if any(d == 0 for d in dims):
-            problems.append(f"product {key} references a zero space")
-            continue
-        if tdim == 0:
-            problems.append(
-                f"product {key} raises degree into the zero space "
-                f"{tk}({ti},{tj})^{tdeg}"
-            )
-            continue
-        for src, row in table.items():
-            if len(src) != len(dims) or any(
-                not (0 <= s < d) for s, d in zip(src, dims)
-            ):
-                problems.append(f"product {key} has dangling source {src}")
-            if any(not (0 <= o < tdim) for o in row):
-                problems.append(f"product {key} has dangling target in {row}")
-    return problems
-
-
 def _apply2(table, x, y):
     """Apply an arity-2 table to basis indices, as {out: coeff}."""
     if table is None:
@@ -738,116 +718,40 @@ def _compose_assoc(spec, key_ab, key_bc, key_a_bc, key_ab_c, dims):
     return bad
 
 
-def _iter_degree_triples(s1, s2, s3):
-    for d1 in s1:
-        for d2 in s2:
-            for d3 in s3:
-                yield d1, d2, d3
-
-
 def _check_associativity(spec):
     """Plain associativity of composition on every composable triple.
 
-    Four shapes: three collection morphisms; two morphisms into the twisted
-    factor; a morphism, the twisted factor and a wrapped morphism; the
-    twisted factor and two wrapped morphisms.
+    Letters x, y, z form a triple when xy and yz are product windows and
+    both bracketings, (xy)z and x(yz), are windows too (`pr.window_key`).
+    A letter's successors are looked up among the letters starting at the
+    object it ends on: A(i, j) ends on j, N(i, j) starts at j and ends on i.
     """
+    letters = [
+        (kind, i, j, deg)
+        for kind, dims in (("A", spec.a_dims), ("N", spec.n_dims))
+        for (i, j), space in sorted(dims.items())
+        for deg in space
+    ]
+    starting_at = {}
+    for x in letters:
+        starting_at.setdefault(x[2] if x[0] == "N" else x[1], []).append(x)
+
+    def successors(x):
+        for y in starting_at.get(x[1] if x[0] == "N" else x[2], ()):
+            key = pr.window_key((x, y))
+            if key is not None:
+                yield y, key
+
     problems = []
-    n = spec.n
-    keys_a = sorted(spec.a_dims)
-    # (x: i->j, y: j->l, z: l->m)
-    for (i, j) in keys_a:
-        for l in range(j + 1, n + 1):
-            if (j, l) not in spec.a_dims:
-                continue
-            for m in range(l + 1, n + 1):
-                if (l, m) not in spec.a_dims:
-                    continue
-                for d1, d2, d3 in _iter_degree_triples(
-                    spec.a_dims[(i, j)], spec.a_dims[(j, l)], spec.a_dims[(l, m)]
-                ):
+    for x in letters:
+        for y, key_xy in successors(x):
+            for z, key_yz in successors(y):
+                key_xy_z = pr.window_key((pr.target_space(key_xy), z))
+                key_x_yz = pr.window_key((x, pr.target_space(key_yz)))
+                if key_xy_z is not None and key_x_yz is not None:
+                    dims = [spec.space_dim(*w) for w in (x, y, z)]
                     problems += _compose_assoc(
-                        spec,
-                        pr.key_aa((i, j, l), (d1, d2)),
-                        pr.key_aa((j, l, m), (d2, d3)),
-                        pr.key_aa((i, j, m), (d1, d2 + d3)),
-                        pr.key_aa((i, l, m), (d1 + d2, d3)),
-                        (
-                            spec.a_dims[(i, j)][d1],
-                            spec.a_dims[(j, l)][d2],
-                            spec.a_dims[(l, m)][d3],
-                        ),
-                    )
-    # (x: i->j, y: j->l, nu: l ~> tw) with twist source tw <= i
-    for (i, j) in keys_a:
-        for l in range(j + 1, n + 1):
-            if (j, l) not in spec.a_dims:
-                continue
-            for tw in range(1, i + 1):
-                if (tw, l) not in spec.n_dims:
-                    continue
-                for d1, d2, d3 in _iter_degree_triples(
-                    spec.a_dims[(i, j)], spec.a_dims[(j, l)], spec.n_dims[(tw, l)]
-                ):
-                    problems += _compose_assoc(
-                        spec,
-                        pr.key_aa((i, j, l), (d1, d2)),
-                        pr.key_an(tw, (j, l), (d2, d3)),
-                        pr.key_an(tw, (i, j), (d1, d2 + d3)),
-                        pr.key_an(tw, (i, l), (d1 + d2, d3)),
-                        (
-                            spec.a_dims[(i, j)][d1],
-                            spec.a_dims[(j, l)][d2],
-                            spec.n_dims[(tw, l)][d3],
-                        ),
-                    )
-    # (x: i->j, nu: j ~> tw1, z: tw1->tw2 wrapped), tw2 <= i
-    for (i, j) in keys_a:
-        for tw1 in range(1, i + 1):
-            if (tw1, j) not in spec.n_dims:
-                continue
-            for tw2 in range(tw1 + 1, i + 1):
-                if (tw1, tw2) not in spec.a_dims:
-                    continue
-                for d1, d2, d3 in _iter_degree_triples(
-                    spec.a_dims[(i, j)], spec.n_dims[(tw1, j)], spec.a_dims[(tw1, tw2)]
-                ):
-                    # lhs: compose into twisted factor first, then wrap;
-                    # rhs: wrap first, then compose in.
-                    problems += _compose_assoc(
-                        spec,
-                        pr.key_an(tw1, (i, j), (d1, d2)),
-                        pr.key_na(j, (tw1, tw2), (d2, d3)),
-                        pr.key_an(tw2, (i, j), (d1, d2 + d3)),
-                        pr.key_na(i, (tw1, tw2), (d1 + d2, d3)),
-                        (
-                            spec.a_dims[(i, j)][d1],
-                            spec.n_dims[(tw1, j)][d2],
-                            spec.a_dims[(tw1, tw2)][d3],
-                        ),
-                    )
-    # (nu: j ~> i1, y: i1->i2 wrapped, z: i2->i3 wrapped), i3 <= j
-    for (i1, j) in sorted(spec.n_dims):
-        for i2 in range(i1 + 1, j + 1):
-            if (i1, i2) not in spec.a_dims:
-                continue
-            for i3 in range(i2 + 1, j + 1):
-                if (i2, i3) not in spec.a_dims:
-                    continue
-                for d1, d2, d3 in _iter_degree_triples(
-                    spec.n_dims[(i1, j)], spec.a_dims[(i1, i2)], spec.a_dims[(i2, i3)]
-                ):
-                    problems += _compose_assoc(
-                        spec,
-                        pr.key_na(j, (i1, i2), (d1, d2)),
-                        pr.key_aa((i1, i2, i3), (d2, d3)),
-                        pr.key_na(j, (i1, i3), (d1, d2 + d3)),
-                        pr.key_na(j, (i2, i3), (d1 + d2, d3)),
-                        (
-                            spec.n_dims[(i1, j)][d1],
-                            spec.a_dims[(i1, i2)][d2],
-                            spec.a_dims[(i2, i3)][d3],
-                        ),
+                        spec, key_xy, key_yz, key_x_yz, key_xy_z, dims
                     )
     return problems
 
@@ -887,7 +791,11 @@ def validate(spec):
     checks.append(CheckResult("exceptionality", not problems, "; ".join(problems)))
     structure_ok = not problems
 
-    problems = _check_products_structure(spec)
+    problems = [
+        msg
+        for key, table in list(spec.products.items()) + list(spec.higher.items())
+        for msg in _product_problems(key, table, spec.space_dim, spec.n)
+    ]
     checks.append(CheckResult("degree_additivity", not problems, "; ".join(problems)))
     structure_ok = structure_ok and not problems
 

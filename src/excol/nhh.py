@@ -79,8 +79,11 @@ class ChainTerm:
             s[i] = s[i + 1] * self.factor_dims[i + 1]
         return s
 
-    def index_of(self, combo):
-        return sum(b * s for b, s in zip(combo, self.strides()))
+    def letters(self):
+        """The word as ("A"|"N", i, j, deg) letters, the twisted one last."""
+        c, d, p = self.chain, self.degs, self.p
+        twisted = ("N", c[0], c[p], d[p])
+        return [("A", c[r], c[r + 1], d[r]) for r in range(p)] + [twisted]
 
 
 def _nonempty(space):
@@ -141,98 +144,84 @@ class Block:
         return pr.arity_of(self.key)
 
 
+def _windows(p, max_arity):
+    """(consumed word positions, output position) of every product window.
+
+    Positions 0..p-1 are the morphism letters and p the twisted one.  Per
+    arity: the morphism runs, the trailing run into the twisted letter, and
+    the wrap of the twisted letter onto the leading run.  The output takes
+    the given position among the kept letters.
+    """
+    for m in range(2, max_arity + 1):
+        for r in range(p - m + 1):
+            yield tuple(range(r, r + m)), r
+        if m - 1 <= p:
+            yield tuple(range(p - m + 1, p + 1)), p - m + 1
+            yield (p,) + tuple(range(m - 1)), p - m + 1
+
+
 def _term_blocks(spec, term, term_lookup):
     """All differential blocks leaving a term, absent products skipped."""
     p = term.p
     a_degs = term.degs[:p]
     n_deg = term.degs[p]
-    chain = term.chain
+    letters = term.letters()
     blocks = []
-    for m in range(2, spec.max_arity + 1):
-        # adjacent compositions inside the morphism letters
-        for r in range(0, p - m + 1):
-            key = pr.key_aa(chain[r : r + m + 1], a_degs[r : r + m])
-            table = spec.product_table(key)
-            if not table:
-                continue
-            out_deg = sum(a_degs[r : r + m]) + 2 - m
-            new_chain = chain[: r + 1] + chain[r + m :]
-            new_degs = a_degs[:r] + (out_deg,) + a_degs[r + m :] + (n_deg,)
-            target = term_lookup.get((new_chain, new_degs))
-            if target is None:
-                continue
-            sign = pr.sign_aa(a_degs, n_deg, r, m)
-            blocks.append((Block(term, target, key, sign), ("AA", r, m)))
-        if m - 1 <= p:
-            # trailing letters composed into the twisted factor
-            key = pr.key_an(
-                chain[0], chain[p - m + 1 :], a_degs[p - m + 1 :] + (n_deg,)
-            )
-            table = spec.product_table(key)
-            if table:
-                out_deg = sum(a_degs[p - m + 1 :]) + n_deg + 2 - m
-                new_chain = chain[: p - m + 2]
-                new_degs = a_degs[: p - m + 1] + (out_deg,)
-                target = term_lookup.get((new_chain, new_degs))
-                if target is not None:
-                    sign = pr.sign_an(a_degs, n_deg, m)
-                    blocks.append((Block(term, target, key, sign), ("AN", None, m)))
-            # the cyclic wrap: twisted factor, then leading letters
-            key = pr.key_na(chain[-1], chain[:m], (n_deg,) + a_degs[: m - 1])
-            table = spec.product_table(key)
-            if table:
-                out_deg = n_deg + sum(a_degs[: m - 1]) + 2 - m
-                new_chain = chain[m - 1 :]
-                new_degs = a_degs[m - 1 :] + (out_deg,)
-                target = term_lookup.get((new_chain, new_degs))
-                if target is not None:
-                    sign = pr.sign_na(a_degs, n_deg, m)
-                    blocks.append((Block(term, target, key, sign), ("NA", None, m)))
+    for consumed, out_pos in _windows(p, spec.max_arity):
+        key = pr.window_key([letters[i] for i in consumed])
+        if not spec.product_table(key):
+            continue
+        word = [x for i, x in enumerate(letters) if i not in consumed]
+        word.insert(out_pos, pr.target_space(key))
+        # the inverse of `letters`: a_0 from the twisted letter, then targets
+        chain = (word[-1][1],) + tuple(x[2] for x in word[:-1])
+        target = term_lookup.get((chain, tuple(x[3] for x in word)))
+        if target is None:
+            continue
+        m = len(consumed)
+        if key[0] == pr.AA:
+            sign = pr.sign_aa(a_degs, n_deg, consumed[0], m)
+        else:
+            sign = (pr.sign_an if key[0] == pr.AN else pr.sign_na)(a_degs, n_deg, m)
+        blocks.append((Block(term, target, key, sign), (consumed, out_pos)))
     return blocks
 
 
 def _block_entries(spec, block, placement, fld):
     """Yield (target_index, source_index, coefficient) over the block."""
-    term = block.source
-    target = block.target
-    p = term.p
-    kind, r, m = placement
-    table = spec.product_table(block.key)
-    dims = term.factor_dims
-    if kind == "AA":
-        consumed = list(range(r, r + m))
-    elif kind == "AN":
-        consumed = list(range(p - m + 1, p + 1))
-    else:
-        consumed = [p] + list(range(0, m - 1))
-    untouched = [i for i in range(p + 1) if i not in consumed]
+    term, target = block.source, block.target
+    consumed, out_pos = placement
+    kept = [i for i in range(term.p + 1) if i not in consumed]
+    src_strides = term.strides()
+    tgt_strides = target.strides()
+    out_stride = tgt_strides.pop(out_pos)
+    # (source offset, target offset) of each assignment of the kept letters
+    rests = [
+        (
+            sum(b * src_strides[i] for i, b in zip(kept, rest)),
+            sum(b * s for b, s in zip(rest, tgt_strides)),
+        )
+        for rest in itertools.product(*[range(term.factor_dims[i]) for i in kept])
+    ]
     sign = fld.one if block.sign > 0 else fld.neg(fld.one)
-    for src_combo, row in table.items():
-        for rest in itertools.product(*[range(dims[i]) for i in untouched]):
-            full = [0] * (p + 1)
-            for i, b in zip(untouched, rest):
-                full[i] = b
-            for i, b in zip(consumed, src_combo):
-                full[i] = b
-            src_idx = term.index_of(tuple(full))
-            for out, coeff in row.items():
-                if kind == "AA":
-                    tgt_combo = full[:r] + [out] + full[r + m : p + 1]
-                elif kind == "AN":
-                    tgt_combo = full[: p - m + 1] + [out]
-                else:
-                    tgt_combo = full[m - 1 : p] + [out]
-                tgt_idx = target.index_of(tuple(tgt_combo))
-                yield tgt_idx, src_idx, fld.mul(sign, fld.of(coeff))
+    for src_combo, row in spec.product_table(block.key).items():
+        src_off = sum(b * src_strides[i] for i, b in zip(consumed, src_combo))
+        outs = [(out * out_stride, fld.mul(sign, fld.of(c))) for out, c in row.items()]
+        for src_base, tgt_base in rests:
+            for tgt_off, coeff in outs:
+                yield tgt_base + tgt_off, src_base + src_off, coeff
 
 
 class NormalComplex:
     """The assembled total complex, graded by total degree."""
 
-    def __init__(self, spec, fld, terms, by_t, offsets, t_dims, diffs, blocks):
+    def __init__(
+        self, spec, fld, terms, term_lookup, by_t, offsets, t_dims, diffs, blocks
+    ):
         self.spec = spec
         self.field = fld
         self.terms = terms
+        self.term_lookup = term_lookup  # (chain, degs) -> ChainTerm
         self.by_t = by_t
         self.offsets = offsets
         self.t_dims = t_dims
@@ -300,7 +289,9 @@ def assemble_differential(spec, check=True):
             tgt_off = offsets[(block.target.chain, block.target.degs)]
             for ti, si, coeff in _block_entries(spec, block, placement, fld):
                 mat.add_to(tgt_off + ti, src_off + si, coeff)
-    cx = NormalComplex(spec, fld, terms, by_t, offsets, t_dims, diffs, all_blocks)
+    cx = NormalComplex(
+        spec, fld, terms, term_lookup, by_t, offsets, t_dims, diffs, all_blocks
+    )
     if check:
         _check_square_zero(cx)
     return cx

@@ -18,8 +18,6 @@ the relations in exactly this convention.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 AA = "AA"
 AN = "AN"
 NA = "NA"
@@ -88,6 +86,40 @@ def source_spaces(key):
         ("A", chain[t], chain[t + 1], degs[t + 1]) for t in range(len(chain) - 1)
     )
     return out
+
+
+def window_key(letters):
+    """The key of the product consuming these consecutive letters, or None.
+
+    The inverse of `source_spaces`.  A window is a run of morphism letters
+    A(c_0, c_1), ..., A(c_{k-1}, c_k) of length >= 2 (AA), the run closed on
+    the right by the twisted letter N(tw, c_k) with tw <= c_0 (AN), or the
+    twisted letter N(c_0, to) with c_k <= to followed by the run (NA).  Two
+    twisted letters, a twisted letter inside the run, a gap between letters
+    or a single letter is no window.
+    """
+    if len(letters) < 2:
+        return None
+    kind, run = AA, letters
+    if letters[-1][0] == "N":
+        kind, run = AN, letters[:-1]
+    elif letters[0][0] == "N":
+        kind, run = NA, letters[1:]
+    chain = [run[0][1]]
+    for x in run:
+        if x[0] != "A" or x[1] != chain[-1] or x[2] <= x[1]:
+            return None
+        chain.append(x[2])
+    degs = tuple(x[3] for x in letters)
+    if kind == AA:
+        return (AA, None, tuple(chain), degs)
+    if kind == AN:
+        _, tw, frm, _ = letters[-1]
+        ok = frm == chain[-1] and tw <= chain[0]
+        return (AN, tw, tuple(chain), degs) if ok else None
+    _, start, to, _ = letters[0]
+    ok = start == chain[0] and chain[-1] <= to
+    return (NA, to, tuple(chain), degs) if ok else None
 
 
 def target_space(key):

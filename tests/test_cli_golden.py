@@ -3,7 +3,10 @@
 `cli_golden.json` holds one record per command line over every shipped
 fixture, plus the `--json` records of `data/sparse15.json`: a sparse exact
 document with n = 15 where only 22 of the 32,767 chains are live, so it
-pins the outputs where the chain walks prune.  To rewrite it from the current tree after an intended output
+pins the outputs where the chain walks prune.  `data/arity3.json` carries
+one arity-3 product of each kind (AA, AN and the NA wrap) and nothing of
+arity 2, so its records pin the page E_3 and all three arity-3 windows.
+To rewrite the file from the current tree after an intended output
 change, run `PYTHONPATH=src python tests/test_cli_golden.py` from the
 repository root and review the diff.
 """
@@ -23,6 +26,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 GOLDEN = os.path.join(HERE, "cli_golden.json")
 SPARSE = "tests/data/sparse15.json"  # relative to ROOT, as recorded in argv
+ARITY3 = "tests/data/arity3.json"
 
 COMMANDS = ["validate", "pseudoheight", "e1", "ss", "height", "report", "fullness"]
 EXTRA = [
@@ -40,6 +44,8 @@ def command_lines():
                 out.append([cmd, name, *flags, *as_json])
     for cmd in ["pseudoheight", "e1", "ss", "height", "report", "fullness"]:
         out.append([cmd, SPARSE, "--json"])
+    for cmd, *flags in [[c] for c in COMMANDS] + [["ss", "--max-page", "5"]]:
+        out.append([cmd, ARITY3, *flags, "--json"])
     return out
 
 

@@ -21,15 +21,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "fixtures"
 
-# run one command, then print the loaded excol modules (and whether
-# dataclasses is loaded) as the last line of stdout
+# run one command, then print the loaded excol modules (and which of
+# dataclasses and fractions are loaded) as the last line of stdout
 PROBE = """
 import sys
 from excol.cli import main
 main(sys.argv[1:])
 loaded = sorted(m[len("excol."):] for m in sys.modules if m.startswith("excol."))
+loaded += ["+" + m for m in ("dataclasses", "fractions") if m in sys.modules]
 print()
-print(" ".join(loaded + ["+dataclasses"] * ("dataclasses" in sys.modules)))
+print(" ".join(loaded))
 """
 
 
@@ -47,7 +48,7 @@ PARSE = {"cli", "model", "products", "exactlin"}
 ANALYSIS = PARSE | {"heights", "pseudoheight"}
 ENGINE = ANALYSIS | {"nhh"}
 EXACT, QUALITATIVE = "beilinson_p1", "burniat"
-DATACLASSES = "+dataclasses"  # every command that parses a document has it
+DATACLASSES = {"+dataclasses", "+fractions"}  # every command that parses has them
 
 CASES = [
     ("validate", EXACT, PARSE),
@@ -71,7 +72,7 @@ CASES = [
                          ids=[f"{c}-{n}" for c, n, _ in CASES])
 def test_command_loads_only_its_modules(cmd, name, expected):
     path = str(DOCS / f"{name}.json")
-    assert loaded_modules(cmd, path, "--json") == expected | {DATACLASSES}
+    assert loaded_modules(cmd, path, "--json") == expected | DATACLASSES
 
 
 # one arity-3 product and nothing else; no shipped fixture has higher products
@@ -98,22 +99,23 @@ HIGHER = {
 def test_validate_loads_nhh_only_for_higher_products(tmp_path):
     path = tmp_path / "higher.json"
     path.write_text(json.dumps(HIGHER), encoding="utf-8")
-    expected = PARSE | {"nhh", "pseudoheight", DATACLASSES}
+    expected = PARSE | {"nhh", "pseudoheight"} | DATACLASSES
     assert loaded_modules("validate", str(path), "--json") == expected
 
 
 def test_fixture_list_loads_no_model_and_no_dataclasses():
+    # nor fractions, which only the Beilinson builder needs
     assert loaded_modules("fixture", "--list") == {"cli", "fixtures"}
 
 
 @pytest.mark.parametrize("name", ["beilinson_p2", QUALITATIVE])
 def test_fixture_document_loads_no_engine(name):
-    expected = {"cli", "fixtures", "model", "products", "exactlin", DATACLASSES}
+    expected = {"cli", "fixtures", "model", "products", "exactlin"} | DATACLASSES
     assert loaded_modules("fixture", name) == expected
 
 
 def test_fixture_name_as_input_loads_fixtures():
-    assert loaded_modules("validate", "point") == PARSE | {"fixtures", DATACLASSES}
+    assert loaded_modules("validate", "point") == PARSE | {"fixtures"} | DATACLASSES
 
 
 def test_import_excol_loads_no_submodule():

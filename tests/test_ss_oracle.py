@@ -115,7 +115,8 @@ def _planted_complex(rng):
     diffs = {
         t: Matrix.from_rows(rows, QQ) for t, rows in dense.items() if rows and rows[0]
     }
-    cx = NormalComplex(None, QQ, terms, by_t, offsets, t_dims, diffs, [])
+    lookup = {(tm.chain, tm.degs): tm for tm in terms}
+    cx = NormalComplex(None, QQ, terms, lookup, by_t, offsets, t_dims, diffs, [])
     return cx, planted
 
 
