@@ -37,7 +37,7 @@ def _load_document(path):
     for cand in candidates:
         if os.path.isfile(cand):
             try:
-                with open(cand, "r", encoding="utf-8") as fh:
+                with open(cand, "rb") as fh:
                     return fh.read()
             except OSError as exc:
                 raise CliFormatError(f"cannot read {cand}: {exc}") from exc

@@ -1,15 +1,17 @@
 """Exact linear algebra over Q and over prime fields.
 
 Everything downstream (cohomology ranks, spectral sequence pages) reduces to
-exact rank computations, so no floating point is allowed anywhere.  Scalars
-are `fractions.Fraction` over Q, plain ints in [0, p) over F_p.  Matrices are
-sparse, keyed by (row, col); vectors are sparse dicts col -> scalar.
+exact rank computations, so no floating point is allowed anywhere.  A scalar
+of Q is an `int` when it is integral and a `fractions.Fraction` only when it
+is not, so integral documents (Beilinson's constants are all +-1) run on
+small ints from parse to reduction and never load `fractions`.  A scalar of
+F_p is a plain int in [0, p).  Matrices are sparse, keyed by (row, col);
+vectors are sparse dicts col -> scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class ExactLinError(ValueError):
@@ -20,35 +22,58 @@ class ContainmentError(ExactLinError):
     """Raised when a claimed subspace inclusion fails."""
 
 
+def _integral(q):
+    """A Fraction (or int) as an int when integral, else unchanged."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField:
+    """Q, with each scalar an int when integral and a Fraction otherwise.
+
+    Sums and products of ints stay ints; a result that involves a Fraction
+    is turned back into an int when it is integral, so the representation
+    is canonical.  `inv` makes a Fraction only for a pivot other than +-1.
+    """
+
     name = "Q"
+    zero = 0
+    one = 1
 
     def of(self, value):
-        if isinstance(value, Fraction):
+        """Coerce an int, a Fraction or a rational string ("-3", "1/2")."""
+        if value.__class__ is int:
             return value
-        if isinstance(value, int):
-            return Fraction(value)
         if isinstance(value, str):
-            return Fraction(value)
+            digits = value[1:] if value[:1] == "-" else value
+            if digits.isascii() and digits.isdigit():
+                return int(value)
+        from fractions import Fraction
+
+        if isinstance(value, (int, Fraction, str)):
+            return _integral(Fraction(value))
         raise ExactLinError(f"cannot coerce {value!r} into Q")
 
-    zero = Fraction(0)
-    one = Fraction(1)
-
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if c.__class__ is int else _integral(c)
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if c.__class__ is int else _integral(c)
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if c.__class__ is int else _integral(c)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        if a == 1 or a == -1:
+            return int(a)
+        from fractions import Fraction
+
+        return _integral(Fraction(1) / a)
 
     def is_zero(self, a):
         return a == 0
@@ -96,6 +121,8 @@ class PrimeField:
     def of(self, value):
         if isinstance(value, int):
             return value % self.p
+        from fractions import Fraction
+
         if isinstance(value, str):
             value = Fraction(value)
         if isinstance(value, Fraction):

@@ -348,7 +348,6 @@ def _monomial_index(nvars):
 
 def _multiply_table(nvars, deg_a, deg_b):
     """Structure constants of S^a V (x) S^b V -> S^{a+b} V on monomials."""
-    from fractions import Fraction
     idx = _monomial_index(nvars)
     table = {}
     mons_a = _monomials(nvars, deg_a)
@@ -356,7 +355,7 @@ def _multiply_table(nvars, deg_a, deg_b):
     for ia, ma in enumerate(mons_a):
         for ib, mb in enumerate(mons_b):
             prod = tuple(x + y for x, y in zip(ma, mb))
-            table[(ia, ib)] = {idx(deg_a + deg_b, prod): Fraction(1)}
+            table[(ia, ib)] = {idx(deg_a + deg_b, prod): 1}
     return table
 
 
@@ -368,8 +367,6 @@ def beilinson_fixture(n):
     degree n-1 with symmetric powers S^{i+n-j} V; every product is polynomial
     multiplication.  Returns (spec, pairing, xi).
     """
-    from fractions import Fraction
-
     from . import products as pr
     from .model import Cochain, CollectionSpec, FullnessData, SpecError
     if not 2 <= n <= 6:
@@ -403,8 +400,8 @@ def beilinson_fixture(n):
     for perm in itertools.permutations(range(n)):
         sign = _permutation_sign(perm)
         idx = sum(perm[pos] * stride[pos] for pos in range(n))
-        xi_values[idx] = Fraction(sign)
-        pairing_values[idx] = Fraction(sign)
+        xi_values[idx] = sign
+        pairing_values[idx] = sign
     xi = Cochain([(full_chain, degs, xi_values)])
     pairing = {1: Cochain([(full_chain, degs, pairing_values)])}
 
@@ -441,12 +438,11 @@ def _permutation_sign(perm):
 
 def antisymmetrizer_line(nvars):
     """The fully antisymmetric tensor in V^(x)n coordinates (oracle helper)."""
-    from fractions import Fraction
     stride = [nvars ** (nvars - 1 - i) for i in range(nvars)]
     vec = {}
     for perm in itertools.permutations(range(nvars)):
         idx = sum(perm[i] * stride[i] for i in range(nvars))
-        vec[idx] = Fraction(_permutation_sign(perm))
+        vec[idx] = _permutation_sign(perm)
     return vec
 
 

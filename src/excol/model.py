@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import products as pr
-from .exactlin import ExactLinError, field_by_name
+from .exactlin import QQ, ExactLinError, field_by_name
 
 ZERO = "ZERO"
 NONZERO = "NONZERO"
@@ -51,14 +50,13 @@ class SpecError(ValueError):
 
 
 def _frac(value):
+    """A JSON coefficient as an element of Q (`exactlin.QQ` decides which)."""
     if isinstance(value, bool):
         raise SpecError(f"bad rational {value!r}")
-    if isinstance(value, (int, str)):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecError(f"bad rational {value!r}") from exc
-    raise SpecError(f"bad rational {value!r}")
+    try:
+        return QQ.of(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecError(f"bad rational {value!r}") from exc
 
 
 @dataclass
@@ -133,7 +131,7 @@ class QualitativeExtTable:
 class Cochain:
     """An element of (or functional on) a sum of chain-tensor spaces.
 
-    terms: list of (chain, degs, {basis_index: Fraction}); degs lists the
+    terms: list of (chain, degs, {basis_index: rational}); degs lists the
     internal degrees of the word factors, twisted factor last.
     """
 
@@ -397,11 +395,18 @@ TOP_KEYS = {
 
 
 def parse(document):
-    """Parse a document (JSON text or dict tree) into a CollectionSpec."""
+    """Parse a document (JSON text, UTF-8 bytes or dict tree) into a CollectionSpec.
+
+    Text that cannot be read as a document is a SpecError: invalid UTF-8,
+    malformed JSON, nesting too deep for the decoder, or an integer literal
+    beyond Python's limit on the digits it converts.
+    """
     if isinstance(document, (str, bytes)):
         try:
+            if isinstance(document, bytes):
+                document = document.decode("utf-8")
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SpecError(f"malformed JSON: {exc}") from None
     _require(isinstance(document, dict), "document must be a JSON object")
     unknown = set(document) - TOP_KEYS

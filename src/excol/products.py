@@ -41,32 +41,26 @@ def arity_of(key):
 
 
 def check_key_shape(key, n):
-    """Structural sanity of a product key; raises ValueError on nonsense."""
+    """Raise ValueError unless key names a product window on objects 1..n.
+
+    The kind, arity, object range and chain length are checked first, since
+    `source_spaces` needs them; every other condition (an increasing chain,
+    the twisted letter's place) is the window rule, checked as the round
+    trip through `window_key`.
+    """
     kind, aux, chain, degs = key
     arity = len(degs)
+    if kind not in (AA, AN, NA):
+        raise ValueError(f"unknown product kind {kind!r}")
     if arity < 2:
         raise ValueError(f"product arity must be >= 2, got {arity}")
-    if any(not (1 <= c <= n) for c in chain):
-        raise ValueError(f"chain {chain} out of range 1..{n}")
-    if any(chain[i] >= chain[i + 1] for i in range(len(chain) - 1)):
-        raise ValueError(f"chain {chain} not strictly increasing")
-    if kind == AA:
-        if aux is not None:
-            raise ValueError("AA products carry no twist parameter")
-        if len(chain) != arity + 1:
-            raise ValueError(f"AA chain {chain} does not match arity {arity}")
-    elif kind == AN:
-        if len(chain) != arity:
-            raise ValueError(f"AN chain {chain} does not match arity {arity}")
-        if not (1 <= aux <= chain[0]):
-            raise ValueError(f"AN twist source {aux} must be <= {chain[0]}")
-    elif kind == NA:
-        if len(chain) != arity:
-            raise ValueError(f"NA chain {chain} does not match arity {arity}")
-        if not (chain[-1] <= aux <= n):
-            raise ValueError(f"NA target object {aux} must be >= {chain[-1]}")
-    else:
-        raise ValueError(f"unknown product kind {kind!r}")
+    objects = chain if kind == AA else (*chain, aux)
+    if any(not (1 <= c <= n) for c in objects):
+        raise ValueError(f"product {key} names an object outside 1..{n}")
+    if len(chain) != arity + (kind == AA):
+        raise ValueError(f"{kind} chain {chain} does not match arity {arity}")
+    if window_key(source_spaces(key)) != key:
+        raise ValueError(f"product {key} is not a window of consecutive letters")
 
 
 def source_spaces(key):

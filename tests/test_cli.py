@@ -67,6 +67,25 @@ def test_malformed_document_is_format_error(tmp_path, capsys):
     assert code == 2
 
 
+def _long_coefficient():
+    doc = fixtures.fixture_document("beilinson_p1")
+    doc["products"][0]["entries"][0][-1] = "1" * 5000
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"n": 1, "dim_x": 0, "metadata": {"name": "\xff"}}', id="invalid-utf8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100000-deep"),
+    pytest.param(b'{"n": ' + b"1" * 5000 + b', "dim_x": 0}', id="5000-digit-literal"),
+    pytest.param(_long_coefficient(), id="5000-digit-coefficient"),
+])
+def test_unreadable_document_is_format_error(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and "bad collection document" in err
+
+
 def test_backwards_ext_is_format_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

@@ -48,7 +48,8 @@ PARSE = {"cli", "model", "products", "exactlin"}
 ANALYSIS = PARSE | {"heights", "pseudoheight"}
 ENGINE = ANALYSIS | {"nhh"}
 EXACT, QUALITATIVE = "beilinson_p1", "burniat"
-DATACLASSES = {"+dataclasses", "+fractions"}  # every command that parses has them
+DATACLASSES = {"+dataclasses"}  # every command that parses has it
+# fractions loads only for a value that is not an integer
 
 CASES = [
     ("validate", EXACT, PARSE),
@@ -103,13 +104,23 @@ def test_validate_loads_nhh_only_for_higher_products(tmp_path):
     assert loaded_modules("validate", str(path), "--json") == expected
 
 
+def test_a_non_integral_coefficient_loads_fractions(tmp_path):
+    doc = json.loads(json.dumps(HIGHER))
+    doc["higher_products"][0]["entries"] = [[0, 0, 0, 0, "1/2"]]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    expected = PARSE | {"nhh", "pseudoheight"} | DATACLASSES | {"+fractions"}
+    assert loaded_modules("validate", str(path), "--json") == expected
+
+
 def test_fixture_list_loads_no_model_and_no_dataclasses():
-    # nor fractions, which only the Beilinson builder needs
+    # nor fractions
     assert loaded_modules("fixture", "--list") == {"cli", "fixtures"}
 
 
-@pytest.mark.parametrize("name", ["beilinson_p2", QUALITATIVE])
+@pytest.mark.parametrize("name", ["beilinson_p2", "beilinson_p3", QUALITATIVE])
 def test_fixture_document_loads_no_engine(name):
+    # the Beilinson builder emits ints, so not even fractions is loaded
     expected = {"cli", "fixtures", "model", "products", "exactlin"} | DATACLASSES
     assert loaded_modules("fixture", name) == expected
 

@@ -183,6 +183,50 @@ def test_malformed_json_rejected():
         parse("{not json")
 
 
+def _one_product(value):
+    return {
+        "n": 3,
+        "dim_x": 0,
+        "ext": [
+            {"src": 1, "dst": 2, "deg": 0, "dim": 1},
+            {"src": 2, "dst": 3, "deg": 0, "dim": 1},
+            {"src": 1, "dst": 3, "deg": 0, "dim": 1},
+        ],
+        "products": [{
+            "kind": "AA", "chain": [1, 2, 3], "degs": [0, 0],
+            "entries": [[0, 0, 0, value]],
+        }],
+    }
+
+
+@pytest.mark.parametrize("value, expected", [
+    (3, 3), ("3", 3), ("-3", -3), ("+3", 3), (" 3", 3), ("007", 7),
+    ("6/2", 3), ("1e3", 1000), ("1/2", Fraction(1, 2)), ("-0.25", Fraction(-1, 4)),
+])
+def test_coefficients_are_ints_when_integral(value, expected):
+    key = pr.key_aa((1, 2, 3), (0, 0))
+    got = parse(_one_product(value)).products[key][(0, 0)][0]
+    assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("value", [
+    "", "-", "--3", "1/0", "0x10", "nan", "1" * 5000, "-" + "1" * 5000, 1.5, None,
+])
+def test_bad_coefficients_rejected(value):
+    with pytest.raises(SpecError, match="bad rational"):
+        parse(_one_product(value))
+
+
+@pytest.mark.parametrize("text", [
+    b'{"n": 1, "dim_x": 0, "metadata": {"name": "\xff"}}',
+    "[" * 100_000 + "]" * 100_000,
+    '{"n": ' + "1" * 5000 + ', "dim_x": 0}',
+])
+def test_unreadable_text_rejected(text):
+    with pytest.raises(SpecError, match="malformed JSON"):
+        parse(text)
+
+
 def test_duplicate_degree_rejected():
     with pytest.raises(SpecError):
         parse({"n": 2, "dim_x": 0, "ext": [

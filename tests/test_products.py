@@ -52,6 +52,24 @@ def test_window_key_refuses_non_windows(letters):
     assert pr.window_key(letters) is None
 
 
+@pytest.mark.parametrize("key, message", [
+    (("AB", None, (1, 2, 3), (0, 0)), "unknown product kind"),
+    (pr.key_aa((1, 2), (0,)), "arity must be >= 2"),
+    (pr.key_aa((1, 2, 5), (0, 0)), "object outside 1..4"),
+    (pr.key_an(0, (1, 2), (0, 0)), "object outside 1..4"),
+    (pr.key_na(5, (1, 2), (0, 0)), "object outside 1..4"),
+    (pr.key_aa((1, 2), (0, 0)), "does not match arity"),
+    (pr.key_an(1, (1, 2, 3), (0, 0)), "does not match arity"),
+    (pr.key_aa((1, 3, 2), (0, 0)), "not a window"),
+    (("AA", 1, (1, 2, 3), (0, 0)), "not a window"),
+    (pr.key_an(3, (2, 4), (0, 0)), "not a window"),
+    (pr.key_na(2, (1, 3), (0, 0)), "not a window"),
+])
+def test_key_shape_refuses_what_source_spaces_cannot_take(key, message):
+    with pytest.raises(ValueError, match=message):
+        pr.check_key_shape(key, 4)
+
+
 def test_window_key_names_each_kind():
     aa = [("A", 1, 2, 0), ("A", 2, 4, 1)]
     assert pr.window_key(aa) == pr.key_aa((1, 2, 4), (0, 1))
