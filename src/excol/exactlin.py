@@ -11,7 +11,7 @@ vectors are sparse dicts col -> scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class ExactLinError(ValueError):
@@ -291,11 +291,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 
 
-@dataclass
-class RrefResult:
-    matrix: "Matrix"
-    rank: int
-    pivot_cols: list
+RrefResult = namedtuple("RrefResult", "matrix rank pivot_cols")
 
 
 def _rref_rows(rows, ncols, field):

@@ -17,7 +17,7 @@ the fully antisymmetric tensor, and the pairing is exterior contraction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactlin import Matrix
 from .model import SpecError
@@ -28,10 +28,7 @@ FULL = "FULL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass
-class FullnessVerdict:
-    status: str
-    evidence: str
+FullnessVerdict = namedtuple("FullnessVerdict", "status evidence")
 
 
 def not_full_check(h):

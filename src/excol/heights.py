@@ -20,20 +20,20 @@ functions below are projections of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
-from .model import INF
-from .pseudoheight import PhBounds, qualitative_ph_bounds
+from .model import INF, Record
+from .pseudoheight import qualitative_ph_bounds
 
 
-@dataclass(frozen=True)
-class Height:
-    """A height value: a point when lo == hi, else the interval [lo, hi]."""
+class Height(namedtuple("Height", "lo hi nhh_vanishes", defaults=(False,))):
+    """A height value: a point when lo == hi, else the interval [lo, hi].
 
-    lo: float
-    hi: float
-    nhh_vanishes: bool = False  # all cohomology zero: possible full collection
+    nhh_vanishes: all cohomology is zero, so the collection may be full.
+    """
+
+    __slots__ = ()
 
     @property
     def is_point(self):
@@ -62,21 +62,26 @@ def hkr_total(h_table):
     return out
 
 
-@dataclass
-class HeightReport:
-    ph: float | None
-    ph_ac: float | None
-    height: Height
-    height_ac: Height
-    used_shortcut: str  # none | heph | qualitative
-    iso_range: float  # restriction map is an isomorphism for k <= iso_range
-    mono_degree: float  # and a monomorphism at k = mono_degree
-    deformation_equivalent: bool
-    nhh_dims: dict | None = None
-    hoh_x_dims: list | None = None
-    hoh_a_dims: list | None = None
-    ph_bounds: PhBounds | None = None
-    witness: tuple | None = None
+class HeightReport(Record):
+    def __init__(
+        self, ph, ph_ac, height, height_ac, used_shortcut, iso_range, mono_degree,
+        deformation_equivalent, nhh_dims=None, hoh_x_dims=None, hoh_a_dims=None,
+        ph_bounds=None, witness=None,
+    ):
+        self.ph = ph  # None unless pinned
+        self.ph_ac = ph_ac
+        self.height = height  # Height
+        self.height_ac = height_ac  # Height
+        self.used_shortcut = used_shortcut  # none | heph | qualitative
+        # the restriction map is an isomorphism for k <= iso_range
+        self.iso_range = iso_range
+        self.mono_degree = mono_degree  # and a monomorphism at k = mono_degree
+        self.deformation_equivalent = deformation_equivalent
+        self.nhh_dims = nhh_dims
+        self.hoh_x_dims = hoh_x_dims
+        self.hoh_a_dims = hoh_a_dims
+        self.ph_bounds = ph_bounds  # pseudoheight.PhBounds
+        self.witness = witness
 
 
 def comparison_report(spec, h, hoh_x_dims=None, nhh_dims=None, **extra):

@@ -24,7 +24,7 @@ identity on canonical documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import products as pr
 from .exactlin import QQ, ExactLinError, field_by_name
@@ -59,18 +59,31 @@ def _frac(value):
         raise SpecError(f"bad rational {value!r}") from exc
 
 
-@dataclass
-class QualitativeExtTable:
+class Record:
+    """A mutable record: equal to a record of its class with equal attributes."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class QualitativeExtTable(Record):
     """Three-valued Ext knowledge on the anticanonically extended collection.
 
     Keys are (src, dst, deg) with src in 1..n and dst in 1..2n; dst = n + i
-    stands for E_i (x) omega^{-1}.  Degrees outside degree_window are ZERO
-    when a window is declared, UNKNOWN otherwise.
+    stands for E_i (x) omega^{-1}.  Degrees outside degree_window (a pair
+    (lo, hi) or None) are ZERO when a window is declared, UNKNOWN otherwise.
     """
 
-    n: int
-    statuses: dict = field(default_factory=dict)
-    degree_window: tuple | None = None
+    def __init__(self, n, statuses=None, degree_window=None):
+        self.n = n
+        self.statuses = {} if statuses is None else statuses
+        self.degree_window = degree_window
 
     def status(self, src, dst, deg):
         got = self.statuses.get((src, dst, deg))
@@ -127,15 +140,15 @@ class QualitativeExtTable:
         return QualitativeExtTable(self.n, statuses, self.degree_window)
 
 
-@dataclass
-class Cochain:
+class Cochain(Record):
     """An element of (or functional on) a sum of chain-tensor spaces.
 
     terms: list of (chain, degs, {basis_index: rational}); degs lists the
     internal degrees of the word factors, twisted factor last.
     """
 
-    terms: list
+    def __init__(self, terms):
+        self.terms = terms
 
     def sorted_terms(self):
         return sorted(
@@ -144,27 +157,31 @@ class Cochain:
         )
 
 
-@dataclass
-class FullnessData:
-    xi: Cochain | None = None
-    pairings: dict = field(default_factory=dict)  # object index -> Cochain
+class FullnessData(Record):
+    def __init__(self, xi=None, pairings=None):
+        self.xi = xi  # Cochain or None
+        self.pairings = {} if pairings is None else pairings  # object index -> Cochain
 
 
-@dataclass
-class CollectionSpec:
-    n: int
-    dim_x: int
-    field_name: str = "Q"
-    a_dims: dict = field(default_factory=dict)  # (i, j) -> {deg: dim}, i < j
-    n_dims: dict = field(default_factory=dict)  # (i, j) -> {deg: dim}, i <= j
-    products: dict = field(default_factory=dict)  # arity-2 key -> table
-    higher: dict = field(default_factory=dict)  # arity >= 3 key -> table
-    qualitative: QualitativeExtTable | None = None
-    labels: list | None = None
-    canonical_degrees: list | None = None
-    flags: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-    fullness_data: FullnessData | None = None
+class CollectionSpec(Record):
+    def __init__(
+        self, n, dim_x, field_name="Q", a_dims=None, n_dims=None, products=None,
+        higher=None, qualitative=None, labels=None, canonical_degrees=None,
+        flags=None, metadata=None, fullness_data=None,
+    ):
+        self.n = n
+        self.dim_x = dim_x
+        self.field_name = field_name
+        self.a_dims = {} if a_dims is None else a_dims  # (i, j) -> {deg: dim}, i < j
+        self.n_dims = {} if n_dims is None else n_dims  # (i, j) -> {deg: dim}, i <= j
+        self.products = {} if products is None else products  # arity-2 key -> table
+        self.higher = {} if higher is None else higher  # arity >= 3 key -> table
+        self.qualitative = qualitative  # QualitativeExtTable or None
+        self.labels = labels
+        self.canonical_degrees = canonical_degrees
+        self.flags = {} if flags is None else flags
+        self.metadata = {} if metadata is None else metadata
+        self.fullness_data = fullness_data  # FullnessData or None
 
     def a_space(self, i, j):
         return self.a_dims.get((i, j), {})
@@ -208,11 +225,6 @@ def _require(cond, msg):
         raise SpecError(msg)
 
 
-def _is_int(value):
-    """A JSON integer; true and false are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _list(value, what):
     _require(isinstance(value, list), f"{what} must be a list, got {value!r}")
     return value
@@ -220,7 +232,7 @@ def _list(value, what):
 
 def _int_tuple(value, what):
     _require(
-        isinstance(value, list) and all(_is_int(x) for x in value),
+        isinstance(value, list) and all(pr.is_int(x) for x in value),
         f"{what} must be a list of integers, got {value!r}",
     )
     return tuple(value)
@@ -246,7 +258,7 @@ def _parse_graded(records, n, key_fields, lo_le_hi):
         except KeyError as exc:
             raise SpecError(f"missing key {exc} in {rec!r}") from None
         for v in (a, b, deg, dim):
-            _require(_is_int(v), f"non-integer field in {rec!r}")
+            _require(pr.is_int(v), f"non-integer field in {rec!r}")
         _require(1 <= a <= n and 1 <= b <= n, f"object index out of range in {rec!r}")
         _require(dim >= 1, f"dims must be >= 1, got {dim}")
         if lo_le_hi:
@@ -296,10 +308,10 @@ def _parse_product(rec, n, space_dim, arity_two):
     if kind == pr.AA:
         key = pr.key_aa(chain, degs)
     elif kind == pr.AN:
-        _require(_is_int(rec.get("twist_src")), f"AN needs twist_src: {rec!r}")
+        _require(pr.is_int(rec.get("twist_src")), f"AN needs twist_src: {rec!r}")
         key = pr.key_an(rec["twist_src"], chain, degs)
     else:
-        _require(_is_int(rec.get("from")), f"NA product needs 'from': {rec!r}")
+        _require(pr.is_int(rec.get("from")), f"NA product needs 'from': {rec!r}")
         key = pr.key_na(rec["from"], chain, degs)
     arity = pr.arity_of(key)
     if arity_two:
@@ -315,7 +327,7 @@ def _parse_product(rec, n, space_dim, arity_two):
         )
         *src_idx, out, val = entry
         _require(
-            all(_is_int(x) for x in src_idx) and _is_int(out),
+            all(pr.is_int(x) for x in src_idx) and pr.is_int(out),
             f"bad entry indices {entry!r}",
         )
         row = table.setdefault(tuple(src_idx), {})
@@ -333,7 +345,7 @@ def _parse_qualitative(rec, n):
         _require(
             isinstance(window, list)
             and len(window) == 2
-            and all(_is_int(w) for w in window)
+            and all(pr.is_int(w) for w in window)
             and window[0] <= window[1],
             f"bad degree_window {window!r}",
         )
@@ -345,7 +357,7 @@ def _parse_qualitative(rec, n):
         except (KeyError, TypeError):
             raise SpecError(f"bad qualitative row {row!r}") from None
         _require(st in (ZERO, NONZERO), f"bad status {st!r}")
-        ints = all(_is_int(v) for v in (src, dst, deg))
+        ints = all(pr.is_int(v) for v in (src, dst, deg))
         _require(ints, f"bad qualitative row {row!r}")
         _require(1 <= src <= n and 1 <= dst <= 2 * n, f"bad pair in {row!r}")
         key = (src, dst, deg)
@@ -370,7 +382,7 @@ def _parse_cochain(rec):
         vals = {}
         for pair in _list(values, "cochain values"):
             _require(
-                isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0]),
+                isinstance(pair, list) and len(pair) == 2 and pr.is_int(pair[0]),
                 f"bad cochain value {pair!r}",
             )
             vals[pair[0]] = _frac(pair[1])
@@ -413,9 +425,9 @@ def parse(document):
     _require(not unknown, f"unknown top-level keys {sorted(unknown)}")
     n = document.get("n")
     dim_x = document.get("dim_x")
-    _require(_is_int(n) and n >= 1, f"n must be a count >= 1, got {n!r}")
+    _require(pr.is_int(n) and n >= 1, f"n must be a count >= 1, got {n!r}")
     _require(
-        _is_int(dim_x) and dim_x >= 0, f"dim_x must be >= 0, got {dim_x!r}"
+        pr.is_int(dim_x) and dim_x >= 0, f"dim_x must be >= 0, got {dim_x!r}"
     )
     field_name = document.get("field", "Q")
     check_field_name(field_name)
@@ -455,6 +467,11 @@ def parse(document):
         objs = document["objects"]
         _require(len(objs) == n, "objects must list n items")
         _require(all(isinstance(o, dict) for o in objs), "objects must be objects")
+        for o in objs:
+            unknown = set(o) - {"label", "canonical_degree"}
+            _require(not unknown, f"unknown object keys {sorted(unknown)} in {o!r}")
+            label = o.get("label", "")
+            _require(isinstance(label, str), f"label must be a string: {o!r}")
         labels = [o.get("label", f"E{i + 1}") for i, o in enumerate(objs)]
         if any("canonical_degree" in o for o in objs):
             _require(
@@ -463,7 +480,7 @@ def parse(document):
             )
             degrees = [o["canonical_degree"] for o in objs]
             _require(
-                all(_is_int(d) for d in degrees), "bad canonical degrees"
+                all(pr.is_int(d) for d in degrees), "bad canonical degrees"
             )
 
     flags = dict(document.get("flags", {}))
@@ -471,7 +488,7 @@ def parse(document):
     _require(not unknown, f"unknown flags {sorted(unknown)}")
     for key, value in flags.items():
         kind = "an integer" if key == "k_squared" else "true or false"
-        typed = _is_int(value) if key == "k_squared" else isinstance(value, bool)
+        typed = pr.is_int(value) if key == "k_squared" else isinstance(value, bool)
         _require(typed, f"flag {key} must be {kind}, got {value!r}")
 
     fullness = None
@@ -482,7 +499,7 @@ def parse(document):
             fullness.xi = _parse_cochain(rec["xi"])
         for prec in _list(rec.get("pairings", []), "pairings"):
             _require(
-                isinstance(prec, dict) and _is_int(prec.get("obj")),
+                isinstance(prec, dict) and pr.is_int(prec.get("obj")),
                 f"pairing needs obj: {prec!r}",
             )
             fullness.pairings[prec["obj"]] = _parse_cochain(prec)
@@ -653,16 +670,12 @@ def hom_vanishing_from_degrees(spec):
 # -- validation --------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
-@dataclass
-class ValidationReport:
-    checks: list
+class ValidationReport(Record):
+    def __init__(self, checks):
+        self.checks = checks  # list of CheckResult
 
     @property
     def ok(self):

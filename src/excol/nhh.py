@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import products as pr
 from .exactlin import Matrix, Subspace, field_by_name
@@ -42,13 +42,13 @@ class DifferentialError(ValueError):
     """d . d != 0: inconsistent structure constants or a relation violation."""
 
 
-@dataclass(frozen=True)
-class ChainTerm:
-    """One tensor-product summand: a chain with a degree split."""
+class ChainTerm(namedtuple("ChainTerm", "chain degs factor_dims")):
+    """One tensor-product summand: a chain with a degree split.
 
-    chain: tuple
-    degs: tuple  # internal degrees, the twisted factor last
-    factor_dims: tuple
+    degs lists the internal degrees, the twisted factor last.
+    """
+
+    __slots__ = ()
 
     @property
     def p(self):
@@ -130,14 +130,10 @@ def build_e1(spec):
     return table, index
 
 
-@dataclass
-class Block:
-    """One signed product block of the differential."""
+class Block(namedtuple("Block", "source target key sign")):
+    """One signed product block of the differential between two ChainTerms."""
 
-    source: ChainTerm
-    target: ChainTerm
-    key: tuple
-    sign: int
+    __slots__ = ()
 
     @property
     def arity(self):

@@ -35,6 +35,11 @@ def key_na(from_obj, chain, degs):
     return (NA, from_obj, tuple(chain), tuple(degs))
 
 
+def is_int(value):
+    """An integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def arity_of(key):
     kind, _, chain, degs = key
     return len(degs)
@@ -43,18 +48,22 @@ def arity_of(key):
 def check_key_shape(key, n):
     """Raise ValueError unless key names a product window on objects 1..n.
 
-    The kind, arity, object range and chain length are checked first, since
-    `source_spaces` needs them; every other condition (an increasing chain,
-    the twisted letter's place) is the window rule, checked as the round
-    trip through `window_key`.
+    The tuples, kind, arity, integer entries, object range and chain length
+    are checked first, since `source_spaces` needs them; every other condition
+    (an increasing chain, the twisted letter's place) is the window rule,
+    checked as the round trip through `window_key`.
     """
     kind, aux, chain, degs = key
+    if not (isinstance(chain, tuple) and isinstance(degs, tuple)):
+        raise ValueError(f"product {key}: chain and degrees must be tuples")
     arity = len(degs)
     if kind not in (AA, AN, NA):
         raise ValueError(f"unknown product kind {kind!r}")
     if arity < 2:
         raise ValueError(f"product arity must be >= 2, got {arity}")
     objects = chain if kind == AA else (*chain, aux)
+    if not all(is_int(x) for x in (*objects, *degs)):
+        raise ValueError(f"product {key}: objects and degrees must be integers")
     if any(not (1 <= c <= n) for c in objects):
         raise ValueError(f"product {key} names an object outside 1..{n}")
     if len(chain) != arity + (kind == AA):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import (
     INF,
@@ -117,13 +117,10 @@ def chain_links(chain):
 # -- the chain engine ----------------------------------------------------------
 
 
-@dataclass
-class PhBounds:
+class PhBounds(namedtuple("PhBounds", "lower upper witness_chain", defaults=(None,))):
     """Anticanonical pseudoheight interval with the chain attaining the cap."""
 
-    lower: float
-    upper: float
-    witness_chain: tuple | None = None
+    __slots__ = ()
 
     @property
     def pinned(self):
@@ -216,11 +213,10 @@ def qualitative_ph_bounds(spec, table=None):
     return PhBounds(lower, upper, witness)
 
 
-@dataclass
-class PseudoheightResult:
-    value: float  # int or +inf
-    witness: tuple | None
-    dim_x: int
+class PseudoheightResult(namedtuple("PseudoheightResult", "value witness dim_x")):
+    """value is an int or +inf; witness is a chain or None."""
+
+    __slots__ = ()
 
     @property
     def value_ac(self):

@@ -103,6 +103,8 @@ def test_backwards_ext_is_format_error(tmp_path, capsys):
     ("qualitative", {"degree_window": ["a", 1]}),
     ("objects", [1]),
     pytest.param("field", "F" + "1" * 5000, id="field-5000-digits"),
+    pytest.param("objects", [{"lable": "E1"}], id="objects-key-typo"),
+    pytest.param("objects", [{"label": 5}], id="objects-label-5"),
 ])
 def test_ill_typed_field_is_format_error(tmp_path, capsys, field, value):
     doc = {"n": 1, "dim_x": 0, field: value}

@@ -4,8 +4,10 @@ Every case runs one command line in a fresh interpreter and reads back the
 `excol.*` entries of `sys.modules`, so a stray top-level import anywhere in
 the package shows up as an extra module.  The documents are the shipped
 fixture files, read from disk, so that `fixtures` is loaded only by the
-`fixture` command.  The README's library imports and the
-`excol.pseudoheight` submodule are checked here too.
+`fixture` command.  The probe also reports `dataclasses`, `inspect` and
+`fractions`; no command loads the first two, so every expected set below,
+which never names them, pins their absence as well.  The README's library
+imports and the `excol.pseudoheight` submodule are checked here too.
 """
 
 import importlib
@@ -22,13 +24,13 @@ ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "fixtures"
 
 # run one command, then print the loaded excol modules (and which of
-# dataclasses and fractions are loaded) as the last line of stdout
+# dataclasses, inspect and fractions are loaded) as the last line of stdout
 PROBE = """
 import sys
 from excol.cli import main
 main(sys.argv[1:])
 loaded = sorted(m[len("excol."):] for m in sys.modules if m.startswith("excol."))
-loaded += ["+" + m for m in ("dataclasses", "fractions") if m in sys.modules]
+loaded += ["+" + m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules]
 print()
 print(" ".join(loaded))
 """
@@ -48,7 +50,6 @@ PARSE = {"cli", "model", "products", "exactlin"}
 ANALYSIS = PARSE | {"heights", "pseudoheight"}
 ENGINE = ANALYSIS | {"nhh"}
 EXACT, QUALITATIVE = "beilinson_p1", "burniat"
-DATACLASSES = {"+dataclasses"}  # every command that parses has it
 # fractions loads only for a value that is not an integer
 
 CASES = [
@@ -73,7 +74,7 @@ CASES = [
                          ids=[f"{c}-{n}" for c, n, _ in CASES])
 def test_command_loads_only_its_modules(cmd, name, expected):
     path = str(DOCS / f"{name}.json")
-    assert loaded_modules(cmd, path, "--json") == expected | DATACLASSES
+    assert loaded_modules(cmd, path, "--json") == expected
 
 
 # one arity-3 product and nothing else; no shipped fixture has higher products
@@ -100,7 +101,7 @@ HIGHER = {
 def test_validate_loads_nhh_only_for_higher_products(tmp_path):
     path = tmp_path / "higher.json"
     path.write_text(json.dumps(HIGHER), encoding="utf-8")
-    expected = PARSE | {"nhh", "pseudoheight"} | DATACLASSES
+    expected = PARSE | {"nhh", "pseudoheight"}
     assert loaded_modules("validate", str(path), "--json") == expected
 
 
@@ -109,7 +110,7 @@ def test_a_non_integral_coefficient_loads_fractions(tmp_path):
     doc["higher_products"][0]["entries"] = [[0, 0, 0, 0, "1/2"]]
     path = tmp_path / "half.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    expected = PARSE | {"nhh", "pseudoheight"} | DATACLASSES | {"+fractions"}
+    expected = PARSE | {"nhh", "pseudoheight", "+fractions"}
     assert loaded_modules("validate", str(path), "--json") == expected
 
 
@@ -121,12 +122,12 @@ def test_fixture_list_loads_no_model_and_no_dataclasses():
 @pytest.mark.parametrize("name", ["beilinson_p2", "beilinson_p3", QUALITATIVE])
 def test_fixture_document_loads_no_engine(name):
     # the Beilinson builder emits ints, so not even fractions is loaded
-    expected = {"cli", "fixtures", "model", "products", "exactlin"} | DATACLASSES
+    expected = {"cli", "fixtures", "model", "products", "exactlin"}
     assert loaded_modules("fixture", name) == expected
 
 
 def test_fixture_name_as_input_loads_fixtures():
-    assert loaded_modules("validate", "point") == PARSE | {"fixtures"} | DATACLASSES
+    assert loaded_modules("validate", "point") == PARSE | {"fixtures"}
 
 
 def test_import_excol_loads_no_submodule():

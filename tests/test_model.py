@@ -1,3 +1,4 @@
+import inspect
 import json
 import time
 from fractions import Fraction
@@ -6,11 +7,14 @@ import pytest
 
 from excol import fixtures, model
 from excol import products as pr
+from excol.heights import Height
 from excol.model import (
     NONZERO,
     UNKNOWN,
     ZERO,
+    Cochain,
     CollectionSpec,
+    FullnessData,
     QualitativeExtTable,
     SpecError,
     extend_degrees,
@@ -19,6 +23,7 @@ from excol.model import (
     serialize,
     validate,
 )
+from excol.nhh import ChainTerm
 
 
 def test_parse_minimal_point_like_document():
@@ -119,6 +124,86 @@ def test_ill_typed_flag_rejected(flag, value):
     parse({"n": 1, "dim_x": 0, "flags": {flag: 8 if flag == "k_squared" else False}})
     with pytest.raises(SpecError, match=flag):
         parse({"n": 1, "dim_x": 0, "flags": {flag: value}})
+
+
+@pytest.mark.parametrize("record", [
+    {"label": 5},
+    {"label": None},
+    {"label": ["E1"]},
+    {"lable": "E1"},
+    {"label": "E1", "canonical_degree": 0, "rank": 1},
+])
+def test_ill_typed_object_record_rejected(record):
+    with pytest.raises(SpecError):
+        parse(json.dumps({"n": 1, "dim_x": 0, "objects": [record]}))
+
+
+def test_object_records_with_known_keys_parse():
+    doc = {"n": 2, "dim_x": 0, "objects": [{}, {"label": "F"}]}
+    assert parse(doc).labels == ["E1", "F"]
+    doc["objects"] = [{"canonical_degree": 0}, {"label": "F", "canonical_degree": 1}]
+    assert parse(doc).canonical_degrees == [0, 1]
+
+
+AN_KEY = pr.key_an(1, (1, 2), (0, 0))
+SPEC_FIELDS = {
+    "n": 2,
+    "dim_x": 1,
+    "field_name": "Q",
+    "a_dims": {(1, 2): {0: 1}},
+    "n_dims": {(1, 1): {1: 1}},
+    "products": {AN_KEY: {(0, 0): {0: 1}}},
+    "higher": {},
+    "qualitative": QualitativeExtTable(2, {(1, 2, 0): NONZERO}, (0, 2)),
+    "labels": ["E1", "E2"],
+    "canonical_degrees": [0, 1],
+    "flags": {"is_surface": True},
+    "metadata": {"source": "a"},
+    "fullness_data": FullnessData(Cochain([((1,), (1,), {0: 1})])),
+}
+# one value per field, each different from the one in SPEC_FIELDS
+OTHER_VALUES = {
+    "n": 3,
+    "dim_x": 2,
+    "field_name": "F7",
+    "a_dims": {(1, 2): {0: 2}},
+    "n_dims": {(1, 1): {0: 1}},
+    "products": {AN_KEY: {(0, 0): {0: 2}}},
+    "higher": {pr.key_aa((1, 2, 3), (0, 0, 0)): {(0, 0, 0): {0: 1}}},
+    "qualitative": QualitativeExtTable(2, {(1, 2, 0): NONZERO}, None),
+    "labels": ["E1", "F"],
+    "canonical_degrees": None,
+    "flags": {"is_surface": False},
+    "metadata": {},
+    "fullness_data": FullnessData(Cochain([((1,), (1,), {0: 2})])),
+}
+
+
+def test_spec_fields_cover_the_constructor():
+    assert set(SPEC_FIELDS) == set(OTHER_VALUES)
+    assert set(SPEC_FIELDS) == set(inspect.signature(CollectionSpec).parameters)
+
+
+@pytest.mark.parametrize("name", list(SPEC_FIELDS))
+def test_specs_differing_in_one_field_are_unequal(name):
+    spec = CollectionSpec(**SPEC_FIELDS)
+    assert CollectionSpec(**SPEC_FIELDS) == spec
+    assert CollectionSpec(**dict(SPEC_FIELDS, **{name: OTHER_VALUES[name]})) != spec
+
+
+@pytest.mark.parametrize("record, name", [
+    (Height(0, 2), "lo"),
+    (Height(0, 2), "hi"),
+    (Height(0, 2), "nhh_vanishes"),
+    (ChainTerm((1, 2), (0, 1), (1, 1)), "chain"),
+    (ChainTerm((1, 2), (0, 1), (1, 1)), "degs"),
+    (ChainTerm((1, 2), (0, 1), (1, 1)), "factor_dims"),
+])
+def test_height_and_chain_term_are_immutable(record, name):
+    with pytest.raises(AttributeError):
+        setattr(record, name, 5)
+    with pytest.raises(AttributeError):
+        record.extra = 5
 
 
 @pytest.mark.parametrize("name", fixtures.fixture_list())
@@ -262,6 +347,18 @@ def test_validate_flags_product_into_missing_space():
     )
     report = validate(spec)
     assert any(not c.passed and c.name == "degree_additivity" for c in report.checks)
+
+
+@pytest.mark.parametrize("kind", [pr.AN, pr.NA])
+@pytest.mark.parametrize("bad", [None, True, "1", 1.5])
+def test_validate_reports_a_non_integer_twist(kind, bad):
+    # built programmatically: the parser refuses such keys
+    spec = fixtures.fixture_spec("beilinson_p1")
+    key = next(k for k in spec.products if k[0] == kind)
+    spec.products[(kind, bad, *key[2:])] = spec.products.pop(key)
+    report = validate(spec)
+    assert [c.name for c in report.failures()] == ["degree_additivity"]
+    assert "must be integers" in report.failures()[0].detail
 
 
 def test_asymmetric_constants_are_fine():

@@ -64,6 +64,13 @@ def test_window_key_refuses_non_windows(letters):
     (("AA", 1, (1, 2, 3), (0, 0)), "not a window"),
     (pr.key_an(3, (2, 4), (0, 0)), "not a window"),
     (pr.key_na(2, (1, 3), (0, 0)), "not a window"),
+    (pr.key_an(None, (1, 2), (0, 0)), "must be integers"),
+    (pr.key_na(None, (1, 2), (0, 0)), "must be integers"),
+    (pr.key_aa((1, True, 3), (0, 0)), "must be integers"),
+    (pr.key_an(1, (1, 2), (0, False)), "must be integers"),
+    (pr.key_na(2, (1, 2), ("0", 0)), "must be integers"),
+    ((pr.AN, 1, None, (0, 0)), "must be tuples"),
+    ((pr.AA, None, (1, 2, 3), 5), "must be tuples"),
 ])
 def test_key_shape_refuses_what_source_spaces_cannot_take(key, message):
     with pytest.raises(ValueError, match=message):
