@@ -10,8 +10,6 @@ keys), so identical runs are byte-identical.  Exit codes: 0 success,
 1 validation or engine failure, 2 I/O or format error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -61,9 +59,10 @@ def _load_spec(args):
     if args.field:
         try:
             model.check_field_name(args.field)
+            spec.field_name = args.field
+            model.check_coefficients(spec)
         except model.SpecError as exc:
             raise CliFormatError(str(exc)) from None
-        spec.field_name = args.field
     return spec
 
 

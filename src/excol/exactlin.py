@@ -9,8 +9,6 @@ F_p is a plain int in [0, p).  Matrices are sparse, keyed by (row, col);
 vectors are sparse dicts col -> scalar.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 

@@ -11,8 +11,6 @@ arguments constrain; everything else is zero.  That is enough to reproduce
 the known heights, and the assumptions list is the contract.
 """
 
-from __future__ import annotations
-
 import itertools
 
 FIXTURE_NAMES = [
@@ -389,21 +387,10 @@ def beilinson_fixture(n):
 
     full_chain = tuple(range(1, n + 1))
     degs = (0,) * (n - 1) + (n - 1,)
-    # both xi and the pairing live on n-fold tensors of the linear forms
-    stride = {}
-    acc = 1
-    for pos in range(n - 1, -1, -1):
-        stride[pos] = acc
-        acc *= nvars
-    xi_values = {}
-    pairing_values = {}
-    for perm in itertools.permutations(range(n)):
-        sign = _permutation_sign(perm)
-        idx = sum(perm[pos] * stride[pos] for pos in range(n))
-        xi_values[idx] = sign
-        pairing_values[idx] = sign
-    xi = Cochain([(full_chain, degs, xi_values)])
-    pairing = {1: Cochain([(full_chain, degs, pairing_values)])}
+    # both xi and the pairing are the antisymmetrizer on n-fold tensors of
+    # the linear forms
+    xi = Cochain([(full_chain, degs, antisymmetrizer_line(nvars))])
+    pairing = {1: Cochain([(full_chain, degs, antisymmetrizer_line(nvars))])}
 
     spec = CollectionSpec(
         n=n,

@@ -15,8 +15,6 @@ the fully antisymmetric tensor, and the pairing is exterior contraction
 (a determinant); `fixtures.beilinson_fixture` builds this exact certificate.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .exactlin import Matrix

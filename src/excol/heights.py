@@ -18,8 +18,6 @@ length-0 chain is again exact.
 functions below are projections of it.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import cached_property
 
@@ -111,9 +109,9 @@ class Analysis:
     """Everything derived from one spec, each stage computed at most once.
 
     The stages are lazy and memoized: the chain-engine bounds, the height
-    shortcut, the assembled complex (d . d checked once), its cohomology and
-    pages, the height, the report and the fullness verdict.  Every CLI
-    command reads its answer off one Analysis.
+    shortcut, the assembled complex (its relations checked once), its
+    cohomology and pages, the height, the report and the fullness verdict.
+    Every CLI command reads its answer off one Analysis.
     """
 
     def __init__(self, spec):

@@ -12,8 +12,9 @@ page.  The differential is the signed sum of product blocks: compositions of
 adjacent factors, the composition of the trailing factor into the twisted
 one, the cyclic wrap through the inverse Serre functor, and one block per
 supplied higher product; an arity-k block moves column -p to -p + (k-1).
-d . d = 0 is verified exactly at build time and failures name the offending
-source terms.
+d . d = 0 says that the products satisfy the A-infinity relations (see
+`products`); they are verified exactly at build time, before any matrix is
+built, and a failure names the relation's window.
 
 Total degree is t = q - p.  The decreasing column filtration by -p gives the
 spectral sequence; its page-r differential is exactly the arity-(r+1) part.
@@ -26,8 +27,6 @@ filtration, as in Edelsbrunner-Harer, Computational Topology, ch. VII).
 Survivor bases are read off the same reduction on demand.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 from collections import namedtuple
@@ -39,7 +38,7 @@ from .pseudoheight import live_chains
 
 
 class DifferentialError(ValueError):
-    """d . d != 0: inconsistent structure constants or a relation violation."""
+    """d . d != 0: an A-infinity relation of the products fails."""
 
 
 class ChainTerm(namedtuple("ChainTerm", "chain degs factor_dims")):
@@ -130,14 +129,8 @@ def build_e1(spec):
     return table, index
 
 
-class Block(namedtuple("Block", "source target key sign")):
-    """One signed product block of the differential between two ChainTerms."""
-
-    __slots__ = ()
-
-    @property
-    def arity(self):
-        return pr.arity_of(self.key)
+# one signed product block of the differential between two ChainTerms
+Block = namedtuple("Block", "source target key sign")
 
 
 def _windows(p, max_arity):
@@ -174,11 +167,7 @@ def _term_blocks(spec, term, term_lookup):
         target = term_lookup.get((chain, tuple(x[3] for x in word)))
         if target is None:
             continue
-        m = len(consumed)
-        if key[0] == pr.AA:
-            sign = pr.sign_aa(a_degs, n_deg, consumed[0], m)
-        else:
-            sign = (pr.sign_an if key[0] == pr.AN else pr.sign_na)(a_degs, n_deg, m)
+        sign = pr.block_sign(key, a_degs, n_deg, out_pos)
         blocks.append((Block(term, target, key, sign), (consumed, out_pos)))
     return blocks
 
@@ -199,10 +188,9 @@ def _block_entries(spec, block, placement, fld):
         )
         for rest in itertools.product(*[range(term.factor_dims[i]) for i in kept])
     ]
-    sign = fld.one if block.sign > 0 else fld.neg(fld.one)
     for src_combo, row in spec.product_table(block.key).items():
         src_off = sum(b * src_strides[i] for i, b in zip(consumed, src_combo))
-        outs = [(out * out_stride, fld.mul(sign, fld.of(c))) for out, c in row.items()]
+        outs = [(out * out_stride, fld.of(block.sign * c)) for out, c in row.items()]
         for src_base, tgt_base in rests:
             for tgt_off, coeff in outs:
                 yield tgt_base + tgt_off, src_base + src_off, coeff
@@ -255,8 +243,20 @@ class NormalComplex:
 
 
 def assemble_differential(spec, check=True):
-    """Build the full differential; verifies d . d = 0 unless check=False."""
+    """Build the full differential.
+
+    Unless check=False, every A-infinity relation of the products is
+    verified first, which is d . d = 0 (see `products`); a failing relation
+    raises DifferentialError naming its window.
+    """
     fld = field_by_name(spec.field_name)
+    if check:
+        failing = pr.failing_relations({**spec.products, **spec.higher}, fld)
+        if failing:
+            raise DifferentialError(
+                "d.d != 0: the A-infinity relation fails on "
+                + "; ".join(pr.describe(window) for window, _ in failing[:4])
+            )
     terms = enumerate_terms(spec)
     term_lookup = {(tm.chain, tm.degs): tm for tm in terms}
     by_t = {}
@@ -285,35 +285,9 @@ def assemble_differential(spec, check=True):
             tgt_off = offsets[(block.target.chain, block.target.degs)]
             for ti, si, coeff in _block_entries(spec, block, placement, fld):
                 mat.add_to(tgt_off + ti, src_off + si, coeff)
-    cx = NormalComplex(
+    return NormalComplex(
         spec, fld, terms, term_lookup, by_t, offsets, t_dims, diffs, all_blocks
     )
-    if check:
-        _check_square_zero(cx)
-    return cx
-
-
-def _check_square_zero(cx):
-    for t in sorted(cx.diffs):
-        first = cx.diffs[t]
-        second = cx.diffs.get(t + 1)
-        if second is None:
-            continue
-        sq = second.compose(first)
-        if sq.is_zero():
-            continue
-        bad_cols = sorted({c for (_, c) in sq.entries})
-        offenders = []
-        for tm in cx.by_t[t]:
-            off = cx.term_offset(tm)
-            if any(off <= c < off + tm.dim for c in bad_cols):
-                offenders.append(f"chain {tm.chain} degrees {tm.degs}")
-            if len(offenders) >= 4:
-                break
-        raise DifferentialError(
-            "d.d != 0 at total degree "
-            f"{t}; inconsistent structure constants on: " + "; ".join(offenders)
-        )
 
 
 def total_cohomology(cx):

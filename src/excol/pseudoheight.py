@@ -17,8 +17,6 @@ cyclically Ext^1-connected some link is >= 2, hence value >= 2.  A nonzero
 H^2(omega^{-1}) on a surface of line bundles caps the length-0 chains at 2.
 """
 
-from __future__ import annotations
-
 import itertools
 import operator
 from collections import namedtuple

@@ -213,6 +213,19 @@ def test_field_override(capsys):
     assert json.loads(out)["nhh"] == {"0": 1, "1": 8, "2": 10}
 
 
+def test_coefficient_the_field_cannot_hold_is_format_error(tmp_path, capsys):
+    doc = json.loads(model.serialize(fixtures.fixture_spec("beilinson_p2")))
+    doc["products"][0]["entries"][0][-1] = "1/3"
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps(dict(doc, field="F3")), encoding="utf-8")
+    for cmd in ("validate", "height"):
+        code, _, err = run(capsys, cmd, str(path))
+        assert code == 2 and "denominator of 1/3 vanishes mod 3" in err, cmd
+    path.write_text(json.dumps(doc), encoding="utf-8")  # the same over Q
+    code, _, err = run(capsys, "height", str(path), "--field", "F3")
+    assert code == 2 and "denominator of 1/3 vanishes mod 3" in err
+
+
 def test_fullness_commands(capsys):
     code, out, _ = run(capsys, "fullness", "beilinson_p1")
     assert code == 0 and out.startswith("FULL")

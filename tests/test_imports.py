@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from excol.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "fixtures"
 
@@ -98,11 +100,11 @@ HIGHER = {
 }
 
 
-def test_validate_loads_nhh_only_for_higher_products(tmp_path):
+def test_validate_loads_no_engine_module(tmp_path):
+    # higher products are checked as relations of their tables, no complex
     path = tmp_path / "higher.json"
     path.write_text(json.dumps(HIGHER), encoding="utf-8")
-    expected = PARSE | {"nhh", "pseudoheight"}
-    assert loaded_modules("validate", str(path), "--json") == expected
+    assert loaded_modules("validate", str(path), "--json") == PARSE
 
 
 def test_a_non_integral_coefficient_loads_fractions(tmp_path):
@@ -110,8 +112,18 @@ def test_a_non_integral_coefficient_loads_fractions(tmp_path):
     doc["higher_products"][0]["entries"] = [[0, 0, 0, 0, "1/2"]]
     path = tmp_path / "half.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    expected = PARSE | {"nhh", "pseudoheight", "+fractions"}
-    assert loaded_modules("validate", str(path), "--json") == expected
+    assert loaded_modules("validate", str(path), "--json") == PARSE | {"+fractions"}
+
+
+def test_validate_reports_beyond_the_chain_cap(tmp_path, capsys):
+    # n = 26 is past the chain walkers' cap, which validate never meets
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(dict(HIGHER, n=26)), encoding="utf-8")
+    assert main(["validate", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"]
+    assert [c["name"] for c in report["checks"]][3] == "a_infinity"
+    assert loaded_modules("validate", str(path), "--json") == PARSE
 
 
 def test_fixture_list_loads_no_model_and_no_dataclasses():

@@ -302,6 +302,25 @@ def test_bad_coefficients_rejected(value):
         parse(_one_product(value))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("F3", "1/3"), ("F2", "-5/4"), ("F7", "2/21"),
+])
+def test_coefficient_the_field_cannot_hold_rejected(field, value):
+    doc = dict(_one_product(value), field=field)
+    with pytest.raises(SpecError, match=f"coefficient {value} in field {field}"):
+        parse(doc)
+    assert parse(dict(doc, field="F5")).products  # a unit mod 5 is fine
+
+
+def test_cochain_value_the_field_cannot_hold_rejected():
+    doc = fixtures.fixture_document("point")
+    doc = dict(doc, field="F3")
+    doc["fullness"]["xi"]["terms"][0]["values"] = [[0, "2/3"]]
+    with pytest.raises(SpecError, match="coefficient 2/3 in field F3"):
+        parse(doc)
+    parse(dict(doc, field="Q"))
+
+
 @pytest.mark.parametrize("text", [
     b'{"n": 1, "dim_x": 0, "metadata": {"name": "\xff"}}',
     "[" * 100_000 + "]" * 100_000,

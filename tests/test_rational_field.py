@@ -1,9 +1,10 @@
 """Q as ints-first against the all-Fraction reference field.
 
 `exactlin.QQ` stores a rational as an int whenever it is integral.  Every
-answer the engine derives over it (assembly, the d.d verdict, the reduction,
-the pages, the cohomology, the survivors and the fullness verdict) must
-equal the answer over `_fraction_field.FRACTIONS`, and no float may appear.
+answer the engine derives over it (the failing A-infinity relations, the
+assembly, the d.d verdict of `_dd_oracle`, the reduction, the pages, the
+cohomology, the survivors and the fullness verdict) must equal the answer
+over `_fraction_field.FRACTIONS`, and no float may appear.
 The `_specgen` draws carry basis rescalings by 1/2 and -1/3, so their
 reductions meet pivots other than +-1 and take the Fraction branch.
 """
@@ -16,10 +17,12 @@ from fractions import Fraction
 import pytest
 
 from excol import exactlin, heights, nhh
+from excol import products as pr
 from excol.exactlin import QQ
 from excol.fixtures import FIXTURE_NAMES, beilinson_fixture, fixture_spec
 from excol.model import parse
 
+from _dd_oracle import check_square_zero
 from _fraction_field import FRACTIONS
 from _specgen import random_spec
 
@@ -47,9 +50,11 @@ def _corrupted(spec):
 
 def _outcome(spec):
     """Every stage the engine derives from spec, over the field in use."""
+    tables = {**spec.products, **spec.higher}
+    relations = pr.failing_relations(tables, nhh.field_by_name(spec.field_name))
     cx = nhh.assemble_differential(spec, check=False)
     try:
-        nhh._check_square_zero(cx)
+        check_square_zero(cx)
         dd = None
     except nhh.DifferentialError as exc:
         dd = str(exc)
@@ -57,6 +62,7 @@ def _outcome(spec):
         "t_dims": cx.t_dims,
         "diffs": {t: m.entries for t, m in cx.diffs.items()},
         "dd": dd,
+        "relations": relations,
     }
     if dd is not None:
         return out
