@@ -5,6 +5,19 @@ import importlib
 
 __version__ = "0.1.0"
 
+# the built-in fixtures (`fixtures.py` builds them); here so that
+# `excol fixture --list` can answer without compiling the builders
+FIXTURE_NAMES = (
+    "beilinson_p1",
+    "beilinson_p2",
+    "beilinson_p3",
+    "burniat",
+    "beauville_I0",
+    "beauville_I1",
+    "godeaux",
+    "point",
+)
+
 # submodule -> the public names it defines; both load on first access (PEP 562),
 # so `import excol` loads no submodule, and no public name is a submodule's name
 _EXPORTS = {

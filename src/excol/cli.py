@@ -1,16 +1,21 @@
 """Command-line driver.
 
-    excol <command> <input> [--json] [--max-page R] [--anticanonical]
+    excol <command> [<input>] [--json] [--list] [--max-page R] [--anticanonical]
           [--hoh d0,d1,...] [--field Q|Fp]
 
 Commands: validate, pseudoheight, e1, ss, height, report, fullness, fixture.
 Inputs name a collection document on disk, a file under the directory in
-EXCOL_FIXTURES, or a built-in fixture.  JSON output is canonical (sorted
-keys), so identical runs are byte-identical.  Exit codes: 0 success,
-1 validation or engine failure, 2 I/O or format error.
+EXCOL_FIXTURES, or a built-in fixture; only `fixture` runs without one (or
+with `--list`) and then lists the built-in fixtures.  Options may come in
+any order, before, between or after the two positionals; a valued flag is
+written `--flag value` or `--flag=value`, and its value is taken as given,
+even when it starts with `-`.  Option names are matched whole, never by
+prefix.  `-h` or `--help` prints the usage and exits 0; any other misuse
+prints the usage and an error to stderr and exits 2.  JSON output is
+canonical (sorted keys), so identical runs are byte-identical.  Exit codes:
+0 success, 1 validation or engine failure, 2 usage, I/O or format error.
 """
 
-import argparse
 import json
 import os
 import sys
@@ -20,6 +25,10 @@ _ENGINE_ERRORS = ["model.SpecError", "nhh.DifferentialError", "exactlin.ExactLin
 
 class CliFormatError(Exception):
     """Exit code 2: unusable input."""
+
+
+class UsageError(CliFormatError):
+    """Exit code 2: a command line outside the grammar."""
 
 
 def _load_document(path):
@@ -223,6 +232,8 @@ def cmd_report(args):
     if args.hoh:
         try:
             hoh = [int(x) for x in args.hoh.split(",")]
+            if min(hoh) < 0:
+                raise ValueError
         except ValueError:
             raise CliFormatError(f"bad --hoh list {args.hoh!r}") from None
     rep = a.report(hoh)
@@ -275,11 +286,11 @@ def cmd_fullness(args):
 
 
 def cmd_fixture(args):
-    from . import fixtures
     if args.list or args.input is None:
-        names = fixtures.fixture_list()
-        _emit({"fixtures": names}, args.json, names)
+        from . import FIXTURE_NAMES
+        _emit({"fixtures": FIXTURE_NAMES}, args.json, FIXTURE_NAMES)
         return 0
+    from . import fixtures
     try:
         spec = fixtures.fixture_spec(args.input)
     except KeyError:
@@ -301,21 +312,58 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="excol",
-        description="heights and fullness certificates for exceptional "
-        "collections",
-    )
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("input", nargs="?", help="document path or fixture name")
-    parser.add_argument("--json", action="store_true", help="canonical JSON output")
-    parser.add_argument("--max-page", type=int, default=None)
-    parser.add_argument("--anticanonical", action="store_true")
-    parser.add_argument("--hoh", help="comma-separated ambient Hochschild dims")
-    parser.add_argument("--field", help="Q or Fp, overriding the document")
-    parser.add_argument("--list", action="store_true", help="list fixtures")
-    return parser
+USAGE = (
+    f"usage: excol {{{','.join(COMMANDS)}}} [<input>]\n"
+    "             [--json] [--list] [--max-page R] [--anticanonical]\n"
+    "             [--hoh d0,d1,...] [--field Q|Fp]"
+)
+SWITCHES = ("--json", "--anticanonical", "--list")
+VALUED = ("--max-page", "--hoh", "--field")
+
+
+class Args:
+    """A parsed command line; every option not given keeps its default."""
+
+    command = input = max_page = hoh = field = None
+    json = anticanonical = list = False
+
+
+def parse_args(argv):
+    """Read excol's fixed grammar; returns Args, or None for -h/--help."""
+    args, positionals, rest = Args(), [], iter(argv)
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return None
+        if arg == "-" or not arg.startswith("-"):
+            positionals.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name in SWITCHES and not eq:
+            setattr(args, name[2:], True)
+        elif name in VALUED:
+            value = value if eq else next(rest, None)
+            if value is None:
+                raise UsageError(f"{name} needs a value")
+            setattr(args, name[2:].replace("-", "_"), value)
+        else:
+            raise UsageError(f"unknown option {arg!r}")
+    if not positionals:
+        raise UsageError("a command is required")
+    if len(positionals) > 2:
+        raise UsageError(f"unexpected argument {positionals[2]!r}")
+    args.command, args.input = (positionals + [None])[:2]
+    if args.command not in COMMANDS:
+        raise UsageError(f"unknown command {args.command!r}")
+    if args.command != "fixture" and args.input is None:
+        raise UsageError("an input document is required")
+    if args.max_page is not None:
+        try:
+            args.max_page = int(args.max_page)
+        except ValueError:
+            raise UsageError(f"--max-page needs an integer, not {args.max_page!r}") from None
+        if args.max_page < 1:
+            raise UsageError("--max-page must be >= 1")
+    return args
 
 
 def _engine_errors():
@@ -326,13 +374,14 @@ def _engine_errors():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.command != "fixture" and args.input is None:
-        print("error: an input document is required", file=sys.stderr)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"{USAGE}\nerror: {exc}", file=sys.stderr)
         return 2
-    if args.max_page is not None and args.max_page < 1:
-        print("error: --max-page must be >= 1", file=sys.stderr)
-        return 2
+    if args is None:
+        print(USAGE)
+        return 0
     try:
         return COMMANDS[args.command](args)
     except CliFormatError as exc:

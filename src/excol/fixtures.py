@@ -13,16 +13,7 @@ the known heights, and the assumptions list is the contract.
 
 import itertools
 
-FIXTURE_NAMES = [
-    "beilinson_p1",
-    "beilinson_p2",
-    "beilinson_p3",
-    "burniat",
-    "beauville_I0",
-    "beauville_I1",
-    "godeaux",
-    "point",
-]
+from . import FIXTURE_NAMES
 
 
 def _point_document():

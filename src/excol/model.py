@@ -750,7 +750,8 @@ def validate(spec):
     """Run all consistency checks, returning a ValidationReport.
 
     Never raises on bad algebra: failures are carried in the report.  The
-    A-infinity relations are checked over Q (`products.failing_relations`):
+    A-infinity relations are checked over the spec's field, as the engine
+    checks them (`products.failing_relations`):
     those of three letters are associativity, the longer ones involve a
     higher product and are checked once the structure checks pass.
     """
@@ -772,10 +773,15 @@ def validate(spec):
     structure_ok = report("degree_additivity", messages) and structure_ok
     # the relations of the well-shaped products, on the basis vectors only
     sound = {key: ok for key, (_, ok) in checked.items() if ok is not None}
-    failing = [w for w, _ in pr.failing_relations(sound, QQ)]
-    named = [(len(w) == 3, f"fails on {pr.describe(w)}") for w in failing]
-    report("associativity", [msg for short, msg in named if short], 5)
-    if spec.higher and structure_ok:
-        report("a_infinity", [msg for short, msg in named if not short], 5)
+    try:
+        fld = field_by_name(spec.field_name)
+        failing = [w for w, _ in pr.failing_relations(sound, fld)]
+    except ExactLinError as exc:  # a spec built in code: parse refuses these
+        report("associativity", [f"over field {spec.field_name!r}: {exc}"])
+    else:
+        named = [(len(w) == 3, f"fails on {pr.describe(w)}") for w in failing]
+        report("associativity", [msg for short, msg in named if short], 5)
+        if spec.higher and structure_ok:
+            report("a_infinity", [msg for short, msg in named if not short], 5)
     report("qualitative_consistency", _check_qualitative(spec))
     return ValidationReport(checks)

@@ -269,3 +269,112 @@ def test_degenerate_spec_warns_about_vanishing(tmp_path, capsys):
     assert "warning" in out and "fullness" in out
     code, out, _ = run(capsys, "fullness", str(path))
     assert code == 0 and out.startswith("INCONCLUSIVE")
+
+
+def test_negative_hoh_is_format_error(capsys):
+    code, out, err = run(capsys, "report", "beauville_I0", "--hoh=-5,0,0,6,9")
+    assert code == 2 and "bad --hoh list" in err and not out
+
+
+def _beilinson_p2(field, factor):
+    """beilinson_p2 over `field`, its first AA coefficient multiplied by factor."""
+    doc = json.loads(model.serialize(fixtures.fixture_spec("beilinson_p2")))
+    entry = doc["products"][0]["entries"][0]
+    assert doc["products"][0]["kind"] == "AA" and entry[-1] == "1"
+    entry[-1] = str(factor)
+    return dict(doc, field=field)
+
+
+def test_validate_checks_relations_over_the_document_field(tmp_path, capsys):
+    # tripled, the coefficient is still 1 mod 2: the relations hold over F2
+    path = tmp_path / "tripled.json"
+    path.write_text(json.dumps(_beilinson_p2("F2", 3)), encoding="utf-8")
+    assert run(capsys, "validate", str(path))[0] == 0
+    untouched = tmp_path / "untouched.json"
+    untouched.write_text(json.dumps(_beilinson_p2("F2", 1)), encoding="utf-8")
+    code, out, _ = run(capsys, "height", str(path), "--json")
+    assert code == 0 and out == run(capsys, "height", str(untouched), "--json")[1]
+    # over Q they fail, and --field reaches the relation check
+    path.write_text(json.dumps(_beilinson_p2("Q", 3)), encoding="utf-8")
+    assert run(capsys, "validate", str(path))[0] == 1
+    assert run(capsys, "validate", str(path), "--field", "F2")[0] == 0
+    # doubled, the coefficient vanishes mod 2 and associativity fails
+    path.write_text(json.dumps(_beilinson_p2("F2", 2)), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1 and "FAIL associativity" in out
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("ss", "--max-page", "1"),
+    ("report", "--hoh", "1,0,0,6,9"),
+    ("height", "--field", "F4"),
+])
+def test_valued_flag_in_both_forms(capsys, cmd, flag, value):
+    spaced = run(capsys, cmd, "beilinson_p2", flag, value)
+    joined = run(capsys, cmd, "beilinson_p2", f"{flag}={value}")
+    assert spaced == joined
+    assert spaced != run(capsys, cmd, "beilinson_p2")
+
+
+def test_flag_value_is_taken_as_given(capsys):
+    # a value starting with "-" is the flag's value, not an option
+    for argv in (["--hoh", "-5,0"], ["--hoh=-5,0"]):
+        code, _, err = run(capsys, "report", "point", *argv)
+        assert code == 2 and "bad --hoh list '-5,0'" in err
+    code, _, err = run(capsys, "height", "point", "--field", "--json")
+    assert code == 2 and "bad field '--json'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "--field", "F1009", "height", "beilinson_p2"],
+    ["height", "--json", "beilinson_p2", "--field=F1009"],
+    ["height", "--field", "F1009", "beilinson_p2", "--json"],
+], ids=["before", "between", "after"])
+def test_options_anywhere(capsys, argv):
+    expected = run(capsys, "height", "beilinson_p2", "--json", "--field", "F1009")
+    assert run(capsys, *argv) == expected and expected[0] == 0
+
+
+def test_fixture_list_with_a_name(capsys):
+    code, out, _ = run(capsys, "fixture", "--list", "point")
+    assert code == 0 and out.split() == fixtures.fixture_list()
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_zero(capsys, flag):
+    code, out, err = run(capsys, "height", flag, "--bogus")
+    assert code == 0 and out == cli.USAGE + "\n" and not err
+    assert all(name in cli.USAGE for name in cli.COMMANDS)
+
+
+USAGE_ERRORS = [
+    (["height", "point", "--bogus"], "unknown option '--bogus'"),
+    (["ss", "point", "--max", "2"], "unknown option '--max'"),
+    (["height", "point", "--js"], "unknown option '--js'"),
+    (["height", "point", "--json=1"], "unknown option '--json=1'"),
+    (["ss", "point", "--max-page"], "--max-page needs a value"),
+    (["report", "point", "--hoh"], "--hoh needs a value"),
+    (["height", "point", "--field"], "--field needs a value"),
+    (["ss", "point", "--max-page", "two"], "--max-page needs an integer, not 'two'"),
+    (["ss", "point", "--max-page=2.5"], "--max-page needs an integer, not '2.5'"),
+    (["ss", "point", "--max-page", "0"], "--max-page must be >= 1"),
+    (["height", "point", "extra"], "unexpected argument 'extra'"),
+    (["height", "--json"], "an input document is required"),
+    ([], "a command is required"),
+    (["--json"], "a command is required"),
+    (["heights", "point"], "unknown command 'heights'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "nothing" for argv, _ in USAGE_ERRORS])
+def test_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"{cli.USAGE}\nerror: {message}\n"
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["excol", "fixture", "--list"])
+    assert main() == 0
+    assert capsys.readouterr().out.split() == fixtures.fixture_list()

@@ -4,9 +4,10 @@ Every case runs one command line in a fresh interpreter and reads back the
 `excol.*` entries of `sys.modules`, so a stray top-level import anywhere in
 the package shows up as an extra module.  The documents are the shipped
 fixture files, read from disk, so that `fixtures` is loaded only by the
-`fixture` command.  The probe also reports `dataclasses`, `inspect` and
-`fractions`; no command loads the first two, so every expected set below,
-which never names them, pins their absence as well.  The README's library
+`fixture` command.  The probe also reports `dataclasses`, `inspect`,
+`fractions`, `argparse`, `gettext` and `locale`; no command loads any of
+them but `fractions`, so every expected set below, which never names them,
+pins their absence as well.  The README's library
 imports and the `excol.pseudoheight` submodule are checked here too.
 """
 
@@ -25,14 +26,15 @@ from excol.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "fixtures"
 
-# run one command, then print the loaded excol modules (and which of
-# dataclasses, inspect and fractions are loaded) as the last line of stdout
+# run one command, then print the loaded excol modules (and which of the
+# standard modules below are loaded) as the last line of stdout
 PROBE = """
 import sys
 from excol.cli import main
 main(sys.argv[1:])
 loaded = sorted(m[len("excol."):] for m in sys.modules if m.startswith("excol."))
-loaded += ["+" + m for m in ("dataclasses", "inspect", "fractions") if m in sys.modules]
+watched = ("dataclasses", "inspect", "fractions", "argparse", "gettext", "locale")
+loaded += ["+" + m for m in watched if m in sys.modules]
 print()
 print(" ".join(loaded))
 """
@@ -126,9 +128,10 @@ def test_validate_reports_beyond_the_chain_cap(tmp_path, capsys):
     assert loaded_modules("validate", str(path), "--json") == PARSE
 
 
-def test_fixture_list_loads_no_model_and_no_dataclasses():
-    # nor fractions
-    assert loaded_modules("fixture", "--list") == {"cli", "fixtures"}
+def test_fixture_list_loads_only_the_cli():
+    # the names live in the package itself: no builder is compiled
+    assert loaded_modules("fixture", "--list") == {"cli"}
+    assert loaded_modules("fixture", "--list", "--json") == {"cli"}
 
 
 @pytest.mark.parametrize("name", ["beilinson_p2", "beilinson_p3", QUALITATIVE])

@@ -380,6 +380,23 @@ def test_validate_reports_a_non_integer_twist(kind, bad):
     assert "must be integers" in report.failures()[0].detail
 
 
+@pytest.mark.parametrize("field, message", [
+    ("F3", "denominator of 1/3 vanishes mod 3"),
+    ("G", "unknown field 'G'"),
+])
+def test_validate_reports_a_field_it_cannot_evaluate_in(field, message):
+    # built programmatically: the parser refuses both
+    spec = fixtures.fixture_spec("beilinson_p2")
+    key = pr.key_aa((1, 2, 3), (0, 0))
+    spec.products[key] = {src: dict(row) for src, row in spec.products[key].items()}
+    out = next(iter(spec.products[key][(0, 0)]))
+    spec.products[key][(0, 0)][out] = Fraction(1, 3)
+    spec.field_name = field
+    report = validate(spec)
+    assert [c.name for c in report.failures()] == ["associativity"]
+    assert message in report.failures()[0].detail
+
+
 def test_asymmetric_constants_are_fine():
     # a path-algebra style table with table[(0,1)] != table[(1,0)]:
     # commutativity is not a requirement, only associativity is
