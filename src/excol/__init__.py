@@ -22,10 +22,10 @@ FIXTURE_NAMES = (
 # so `import excol` loads no submodule, and no public name is a submodule's name
 _EXPORTS = {
     "exactlin": "Matrix Subspace kernel_basis rref subquotient_dim",
-    "fixtures": "beilinson_fixture",
+    "fixtures": "beilinson_fixture serialize",
     "fullness": "full_check not_full_check",
     "heights": "Analysis HeightReport build_report height heph_shortcut hkr_total",
-    "model": "CollectionSpec QualitativeExtTable parse serialize validate",
+    "model": "CollectionSpec QualitativeExtTable parse validate",
     "nhh": "assemble_differential build_e1 spectral_sequence total_cohomology",
     "pseudoheight": "cyclically_ext1_connected qualitative_ph_bounds rel_height",
 }

@@ -9,9 +9,13 @@ assumption of the run, not something this tool computes.
 Surface models keep only the spaces and products that the published
 arguments constrain; everything else is zero.  That is enough to reproduce
 the known heights, and the assumptions list is the contract.
+
+The canonical writer (`to_document`, `serialize`) is here too, since the
+`fixture` command is the only one that prints a document.
 """
 
 import itertools
+import json
 
 from . import FIXTURE_NAMES
 
@@ -425,7 +429,6 @@ def antisymmetrizer_line(nvars):
 
 
 def _beilinson_document(n):
-    from .model import to_document
     return to_document(beilinson_fixture(n)[0])
 
 
@@ -459,10 +462,101 @@ def fixture_spec(name):
 def write_all(directory):
     """Canonically serialize the whole corpus into a directory."""
     import os
-    from .model import serialize
     os.makedirs(directory, exist_ok=True)
     for name in FIXTURE_NAMES:
         path = os.path.join(directory, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(serialize(fixture_spec(name)))
     return [os.path.join(directory, f"{name}.json") for name in FIXTURE_NAMES]
+
+
+# -- writing a document ------------------------------------------------------
+
+
+def _graded_records(dims, key_fields):
+    fsrc, fdst = key_fields
+    out = []
+    for (a, b), space in sorted(dims.items()):
+        for deg, dim in sorted(space.items()):
+            out.append({fsrc: a, fdst: b, "deg": deg, "dim": dim})
+    return out
+
+
+def _product_records(tables, with_arity):
+    recs = []
+    for key in sorted(tables, key=lambda k: (k[0], k[1] or 0, k[2], k[3])):
+        kind, aux, chain, degs = key
+        rec = {"kind": kind, "chain": list(chain), "degs": list(degs)}
+        if kind != "AA":  # the twisted letter's other object
+            rec["twist_src" if kind == "AN" else "from"] = aux
+        if with_arity:
+            rec["arity"] = len(degs)
+        entries = []
+        for src, row in sorted(tables[key].items()):
+            for out, val in sorted(row.items()):
+                entries.append(list(src) + [out, str(val)])
+        rec["entries"] = entries
+        recs.append(rec)
+    return recs
+
+
+def _cochain_record(cochain):
+    terms = sorted(cochain.terms, key=lambda t: (tuple(t[0]), tuple(t[1])))
+    return {"terms": [
+        {
+            "chain": list(chain),
+            "degs": list(degs),
+            "values": [[i, str(v)] for i, v in sorted(vals.items())],
+        }
+        for chain, degs, vals in terms
+    ]}
+
+
+def to_document(spec):
+    """Canonical dict tree for a spec."""
+    doc = {"n": spec.n, "dim_x": spec.dim_x, "field": spec.field_name}
+    if spec.labels is not None:
+        objs = []
+        for i, label in enumerate(spec.labels):
+            o = {"label": label}
+            if spec.canonical_degrees is not None:
+                o["canonical_degree"] = spec.canonical_degrees[i]
+            objs.append(o)
+        doc["objects"] = objs
+    if spec.a_dims:
+        doc["ext"] = _graded_records(spec.a_dims, ("src", "dst"))
+    if spec.n_dims:
+        doc["serre_ext"] = _graded_records(spec.n_dims, ("twist_src", "from"))
+    if spec.products:
+        doc["products"] = _product_records(spec.products, with_arity=False)
+    if spec.higher:
+        doc["higher_products"] = _product_records(spec.higher, with_arity=True)
+    if spec.qualitative is not None:
+        q = {}
+        if spec.qualitative.degree_window is not None:
+            q["degree_window"] = list(spec.qualitative.degree_window)
+        q["statuses"] = [
+            {"src": s, "dst": t, "deg": d, "status": st}
+            for (s, t, d), st in sorted(spec.qualitative.statuses.items())
+        ]
+        doc["qualitative"] = q
+    if spec.flags:
+        doc["flags"] = dict(sorted(spec.flags.items()))
+    if spec.metadata:
+        doc["metadata"] = spec.metadata
+    if spec.fullness_data is not None:
+        rec = {}
+        if spec.fullness_data.xi is not None:
+            rec["xi"] = _cochain_record(spec.fullness_data.xi)
+        if spec.fullness_data.pairings:
+            rec["pairings"] = [
+                dict(_cochain_record(c), obj=i)
+                for i, c in sorted(spec.fullness_data.pairings.items())
+            ]
+        doc["fullness"] = rec
+    return doc
+
+
+def serialize(spec):
+    """Canonical JSON text: serialize . parse is the identity on canonical documents."""
+    return json.dumps(to_document(spec), sort_keys=True, indent=1) + "\n"

@@ -17,9 +17,7 @@ the fully antisymmetric tensor, and the pairing is exterior contraction
 
 from collections import namedtuple
 
-from .exactlin import Matrix
 from .model import SpecError
-from .nhh import assemble_differential, spectral_sequence
 
 NOT_FULL = "NOT_FULL"
 FULL = "FULL"
@@ -80,6 +78,9 @@ def full_check(spec, xi=None, pairing=None, cx=None):
     on T^0 that vanishes on coboundaries, so its value depends only on the
     class of xi.
     """
+    # here, not at the top: a qualitative verdict needs neither
+    from .exactlin import Matrix
+    from .nhh import assemble_differential, spectral_sequence
     if xi is None or pairing is None:
         data = spec.fullness_data
         if data is None or data.xi is None or not data.pairings:

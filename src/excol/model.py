@@ -16,16 +16,16 @@ dimension dim_x:
 
 Ext(E_i, E_i) = k.id is implicit and never stored; documents mentioning a
 backwards Ext space are rejected.  Unspecified spaces are zero, unspecified
-products are zero maps.  Serialization is canonical: sorted keys, sorted
-entry lists, rationals as "p/q" strings, so serialize . parse is the
-identity on canonical documents.
+products are zero maps.  The canonical writer is `fixtures.serialize`:
+sorted keys, sorted entry lists, rationals as "p/q" strings, so serialize .
+parse is the identity on canonical documents.  Product records are read by
+`products`, which only a document with products loads.
 """
 
 import json
 from collections import namedtuple
 
-from . import products as pr
-from .exactlin import QQ, ExactLinError, field_by_name
+from .fields import QQ, ExactLinError, field_by_name
 
 ZERO = "ZERO"
 NONZERO = "NONZERO"
@@ -47,8 +47,13 @@ class SpecError(ValueError):
     """Malformed collection document."""
 
 
+def is_int(value):
+    """An integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _frac(value):
-    """A JSON coefficient as an element of Q (`exactlin.QQ` decides which)."""
+    """A JSON coefficient as an element of Q (`fields.QQ` decides which)."""
     if isinstance(value, bool):
         raise SpecError(f"bad rational {value!r}")
     try:
@@ -148,12 +153,6 @@ class Cochain(Record):
     def __init__(self, terms):
         self.terms = terms
 
-    def sorted_terms(self):
-        return sorted(
-            ((tuple(c), tuple(d), dict(v)) for c, d, v in self.terms),
-            key=lambda t: (t[0], t[1]),
-        )
-
 
 class FullnessData(Record):
     def __init__(self, xi=None, pairings=None):
@@ -194,7 +193,7 @@ class CollectionSpec(Record):
         return self.space(kind, i, j).get(deg, 0)
 
     def product_table(self, key):
-        if pr.arity_of(key) == 2:
+        if len(key[3]) == 2:  # the arity: one degree per source letter
             return self.products.get(key)
         return self.higher.get(key)
 
@@ -207,7 +206,7 @@ class CollectionSpec(Record):
     def max_arity(self):
         if not self.higher:
             return 2
-        return max(pr.arity_of(k) for k in self.higher)
+        return max(len(k[3]) for k in self.higher)
 
     @property
     def higher_complete(self):
@@ -230,7 +229,7 @@ def _list(value, what):
 
 def _int_tuple(value, what):
     _require(
-        isinstance(value, list) and all(pr.is_int(x) for x in value),
+        isinstance(value, list) and all(is_int(x) for x in value),
         f"{what} must be a list of integers, got {value!r}",
     )
     return tuple(value)
@@ -271,7 +270,7 @@ def _parse_graded(records, n, key_fields, lo_le_hi):
         except KeyError as exc:
             raise SpecError(f"missing key {exc} in {rec!r}") from None
         for v in (a, b, deg, dim):
-            _require(pr.is_int(v), f"non-integer field in {rec!r}")
+            _require(is_int(v), f"non-integer field in {rec!r}")
         _require(1 <= a <= n and 1 <= b <= n, f"object index out of range in {rec!r}")
         _require(dim >= 1, f"dims must be >= 1, got {dim}")
         if lo_le_hi:
@@ -284,88 +283,13 @@ def _parse_graded(records, n, key_fields, lo_le_hi):
     return out
 
 
-def _product_problems(key, table, space_dim, n):
-    """(problems, entries on basis vectors) of one product.
-
-    The problems are messages, [] when there is none: a malformed key (whose
-    entries are then None), or a source or target space that is zero, is the
-    only problem reported; otherwise each index outside its space is one.
-    """
-    try:
-        pr.check_key_shape(key, n)
-    except ValueError as exc:
-        return [str(exc)], None
-    srcs = pr.source_spaces(key)
-    dims = [space_dim(*s) for s in srcs]
-    on_basis = {
-        src: row for src, row in table.items()
-        if len(src) == len(dims) and all(0 <= s < d for s, d in zip(src, dims))
-    }
-    if 0 in dims:
-        k, i, j, d = srcs[dims.index(0)]
-        problem = f"product {key} references the zero space {k}({i},{j})^{d}"
-        return [problem], on_basis
-    tk, ti, tj, tdeg = pr.target_space(key)
-    tdim = space_dim(tk, ti, tj, tdeg)
-    if tdim == 0:
-        problem = f"product {key} lands in the zero space {tk}({ti},{tj})^{tdeg}"
-        return [problem], on_basis
-    problems = []
-    for src, row in table.items():
-        if src not in on_basis:
-            problems.append(f"product {key} has dangling source {src}")
-        if any(not (0 <= o < tdim) for o in row):
-            problems.append(f"product {key} has dangling target in {row}")
-    return problems, on_basis
-
-
-def _parse_product(rec, n, space_dim, arity_two):
-    _require(isinstance(rec, dict), f"bad product record {rec!r}")
-    kind = rec.get("kind")
-    _require(kind in (pr.AA, pr.AN, pr.NA), f"bad product kind {kind!r}")
-    chain = _int_tuple(rec.get("chain", []), "product chain")
-    degs = _int_tuple(rec.get("degs", []), "product degs")
-    if kind == pr.AA:
-        key = pr.key_aa(chain, degs)
-    elif kind == pr.AN:
-        _require(pr.is_int(rec.get("twist_src")), f"AN needs twist_src: {rec!r}")
-        key = pr.key_an(rec["twist_src"], chain, degs)
-    else:
-        _require(pr.is_int(rec.get("from")), f"NA product needs 'from': {rec!r}")
-        key = pr.key_na(rec["from"], chain, degs)
-    arity = pr.arity_of(key)
-    if arity_two:
-        _require(arity == 2, f"products must have arity 2, got {arity}")
-    else:
-        _require(arity >= 3, f"higher products must have arity >= 3")
-        _require(rec.get("arity") == arity, f"arity field mismatch in {rec!r}")
-    table = {}
-    for entry in _list(rec.get("entries", []), "entries"):
-        _require(
-            isinstance(entry, list) and len(entry) == arity + 2,
-            f"bad entry {entry!r} (want {arity} source indices, out, value)",
-        )
-        *src_idx, out, val = entry
-        _require(
-            all(pr.is_int(x) for x in src_idx) and pr.is_int(out),
-            f"bad entry indices {entry!r}",
-        )
-        row = table.setdefault(tuple(src_idx), {})
-        _require(out not in row, f"duplicate entry {entry!r}")
-        row[out] = _frac(val)
-    problems, _ = _product_problems(key, table, space_dim, n)
-    if problems:
-        raise SpecError(problems[0])
-    return key, pr.normalize_table(table)
-
-
 def _parse_qualitative(rec, n):
     window = rec.get("degree_window")
     if window is not None:
         _require(
             isinstance(window, list)
             and len(window) == 2
-            and all(pr.is_int(w) for w in window)
+            and all(is_int(w) for w in window)
             and window[0] <= window[1],
             f"bad degree_window {window!r}",
         )
@@ -377,7 +301,7 @@ def _parse_qualitative(rec, n):
         except (KeyError, TypeError):
             raise SpecError(f"bad qualitative row {row!r}") from None
         _require(st in (ZERO, NONZERO), f"bad status {st!r}")
-        ints = all(pr.is_int(v) for v in (src, dst, deg))
+        ints = all(is_int(v) for v in (src, dst, deg))
         _require(ints, f"bad qualitative row {row!r}")
         _require(1 <= src <= n and 1 <= dst <= 2 * n, f"bad pair in {row!r}")
         key = (src, dst, deg)
@@ -402,7 +326,7 @@ def _parse_cochain(rec):
         vals = {}
         for pair in _list(values, "cochain values"):
             _require(
-                isinstance(pair, list) and len(pair) == 2 and pr.is_int(pair[0]),
+                isinstance(pair, list) and len(pair) == 2 and is_int(pair[0]),
                 f"bad cochain value {pair!r}",
             )
             vals[pair[0]] = _frac(pair[1])
@@ -445,9 +369,9 @@ def parse(document):
     _require(not unknown, f"unknown top-level keys {sorted(unknown)}")
     n = document.get("n")
     dim_x = document.get("dim_x")
-    _require(pr.is_int(n) and n >= 1, f"n must be a count >= 1, got {n!r}")
+    _require(is_int(n) and n >= 1, f"n must be a count >= 1, got {n!r}")
     _require(
-        pr.is_int(dim_x) and dim_x >= 0, f"dim_x must be >= 0, got {dim_x!r}"
+        is_int(dim_x) and dim_x >= 0, f"dim_x must be >= 0, got {dim_x!r}"
     )
     field_name = document.get("field", "Q")
     check_field_name(field_name)
@@ -464,18 +388,16 @@ def parse(document):
     def space_dim(kind, i, j, deg):
         return (a_dims if kind == "A" else n_dims).get((i, j), {}).get(deg, 0)
 
-    prods = {}
-    for rec in document.get("products", ()):
-        key, table = _parse_product(rec, n, space_dim, arity_two=True)
-        _require(key not in prods, f"duplicate product {key}")
-        if table:
-            prods[key] = table
-    higher = {}
-    for rec in document.get("higher_products", ()):
-        key, table = _parse_product(rec, n, space_dim, arity_two=False)
-        _require(key not in higher, f"duplicate higher product {key}")
-        if table:
-            higher[key] = table
+    prods, higher = {}, {}
+    if document.get("products") or document.get("higher_products"):
+        from . import products as pr  # compiled only for a document with products
+        for name, tables in (("products", prods), ("higher_products", higher)):
+            for rec in document.get(name, ()):
+                key, table = pr.parse_product(rec, n, space_dim, tables is prods)
+                what = "product" if tables is prods else "higher product"
+                _require(key not in tables, f"duplicate {what} {key}")
+                if table:
+                    tables[key] = table
 
     qualitative = None
     if "qualitative" in document:
@@ -500,7 +422,7 @@ def parse(document):
             )
             degrees = [o["canonical_degree"] for o in objs]
             _require(
-                all(pr.is_int(d) for d in degrees), "bad canonical degrees"
+                all(is_int(d) for d in degrees), "bad canonical degrees"
             )
 
     flags = dict(document.get("flags", {}))
@@ -508,7 +430,7 @@ def parse(document):
     _require(not unknown, f"unknown flags {sorted(unknown)}")
     for key, value in flags.items():
         kind = "an integer" if key == "k_squared" else "true or false"
-        typed = pr.is_int(value) if key == "k_squared" else isinstance(value, bool)
+        typed = is_int(value) if key == "k_squared" else isinstance(value, bool)
         _require(typed, f"flag {key} must be {kind}, got {value!r}")
 
     fullness = None
@@ -519,7 +441,7 @@ def parse(document):
             fullness.xi = _parse_cochain(rec["xi"])
         for prec in _list(rec.get("pairings", []), "pairings"):
             _require(
-                isinstance(prec, dict) and pr.is_int(prec.get("obj")),
+                isinstance(prec, dict) and is_int(prec.get("obj")),
                 f"pairing needs obj: {prec!r}",
             )
             fullness.pairings[prec["obj"]] = _parse_cochain(prec)
@@ -541,100 +463,6 @@ def parse(document):
     )
     check_coefficients(spec)
     return spec
-
-
-# -- serialization ----------------------------------------------------------
-
-
-def _graded_records(dims, key_fields):
-    fsrc, fdst = key_fields
-    out = []
-    for (a, b), space in sorted(dims.items()):
-        for deg, dim in sorted(space.items()):
-            out.append({fsrc: a, fdst: b, "deg": deg, "dim": dim})
-    return out
-
-
-def _product_records(tables, with_arity):
-    recs = []
-    for key in sorted(tables, key=lambda k: (k[0], k[1] or 0, k[2], k[3])):
-        kind, aux, chain, degs = key
-        rec = {"kind": kind, "chain": list(chain), "degs": list(degs)}
-        if kind == pr.AN:
-            rec["twist_src"] = aux
-        elif kind == pr.NA:
-            rec["from"] = aux
-        if with_arity:
-            rec["arity"] = pr.arity_of(key)
-        entries = []
-        for src, row in sorted(tables[key].items()):
-            for out, val in sorted(row.items()):
-                entries.append(list(src) + [out, str(val)])
-        rec["entries"] = entries
-        recs.append(rec)
-    return recs
-
-
-def _cochain_record(cochain):
-    terms = []
-    for chain, degs, vals in cochain.sorted_terms():
-        terms.append(
-            {
-                "chain": list(chain),
-                "degs": list(degs),
-                "values": [[i, str(v)] for i, v in sorted(vals.items())],
-            }
-        )
-    return {"terms": terms}
-
-
-def to_document(spec):
-    """Canonical dict tree for a spec."""
-    doc = {"n": spec.n, "dim_x": spec.dim_x, "field": spec.field_name}
-    if spec.labels is not None:
-        objs = []
-        for i, label in enumerate(spec.labels):
-            o = {"label": label}
-            if spec.canonical_degrees is not None:
-                o["canonical_degree"] = spec.canonical_degrees[i]
-            objs.append(o)
-        doc["objects"] = objs
-    if spec.a_dims:
-        doc["ext"] = _graded_records(spec.a_dims, ("src", "dst"))
-    if spec.n_dims:
-        doc["serre_ext"] = _graded_records(spec.n_dims, ("twist_src", "from"))
-    if spec.products:
-        doc["products"] = _product_records(spec.products, with_arity=False)
-    if spec.higher:
-        doc["higher_products"] = _product_records(spec.higher, with_arity=True)
-    if spec.qualitative is not None:
-        q = {}
-        if spec.qualitative.degree_window is not None:
-            q["degree_window"] = list(spec.qualitative.degree_window)
-        q["statuses"] = [
-            {"src": s, "dst": t, "deg": d, "status": st}
-            for (s, t, d), st in sorted(spec.qualitative.statuses.items())
-        ]
-        doc["qualitative"] = q
-    if spec.flags:
-        doc["flags"] = dict(sorted(spec.flags.items()))
-    if spec.metadata:
-        doc["metadata"] = spec.metadata
-    if spec.fullness_data is not None:
-        rec = {}
-        if spec.fullness_data.xi is not None:
-            rec["xi"] = _cochain_record(spec.fullness_data.xi)
-        if spec.fullness_data.pairings:
-            rec["pairings"] = [
-                dict(_cochain_record(c), obj=i)
-                for i, c in sorted(spec.fullness_data.pairings.items())
-            ]
-        doc["fullness"] = rec
-    return doc
-
-
-def serialize(spec):
-    return json.dumps(to_document(spec), sort_keys=True, indent=1) + "\n"
 
 
 # -- degree bookkeeping (surface lemmas) -------------------------------------
@@ -765,21 +593,28 @@ def validate(spec):
         return not problems
 
     structure_ok = report("exceptionality", _check_structure(spec))
-    checked = {
-        key: _product_problems(key, table, spec.space_dim, spec.n)
-        for key, table in {**spec.products, **spec.higher}.items()
-    }
-    messages = [msg for msgs, _ in checked.values() for msg in msgs]
+    tables = {**spec.products, **spec.higher}
+    messages, sound = [], {}
+    if tables:  # products.py is compiled only for a spec with product tables
+        from . import products as pr
+        checked = {
+            key: pr.product_problems(key, table, spec.space_dim, spec.n)
+            for key, table in tables.items()
+        }
+        messages = [msg for msgs, _ in checked.values() for msg in msgs]
+        # the relations of the well-shaped products, on the basis vectors only
+        sound = {key: ok for key, (_, ok) in checked.items() if ok is not None}
     structure_ok = report("degree_additivity", messages) and structure_ok
-    # the relations of the well-shaped products, on the basis vectors only
-    sound = {key: ok for key, (_, ok) in checked.items() if ok is not None}
     try:
         fld = field_by_name(spec.field_name)
-        failing = [w for w, _ in pr.failing_relations(sound, fld)]
+        failing = [w for w, _ in pr.failing_relations(sound, fld)] if sound else []
     except ExactLinError as exc:  # a spec built in code: parse refuses these
         report("associativity", [f"over field {spec.field_name!r}: {exc}"])
     else:
-        named = [(len(w) == 3, f"fails on {pr.describe(w)}") for w in failing]
+        # a window failing on two outputs is named once
+        named = dict.fromkeys(
+            (len(w) == 3, f"fails on {pr.describe(w)}") for w in failing
+        )
         report("associativity", [msg for short, msg in named if short], 5)
         if spec.higher and structure_ok:
             report("a_infinity", [msg for short, msg in named if not short], 5)

@@ -31,8 +31,8 @@ import itertools
 import operator
 from collections import namedtuple
 
-from . import products as pr
-from .exactlin import Matrix, Subspace, field_by_name
+from .exactlin import Matrix, Subspace
+from .fields import field_by_name
 from .model import INF, SpecError
 from .pseudoheight import live_chains
 
@@ -151,6 +151,7 @@ def _windows(p, max_arity):
 
 def _term_blocks(spec, term, term_lookup):
     """All differential blocks leaving a term, absent products skipped."""
+    from . import products as pr
     p = term.p
     a_degs = term.degs[:p]
     n_deg = term.degs[p]
@@ -250,12 +251,15 @@ def assemble_differential(spec, check=True):
     raises DifferentialError naming its window.
     """
     fld = field_by_name(spec.field_name)
-    if check:
-        failing = pr.failing_relations({**spec.products, **spec.higher}, fld)
-        if failing:
+    tables = {**spec.products, **spec.higher}
+    if check and tables:  # products.py is compiled only for a spec with tables
+        from . import products as pr
+        failing = pr.failing_relations(tables, fld)
+        if failing:  # a window failing on two outputs is named once
+            named = dict.fromkeys(pr.describe(window) for window, _ in failing)
             raise DifferentialError(
                 "d.d != 0: the A-infinity relation fails on "
-                + "; ".join(pr.describe(window) for window, _ in failing[:4])
+                + "; ".join(list(named)[:4])
             )
     terms = enumerate_terms(spec)
     term_lookup = {(tm.chain, tm.degs): tm for tm in terms}
@@ -273,7 +277,7 @@ def assemble_differential(spec, check=True):
         t_dims[t] = off
     diffs = {}
     all_blocks = []
-    for tm in terms:
+    for tm in terms if tables else ():
         for block, placement in _term_blocks(spec, tm, term_lookup):
             all_blocks.append(block)
             t = tm.t

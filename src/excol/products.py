@@ -1,5 +1,9 @@
 """Structure-constant tables, the signs of product blocks, the A-infinity relations.
 
+Only documents and specs that carry product tables load this module:
+`model.parse` reads their product records here, and `model.validate` and
+the assembly in `nhh` check their relations here.
+
 A product block collapses consecutive tensor factors of a chain word.  Three
 kinds occur:
 
@@ -41,6 +45,8 @@ whose window occurs in no term.  `tests/test_products.py` checks facts 1 to
 3 on every word with p <= 6 and arity <= 4, over all degree parities.
 """
 
+from .model import SpecError, _frac, _int_tuple, _list, _require, is_int
+
 AA = "AA"
 AN = "AN"
 NA = "NA"
@@ -56,11 +62,6 @@ def key_an(twist_src, chain, degs):
 
 def key_na(from_obj, chain, degs):
     return (NA, from_obj, tuple(chain), tuple(degs))
-
-
-def is_int(value):
-    """An integer; true and false are not integers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def arity_of(key):
@@ -167,6 +168,84 @@ def normalize_table(table):
         if cleaned:
             out[tuple(src)] = cleaned
     return out
+
+
+# -- reading a product record -----------------------------------------------
+
+
+def product_problems(key, table, space_dim, n):
+    """(problems, entries on basis vectors) of one product.
+
+    The problems are messages, [] when there is none: a malformed key (whose
+    entries are then None), or a source or target space that is zero, is the
+    only problem reported; otherwise each index outside its space is one.
+    """
+    try:
+        check_key_shape(key, n)
+    except ValueError as exc:
+        return [str(exc)], None
+    srcs = source_spaces(key)
+    dims = [space_dim(*s) for s in srcs]
+    on_basis = {
+        src: row for src, row in table.items()
+        if len(src) == len(dims) and all(0 <= s < d for s, d in zip(src, dims))
+    }
+    if 0 in dims:
+        k, i, j, d = srcs[dims.index(0)]
+        problem = f"product {key} references the zero space {k}({i},{j})^{d}"
+        return [problem], on_basis
+    tk, ti, tj, tdeg = target_space(key)
+    tdim = space_dim(tk, ti, tj, tdeg)
+    if tdim == 0:
+        problem = f"product {key} lands in the zero space {tk}({ti},{tj})^{tdeg}"
+        return [problem], on_basis
+    problems = []
+    for src, row in table.items():
+        if src not in on_basis:
+            problems.append(f"product {key} has dangling source {src}")
+        if any(not (0 <= o < tdim) for o in row):
+            problems.append(f"product {key} has dangling target in {row}")
+    return problems, on_basis
+
+
+def parse_product(rec, n, space_dim, arity_two):
+    _require(isinstance(rec, dict), f"bad product record {rec!r}")
+    kind = rec.get("kind")
+    _require(kind in (AA, AN, NA), f"bad product kind {kind!r}")
+    chain = _int_tuple(rec.get("chain", []), "product chain")
+    degs = _int_tuple(rec.get("degs", []), "product degs")
+    if kind == AA:
+        key = key_aa(chain, degs)
+    elif kind == AN:
+        _require(is_int(rec.get("twist_src")), f"AN needs twist_src: {rec!r}")
+        key = key_an(rec["twist_src"], chain, degs)
+    else:
+        _require(is_int(rec.get("from")), f"NA product needs 'from': {rec!r}")
+        key = key_na(rec["from"], chain, degs)
+    arity = arity_of(key)
+    if arity_two:
+        _require(arity == 2, f"products must have arity 2, got {arity}")
+    else:
+        _require(arity >= 3, f"higher products must have arity >= 3")
+        _require(rec.get("arity") == arity, f"arity field mismatch in {rec!r}")
+    table = {}
+    for entry in _list(rec.get("entries", []), "entries"):
+        _require(
+            isinstance(entry, list) and len(entry) == arity + 2,
+            f"bad entry {entry!r} (want {arity} source indices, out, value)",
+        )
+        *src_idx, out, val = entry
+        _require(
+            all(is_int(x) for x in src_idx) and is_int(out),
+            f"bad entry indices {entry!r}",
+        )
+        row = table.setdefault(tuple(src_idx), {})
+        _require(out not in row, f"duplicate entry {entry!r}")
+        row[out] = _frac(val)
+    problems, _ = product_problems(key, table, space_dim, n)
+    if problems:
+        raise SpecError(problems[0])
+    return key, normalize_table(table)
 
 
 # -- Koszul signs -----------------------------------------------------------

@@ -101,17 +101,6 @@ def live_chains(n, a_link, n_link, zero, plus):
                         stack.append((chain + (j,), plus(acc, w), left - 1))
 
 
-def chain_links(chain):
-    """Links of a chain: consecutive pairs plus the twisted closing pair.
-
-    Yields ("A", i, j) or ("N", i, j); the closing link is the twisted space
-    N(a_0, a_p) = Ext(E_{a_p}, S^{-1} E_{a_0}).
-    """
-    for s in range(len(chain) - 1):
-        yield ("A", chain[s], chain[s + 1])
-    yield ("N", chain[0], chain[-1])
-
-
 # -- the chain engine ----------------------------------------------------------
 
 

@@ -198,7 +198,7 @@ def test_shipped_fixture_files_match_registry():
         assert os.path.isfile(path), f"missing shipped fixture {path}"
         with open(path, encoding="utf-8") as fh:
             on_disk = fh.read()
-        assert on_disk == model.serialize(fixtures.fixture_spec(name))
+        assert on_disk == fixtures.serialize(fixtures.fixture_spec(name))
 
 
 def test_ss_text_grid(capsys):
@@ -214,7 +214,7 @@ def test_field_override(capsys):
 
 
 def test_coefficient_the_field_cannot_hold_is_format_error(tmp_path, capsys):
-    doc = json.loads(model.serialize(fixtures.fixture_spec("beilinson_p2")))
+    doc = json.loads(fixtures.serialize(fixtures.fixture_spec("beilinson_p2")))
     doc["products"][0]["entries"][0][-1] = "1/3"
     path = tmp_path / "third.json"
     path.write_text(json.dumps(dict(doc, field="F3")), encoding="utf-8")
@@ -278,7 +278,7 @@ def test_negative_hoh_is_format_error(capsys):
 
 def _beilinson_p2(field, factor):
     """beilinson_p2 over `field`, its first AA coefficient multiplied by factor."""
-    doc = json.loads(model.serialize(fixtures.fixture_spec("beilinson_p2")))
+    doc = json.loads(fixtures.serialize(fixtures.fixture_spec("beilinson_p2")))
     entry = doc["products"][0]["entries"][0]
     assert doc["products"][0]["kind"] == "AA" and entry[-1] == "1"
     entry[-1] = str(factor)
@@ -302,6 +302,17 @@ def test_validate_checks_relations_over_the_document_field(tmp_path, capsys):
     path.write_text(json.dumps(_beilinson_p2("F2", 2)), encoding="utf-8")
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 1 and "FAIL associativity" in out
+
+
+def test_a_window_failing_on_two_outputs_is_named_once(tmp_path, capsys):
+    # doubled, the coefficient vanishes mod 2: two relations of one window fail
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(_beilinson_p2("F2", 2)), encoding="utf-8")
+    window = "chain (1, 2, 3) degrees (0, 0, 2)"
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1 and f"FAIL associativity: fails on {window}\n" in out
+    code, _, err = run(capsys, "height", str(path))
+    assert code == 1 and err.endswith(f"fails on {window}\n")
 
 
 @pytest.mark.parametrize("cmd, flag, value", [
@@ -363,6 +374,13 @@ USAGE_ERRORS = [
     ([], "a command is required"),
     (["--json"], "a command is required"),
     (["heights", "point"], "unknown command 'heights'"),
+    (["report", "point", "--hoh=-5,0"], "bad --hoh list '-5,0'"),
+    # an option the command does not read
+    (["fixture", "point", "--field", "F3"], "fixture does not read --field"),
+    (["height", "point", "--max-page", "2"], "height does not read --max-page"),
+    (["ss", "point", "--hoh", "1,0"], "ss does not read --hoh"),
+    (["height", "point", "--anticanonical"], "height does not read --anticanonical"),
+    (["validate", "point", "--list"], "validate does not read --list"),
 ]
 
 

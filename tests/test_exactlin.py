@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from _matrices import from_rows, full, identity, rank
 from excol.exactlin import (
     ContainmentError,
     ExactLinError,
@@ -13,15 +14,14 @@ from excol.exactlin import (
     Subspace,
     field_by_name,
     kernel_basis,
-    rank,
     rref,
     subquotient_dim,
 )
 
 
 def test_rref_identity():
-    res = rref(Matrix.identity(2))
-    assert res.matrix == Matrix.identity(2)
+    res = rref(identity(2))
+    assert res.matrix == identity(2)
     assert res.rank == 2
     assert res.pivot_cols == [0, 1]
 
@@ -34,13 +34,13 @@ def test_rref_zero_matrix():
 
 
 def test_rref_rank_one():
-    res = rref(Matrix.from_rows([[1, 2], [2, 4]]))
+    res = rref(from_rows([[1, 2], [2, 4]]))
     assert res.rank == 1
-    assert res.matrix == Matrix.from_rows([[1, 2], [0, 0]])
+    assert res.matrix == from_rows([[1, 2], [0, 0]])
 
 
 def test_kernel_of_identity_is_trivial():
-    assert kernel_basis(Matrix.identity(3)).dim == 0
+    assert kernel_basis(identity(3)).dim == 0
 
 
 def test_kernel_of_zero_map_is_everything():
@@ -48,13 +48,13 @@ def test_kernel_of_zero_map_is_everything():
 
 
 def test_kernel_single_equation():
-    ker = kernel_basis(Matrix.from_rows([[1, 1]]))
+    ker = kernel_basis(from_rows([[1, 1]]))
     assert ker.dim == 1
     assert ker.contains({0: Fraction(1), 1: Fraction(-1)})
 
 
 def test_subquotient_full_by_zero():
-    z = Subspace.full(2)
+    z = full(2)
     b = Subspace(2, [])
     assert subquotient_dim(z, b) == 2
 
@@ -156,9 +156,9 @@ def test_prime_field_arithmetic():
 
 
 def test_compose_and_apply():
-    a = Matrix.from_rows([[1, 2], [3, 4]])
-    b = Matrix.from_rows([[0, 1], [1, 0]])
+    a = from_rows([[1, 2], [3, 4]])
+    b = from_rows([[0, 1], [1, 0]])
     ab = a.compose(b)
-    assert ab == Matrix.from_rows([[2, 1], [4, 3]])
+    assert ab == from_rows([[2, 1], [4, 3]])
     vec = ab.apply({0: Fraction(1)})
     assert vec == {0: Fraction(2), 1: Fraction(4)}

@@ -1,14 +1,17 @@
-"""Each command imports only the modules on its own path.
+"""Each command imports only the modules that its own path and its document reach.
 
 Every case runs one command line in a fresh interpreter and reads back the
 `excol.*` entries of `sys.modules`, so a stray top-level import anywhere in
-the package shows up as an extra module.  The documents are the shipped
-fixture files, read from disk, so that `fixtures` is loaded only by the
-`fixture` command.  The probe also reports `dataclasses`, `inspect`,
-`fractions`, `argparse`, `gettext` and `locale`; no command loads any of
-them but `fractions`, so every expected set below, which never names them,
-pins their absence as well.  The README's library
-imports and the `excol.pseudoheight` submodule are checked here too.
+the package shows up as an extra module.  The documents are read from
+disk, so that `fixtures` is loaded only by the `fixture` command: the
+shipped fixture files, and `data/sparse15.json`, an exact document without
+products, so that no product code is compiled for it.  The probe also
+reports `dataclasses`, `inspect`, `fractions`, `argparse`, `gettext` and
+`locale`; no command loads any of them but `fractions`, so every expected
+set below, which never names them, pins their absence as well.  Two jobs
+have a budget of source lines, since with bytecode writing off each job
+compiles every line it loads.  The README's library imports and the
+`excol.pseudoheight` submodule are checked here too.
 """
 
 import importlib
@@ -27,58 +30,113 @@ ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "fixtures"
 
 # run one command, then print the loaded excol modules (and which of the
-# standard modules below are loaded) as the last line of stdout
+# standard modules below are loaded) and their source lines as the last lines
 PROBE = """
 import sys
 from excol.cli import main
 main(sys.argv[1:])
-loaded = sorted(m[len("excol."):] for m in sys.modules if m.startswith("excol."))
+names = sorted(m for m in sys.modules if m.startswith("excol."))
+loaded = [m[len("excol."):] for m in names]
 watched = ("dataclasses", "inspect", "fractions", "argparse", "gettext", "locale")
 loaded += ["+" + m for m in watched if m in sys.modules]
+lines = 0
+for m in ["excol", *names]:
+    with open(sys.modules[m].__file__, encoding="utf-8") as fh:
+        lines += len(fh.readlines())
 print()
 print(" ".join(loaded))
+print(lines)
 """
 
 
-def loaded_modules(*argv):
-    """The excol submodules a fresh interpreter loads to run `excol argv`."""
+def probe(*argv):
+    """(excol submodules, their source lines) of a fresh `excol argv` run."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
         capture_output=True, text=True, env=env, cwd=ROOT, check=True,
-    ).stdout
-    return set(out.splitlines()[-1].split())
+    ).stdout.splitlines()
+    return set(out[-2].split()), int(out[-1])
 
 
-PARSE = {"cli", "model", "products", "exactlin"}
-ANALYSIS = PARSE | {"heights", "pseudoheight"}
-ENGINE = ANALYSIS | {"nhh"}
-EXACT, QUALITATIVE = "beilinson_p1", "burniat"
-# fractions loads only for a value that is not an integer
+def loaded_modules(*argv):
+    """The excol submodules a fresh interpreter loads to run `excol argv`."""
+    return probe(*argv)[0]
+
+
+PARSE = {"cli", "model", "fields"}
+PRODUCTS = {"products"}
+ANALYSIS = PARSE | {"heights", "pseudoheight", "views"}
+ENGINE = ANALYSIS | {"nhh", "exactlin"}
+PAGE = PARSE | {"nhh", "exactlin", "pseudoheight", "views"}
+EXACT, QUALITATIVE, SPARSE = "beilinson_p1", "burniat", "sparse15"
+PATHS = {
+    EXACT: DOCS / f"{EXACT}.json",
+    QUALITATIVE: DOCS / f"{QUALITATIVE}.json",
+    SPARSE: ROOT / "tests" / "data" / f"{SPARSE}.json",
+}
+# fractions loads only for a value that is not an integer, products only
+# for a document with products (of the three, only EXACT has them)
 
 CASES = [
-    ("validate", EXACT, PARSE),
+    ("validate", EXACT, PARSE | PRODUCTS),
     ("validate", QUALITATIVE, PARSE),
-    ("pseudoheight", EXACT, ANALYSIS),
+    ("validate", SPARSE, PARSE),
+    ("pseudoheight", EXACT, ANALYSIS | PRODUCTS),
     ("pseudoheight", QUALITATIVE, ANALYSIS),
-    ("e1", EXACT, PARSE | {"nhh", "pseudoheight"}),
-    ("e1", QUALITATIVE, PARSE | {"nhh", "pseudoheight"}),
-    ("ss", EXACT, ENGINE),
+    ("pseudoheight", SPARSE, ANALYSIS),
+    ("e1", EXACT, PAGE | PRODUCTS),
+    ("e1", QUALITATIVE, PAGE),
+    ("e1", SPARSE, PAGE),
+    ("ss", EXACT, ENGINE | PRODUCTS),
     ("ss", QUALITATIVE, ENGINE),
-    ("height", EXACT, ENGINE),
+    ("ss", SPARSE, ENGINE),
+    ("height", EXACT, ENGINE | PRODUCTS),
     ("height", QUALITATIVE, ANALYSIS),
-    ("report", EXACT, ENGINE),
+    ("height", SPARSE, ENGINE),
+    ("report", EXACT, ENGINE | PRODUCTS),
     ("report", QUALITATIVE, ANALYSIS),
-    ("fullness", EXACT, ENGINE | {"fullness"}),
-    ("fullness", QUALITATIVE, ENGINE | {"fullness"}),
+    ("report", SPARSE, ENGINE),
+    ("fullness", EXACT, ENGINE | PRODUCTS | {"fullness"}),
+    # a qualitative verdict needs no complex: neither nhh nor exactlin
+    ("fullness", QUALITATIVE, ANALYSIS | {"fullness"}),
+    ("fullness", SPARSE, ENGINE | {"fullness"}),
 ]
 
 
 @pytest.mark.parametrize("cmd, name, expected", CASES,
                          ids=[f"{c}-{n}" for c, n, _ in CASES])
 def test_command_loads_only_its_modules(cmd, name, expected):
-    path = str(DOCS / f"{name}.json")
-    assert loaded_modules(cmd, path, "--json") == expected
+    assert loaded_modules(cmd, str(PATHS[name]), "--json") == expected
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["validate", str(PATHS[SPARSE]), "--json"], 1150),
+    (["fixture", "--list"], 280),
+], ids=["validate-sparse15", "fixture-list"])
+def test_job_source_line_budget(argv, budget):
+    # every line a job loads is compiled again when no bytecode is written
+    assert probe(*argv)[1] <= budget
+
+
+def test_exact_lin_error_exits_one_without_exactlin():
+    # the field errors live in `fields`, which every document job loads
+    code = """
+import sys
+from excol import cli
+from excol.fields import ExactLinError
+
+def fail(args):
+    raise ExactLinError("x")
+
+cli.COMMANDS["validate"] = fail
+print(cli.main(["validate", "point"]), "excol.exactlin" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    ).stdout
+    assert out.split() == ["1", "False"]
 
 
 # one arity-3 product and nothing else; no shipped fixture has higher products
@@ -106,7 +164,7 @@ def test_validate_loads_no_engine_module(tmp_path):
     # higher products are checked as relations of their tables, no complex
     path = tmp_path / "higher.json"
     path.write_text(json.dumps(HIGHER), encoding="utf-8")
-    assert loaded_modules("validate", str(path), "--json") == PARSE
+    assert loaded_modules("validate", str(path), "--json") == PARSE | PRODUCTS
 
 
 def test_a_non_integral_coefficient_loads_fractions(tmp_path):
@@ -114,7 +172,8 @@ def test_a_non_integral_coefficient_loads_fractions(tmp_path):
     doc["higher_products"][0]["entries"] = [[0, 0, 0, 0, "1/2"]]
     path = tmp_path / "half.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert loaded_modules("validate", str(path), "--json") == PARSE | {"+fractions"}
+    expected = PARSE | PRODUCTS | {"+fractions"}
+    assert loaded_modules("validate", str(path), "--json") == expected
 
 
 def test_validate_reports_beyond_the_chain_cap(tmp_path, capsys):
@@ -125,7 +184,7 @@ def test_validate_reports_beyond_the_chain_cap(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"]
     assert [c["name"] for c in report["checks"]][3] == "a_infinity"
-    assert loaded_modules("validate", str(path), "--json") == PARSE
+    assert loaded_modules("validate", str(path), "--json") == PARSE | PRODUCTS
 
 
 def test_fixture_list_loads_only_the_cli():
@@ -134,10 +193,12 @@ def test_fixture_list_loads_only_the_cli():
     assert loaded_modules("fixture", "--list", "--json") == {"cli"}
 
 
-@pytest.mark.parametrize("name", ["beilinson_p2", "beilinson_p3", QUALITATIVE])
+@pytest.mark.parametrize("name", ["beilinson_p2", "beilinson_p3", QUALITATIVE, "point"])
 def test_fixture_document_loads_no_engine(name):
     # the Beilinson builder emits ints, so not even fractions is loaded
-    expected = {"cli", "fixtures", "model", "products", "exactlin"}
+    expected = PARSE | {"fixtures"}
+    if name.startswith("beilinson"):
+        expected |= PRODUCTS
     assert loaded_modules("fixture", name) == expected
 
 

@@ -23,7 +23,6 @@ from excol.model import (
 from excol.nhh import ChainTerm, enumerate_terms
 from excol.pseudoheight import (
     _link_intervals,
-    chain_links,
     cyclically_ext1_connected,
     effective_table,
     iter_chains,
@@ -84,6 +83,13 @@ def brute_pseudoheight(spec):
         if total < value:
             value, witness = total, chain
     return value, witness
+
+
+def chain_links(chain):
+    """Links of a chain: consecutive pairs, then the twisted closing pair N(a_0, a_p)."""
+    for s in range(len(chain) - 1):
+        yield ("A", chain[s], chain[s + 1])
+    yield ("N", chain[0], chain[-1])
 
 
 def brute_cyclic(spec, table=None):

@@ -20,9 +20,9 @@ from excol.model import (
     extend_degrees,
     hom_vanishing_updates,
     parse,
-    serialize,
     validate,
 )
+from excol.fixtures import serialize
 from excol.nhh import ChainTerm
 
 

@@ -6,9 +6,9 @@ from math import comb
 import pytest
 
 import _specgen
+from _matrices import rank
 from excol import fixtures
 from excol import products as pr
-from excol.exactlin import rank
 from excol.model import CollectionSpec, SpecError
 from excol.nhh import (
     DifferentialError,

@@ -3,7 +3,6 @@ import pytest
 from excol import fixtures
 from excol.model import INF, NONZERO, ZERO, CollectionSpec, QualitativeExtTable, SpecError
 from excol.pseudoheight import (
-    chain_links,
     cyclically_ext1_connected,
     iter_chains,
     pseudoheight,
@@ -29,7 +28,6 @@ def test_chain_enumeration():
     assert len(chains) == 7
     assert chains == sorted(chains, key=lambda c: (len(c), c))  # witness order
     assert (1, 2, 3) in chains
-    assert list(chain_links((1, 3))) == [("A", 1, 3), ("N", 1, 3)]
 
 
 def test_chain_enumeration_capped():

@@ -8,8 +8,9 @@ import pytest
 
 import _specgen
 import _ss_oracle
+from _matrices import from_rows
 from excol import fixtures
-from excol.exactlin import QQ, Matrix
+from excol.exactlin import QQ
 from excol.nhh import (
     ChainTerm,
     NormalComplex,
@@ -113,7 +114,7 @@ def _planted_complex(rng):
                 for row in dense[t]:
                     row[k] -= c * row[i]
     diffs = {
-        t: Matrix.from_rows(rows, QQ) for t, rows in dense.items() if rows and rows[0]
+        t: from_rows(rows, QQ) for t, rows in dense.items() if rows and rows[0]
     }
     lookup = {(tm.chain, tm.degs): tm for tm in terms}
     cx = NormalComplex(None, QQ, terms, lookup, by_t, offsets, t_dims, diffs, [])
