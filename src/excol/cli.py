@@ -3,27 +3,22 @@
     excol <command> [<input>] [--json] [--list] [--max-page R] [--anticanonical]
           [--hoh d0,d1,...] [--field Q|Fp]
 
-Commands: validate, pseudoheight, e1, ss, height, report, fullness, fixture.
-Inputs name a collection document on disk, a file under the directory in
-EXCOL_FIXTURES, or a built-in fixture; only `fixture` runs without one (or
-with `--list`) and then lists the built-in fixtures.  Options may come in
-any order, before, between or after the two positionals; a valued flag is
-written `--flag value` or `--flag=value`, and its value is taken as given,
-even when it starts with `-`.  Option names are matched whole, never by
-prefix, and a command refuses an option it does not read (`READ_BY`).
-`-h` or `--help` prints the usage and exits 0; any other misuse
-prints the usage and an error to stderr and exits 2.  JSON output is
-canonical (sorted keys), so identical runs are byte-identical.  Exit codes:
-0 success, 1 validation or engine failure, 2 usage, I/O or format error.
-This module reads the command line and the document and runs `validate`
-and `fixture`; the six engine commands print through `views`.
+An input is a document on disk, a file under EXCOL_FIXTURES or a built-in
+fixture; `fixture` without one (or with `--list`) lists the fixtures.  The
+grammar is fixed (`parse_args`): options in any order, names matched whole,
+and a command refuses an option it does not read (`READ_BY`).  JSON output
+is canonical.  Exit codes: 0 success, 1 validation or engine failure, 2
+usage, I/O or format error, an output write error included.  `main(argv)`
+returns the code to its caller; a process runs `entry()`, which flushes the
+output and ends at once with `os._exit`, skipping the interpreter's
+teardown (about 10 ms a job).  Engine commands print through `views`.
 """
 
 import json
 import os
 import sys
 
-_ENGINE_ERRORS = ["model.SpecError", "nhh.DifferentialError", "fields.ExactLinError"]
+_ENGINE_ERRORS = {"model": "SpecError", "nhh": "DifferentialError", "fields": "ExactLinError"}
 
 
 class CliFormatError(Exception):
@@ -35,30 +30,24 @@ class UsageError(CliFormatError):
 
 
 def _load_document(path):
+    base = os.path.basename(path).removesuffix(".json")
     candidates = [path, path + ".json"]
     env_dir = os.environ.get("EXCOL_FIXTURES")
-    base = os.path.basename(path)
-    base_noext = base[:-5] if base.endswith(".json") else base
     if env_dir:
-        candidates += [
-            os.path.join(env_dir, base),
-            os.path.join(env_dir, base_noext + ".json"),
-        ]
-    for cand in candidates:
-        if os.path.isfile(cand):
-            try:
-                with open(cand, "rb") as fh:
-                    return fh.read()
-            except OSError as exc:
-                raise CliFormatError(f"cannot read {cand}: {exc}") from exc
+        candidates += [os.path.join(env_dir, os.path.basename(path)),
+                       os.path.join(env_dir, base + ".json")]
+    for cand in filter(os.path.isfile, candidates):
+        try:
+            with open(cand, "rb") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise CliFormatError(f"cannot read {cand}: {exc}") from exc
     from . import fixtures
     try:
-        return fixtures.fixture_document(base_noext)
+        return fixtures.fixture_document(base)
     except KeyError:
-        raise CliFormatError(
-            f"no such input: {path} (not a file, not in EXCOL_FIXTURES, "
-            f"not a built-in fixture)"
-        ) from None
+        raise CliFormatError(f"no such input: {path} (not a file, not in "
+                             "EXCOL_FIXTURES, not a built-in fixture)") from None
 
 
 def _load_spec(args):
@@ -80,10 +69,15 @@ def _load_spec(args):
 
 def _emit(payload, as_json, lines):
     if as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in lines:
-            print(line)
+        lines = [json.dumps(payload, sort_keys=True, separators=(",", ":"))]
+    _write("".join(f"{line}\n" for line in lines))
+
+
+def _write(text):
+    try:
+        print(text, end="")  # prints nothing when stdout is closed (None)
+    except OSError as exc:
+        raise CliFormatError(f"cannot write output: {exc}") from None
 
 
 def cmd_validate(args):
@@ -113,7 +107,7 @@ def cmd_fixture(args):
         spec = fixtures.fixture_spec(args.input)
     except KeyError:
         raise CliFormatError(f"unknown fixture {args.input!r}") from None
-    sys.stdout.write(fixtures.serialize(spec))
+    _write(fixtures.serialize(spec))
     return 0
 
 
@@ -188,6 +182,8 @@ def parse_args(argv):
             raise UsageError(f"{args.command} does not read {name}")
     if args.command != "fixture" and args.input is None:
         raise UsageError("an input document is required")
+    if args.command == "fixture" and args.input and args.json and not args.list:
+        raise UsageError("fixture does not read --json without --list")
     if args.max_page is not None:
         try:
             args.max_page = int(args.max_page)
@@ -209,21 +205,19 @@ def parse_args(argv):
 def _engine_errors():
     """The errors that exit 1; a submodule not loaded cannot have raised one."""
     loaded = vars(sys.modules[__package__])
-    found = (path.split(".") for path in _ENGINE_ERRORS)
-    return tuple(getattr(loaded[mod], cls) for mod, cls in found if mod in loaded)
+    return tuple(getattr(loaded[m], cls) for m, cls in _ENGINE_ERRORS.items() if m in loaded)
 
 
 def main(argv=None):
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            _write(USAGE + "\n")
+            return 0
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"{USAGE}\nerror: {exc}", file=sys.stderr)
         return 2
-    if args is None:
-        print(USAGE)
-        return 0
-    try:
-        return COMMANDS[args.command](args)
     except CliFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -232,5 +226,15 @@ def main(argv=None):
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def entry():
+    """Run `main` as a process: flush its output, then end at once."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)

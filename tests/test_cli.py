@@ -381,6 +381,8 @@ USAGE_ERRORS = [
     (["ss", "point", "--hoh", "1,0"], "ss does not read --hoh"),
     (["height", "point", "--anticanonical"], "height does not read --anticanonical"),
     (["validate", "point", "--list"], "validate does not read --list"),
+    # a fixture by name prints the document as built, never as one JSON line
+    (["fixture", "point", "--json"], "fixture does not read --json without --list"),
 ]
 
 
