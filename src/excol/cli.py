@@ -8,10 +8,9 @@ fixture; `fixture` without one (or with `--list`) lists the fixtures.  The
 grammar is fixed (`parse_args`): options in any order, names matched whole,
 and a command refuses an option it does not read (`READ_BY`).  JSON output
 is canonical.  Exit codes: 0 success, 1 validation or engine failure, 2
-usage, I/O or format error, an output write error included.  `main(argv)`
-returns the code to its caller; a process runs `entry()`, which flushes the
-output and ends at once with `os._exit`, skipping the interpreter's
-teardown (about 10 ms a job).  Engine commands print through `views`.
+usage, I/O or format error (output write errors included), whether or not
+stderr can be written.  `main(argv)` returns the code; a process runs
+`entry()`, which flushes the output and ends at once with `os._exit`.
 """
 
 import json
@@ -89,9 +88,7 @@ def cmd_validate(args):
         status = "ok" if check.passed else "FAIL"
         suffix = f": {check.detail}" if check.detail else ""
         lines.append(f"{status:4s} {check.name}{suffix}")
-        payload["checks"].append(
-            {"name": check.name, "passed": check.passed, "detail": check.detail}
-        )
+        payload["checks"].append(dict(name=check.name, passed=check.passed, detail=check.detail))
     lines.append("all checks passed" if report.ok else "validation failed")
     _emit(payload, args.json, lines)
     return 0 if report.ok else 1
@@ -121,8 +118,7 @@ def run_view(args):
 
 
 VIEWS = ("pseudoheight", "e1", "ss", "height", "report", "fullness")
-COMMANDS = {"validate": cmd_validate, **dict.fromkeys(VIEWS, run_view)}
-COMMANDS["fixture"] = cmd_fixture
+COMMANDS = {"validate": cmd_validate, **dict.fromkeys(VIEWS, run_view), "fixture": cmd_fixture}
 
 
 USAGE = (
@@ -208,6 +204,16 @@ def _engine_errors():
     return tuple(getattr(loaded[m], cls) for m, cls in _ENGINE_ERRORS.items() if m in loaded)
 
 
+def _fail(code, message):
+    """Report on stderr and return the exit code, which a failed write there keeps."""
+    try:
+        sys.stderr.write(f"{message}\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # stderr is None (never opened) or closed
+        pass
+    return code
+
+
 def main(argv=None):
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
@@ -216,14 +222,11 @@ def main(argv=None):
             return 0
         return COMMANDS[args.command](args)
     except UsageError as exc:
-        print(f"{USAGE}\nerror: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"{USAGE}\nerror: {exc}")
     except CliFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"error: {exc}")
     except _engine_errors() as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"error: {exc}")
 
 
 def entry():
@@ -233,8 +236,5 @@ def entry():
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        code = 2
-    if sys.stderr is not None:
-        sys.stderr.flush()
+        code = _fail(2, f"error: cannot write output: {exc}")
     os._exit(code)

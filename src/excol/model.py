@@ -217,27 +217,26 @@ class CollectionSpec(Record):
 # -- parsing ----------------------------------------------------------------
 
 
-def _require(cond, msg):
+def _require(cond, msg, *args):
+    """Raise SpecError unless cond; the message is formatted from args only then."""
     if not cond:
-        raise SpecError(msg)
+        raise SpecError(msg.format(*args))
 
 
 def _list(value, what):
-    _require(isinstance(value, list), f"{what} must be a list, got {value!r}")
+    _require(isinstance(value, list), "{} must be a list, got {!r}", what, value)
     return value
 
 
 def _int_tuple(value, what):
-    _require(
-        isinstance(value, list) and all(is_int(x) for x in value),
-        f"{what} must be a list of integers, got {value!r}",
-    )
+    ok = isinstance(value, list) and all(map(is_int, value))
+    _require(ok, "{} must be a list of integers, got {!r}", what, value)
     return tuple(value)
 
 
 def check_field_name(name):
     """Accept "Q" or "F<p>" with p prime; anything else is a SpecError."""
-    _require(isinstance(name, str), f"bad field {name!r}")
+    _require(isinstance(name, str), "bad field {!r}", name)
     try:
         field_by_name(name)
     except ExactLinError as exc:
@@ -264,21 +263,20 @@ def _parse_graded(records, n, key_fields, lo_le_hi):
     out = {}
     fsrc, fdst = key_fields
     for rec in records:
-        _require(isinstance(rec, dict), f"bad record {rec!r}")
+        _require(isinstance(rec, dict), "bad record {!r}", rec)
         try:
             a, b, deg, dim = rec[fsrc], rec[fdst], rec["deg"], rec["dim"]
         except KeyError as exc:
             raise SpecError(f"missing key {exc} in {rec!r}") from None
-        for v in (a, b, deg, dim):
-            _require(is_int(v), f"non-integer field in {rec!r}")
-        _require(1 <= a <= n and 1 <= b <= n, f"object index out of range in {rec!r}")
-        _require(dim >= 1, f"dims must be >= 1, got {dim}")
+        _require(all(map(is_int, (a, b, deg, dim))), "non-integer field in {!r}", rec)
+        _require(1 <= a <= n and 1 <= b <= n, "object index out of range in {!r}", rec)
+        _require(dim >= 1, "dims must be >= 1, got {}", dim)
         if lo_le_hi:
-            _require(a <= b, f"twist source must be <= source object in {rec!r}")
+            _require(a <= b, "twist source must be <= source object in {!r}", rec)
         else:
-            _require(a < b, f"no backwards or diagonal Ext allowed: {rec!r}")
+            _require(a < b, "no backwards or diagonal Ext allowed: {!r}", rec)
         space = out.setdefault((a, b), {})
-        _require(deg not in space, f"duplicate degree in {rec!r}")
+        _require(deg not in space, "duplicate degree in {!r}", rec)
         space[deg] = dim
     return out
 
@@ -286,13 +284,8 @@ def _parse_graded(records, n, key_fields, lo_le_hi):
 def _parse_qualitative(rec, n):
     window = rec.get("degree_window")
     if window is not None:
-        _require(
-            isinstance(window, list)
-            and len(window) == 2
-            and all(is_int(w) for w in window)
-            and window[0] <= window[1],
-            f"bad degree_window {window!r}",
-        )
+        ok = isinstance(window, list) and len(window) == 2 and all(map(is_int, window))
+        _require(ok and window[0] <= window[1], "bad degree_window {!r}", window)
         window = tuple(window)
     statuses = {}
     for row in _list(rec.get("statuses", []), "statuses"):
@@ -300,23 +293,20 @@ def _parse_qualitative(rec, n):
             src, dst, deg, st = row["src"], row["dst"], row["deg"], row["status"]
         except (KeyError, TypeError):
             raise SpecError(f"bad qualitative row {row!r}") from None
-        _require(st in (ZERO, NONZERO), f"bad status {st!r}")
-        ints = all(is_int(v) for v in (src, dst, deg))
-        _require(ints, f"bad qualitative row {row!r}")
-        _require(1 <= src <= n and 1 <= dst <= 2 * n, f"bad pair in {row!r}")
+        _require(st in (ZERO, NONZERO), "bad status {!r}", st)
+        _require(all(map(is_int, (src, dst, deg))), "bad qualitative row {!r}", row)
+        _require(1 <= src <= n and 1 <= dst <= 2 * n, "bad pair in {!r}", row)
         key = (src, dst, deg)
-        _require(statuses.get(key, st) == st, f"conflicting statuses at {key}")
+        _require(statuses.get(key, st) == st, "conflicting statuses at {}", key)
         if window is not None and st == NONZERO:
-            _require(
-                window[0] <= deg <= window[1],
-                f"NONZERO status at {key} outside degree window",
-            )
+            ok = window[0] <= deg <= window[1]
+            _require(ok, "NONZERO status at {} outside degree window", key)
         statuses[key] = st
     return QualitativeExtTable(n, statuses, window)
 
 
 def _parse_cochain(rec):
-    _require(isinstance(rec, dict) and "terms" in rec, f"bad cochain {rec!r}")
+    _require(isinstance(rec, dict) and "terms" in rec, "bad cochain {!r}", rec)
     terms = []
     for t in _list(rec["terms"], "cochain terms"):
         try:
@@ -325,10 +315,8 @@ def _parse_cochain(rec):
             raise SpecError(f"bad cochain term {t!r}") from None
         vals = {}
         for pair in _list(values, "cochain values"):
-            _require(
-                isinstance(pair, list) and len(pair) == 2 and is_int(pair[0]),
-                f"bad cochain value {pair!r}",
-            )
+            ok = isinstance(pair, list) and len(pair) == 2 and is_int(pair[0])
+            _require(ok, "bad cochain value {!r}", pair)
             vals[pair[0]] = _frac(pair[1])
         terms.append((_int_tuple(chain, "chain"), _int_tuple(degs, "degs"), vals))
     return Cochain(terms)
@@ -366,19 +354,17 @@ def parse(document):
             raise SpecError(f"malformed JSON: {exc}") from None
     _require(isinstance(document, dict), "document must be a JSON object")
     unknown = set(document) - TOP_KEYS
-    _require(not unknown, f"unknown top-level keys {sorted(unknown)}")
+    _require(not unknown, "unknown top-level keys {}", sorted(unknown))
     n = document.get("n")
     dim_x = document.get("dim_x")
-    _require(is_int(n) and n >= 1, f"n must be a count >= 1, got {n!r}")
-    _require(
-        is_int(dim_x) and dim_x >= 0, f"dim_x must be >= 0, got {dim_x!r}"
-    )
+    _require(is_int(n) and n >= 1, "n must be a count >= 1, got {!r}", n)
+    _require(is_int(dim_x) and dim_x >= 0, "dim_x must be >= 0, got {!r}", dim_x)
     field_name = document.get("field", "Q")
     check_field_name(field_name)
     for key in ("ext", "serre_ext", "products", "higher_products", "objects"):
-        _require(isinstance(document.get(key, []), list), f"{key} must be a list")
+        _require(isinstance(document.get(key, []), list), "{} must be a list", key)
     for key in ("qualitative", "flags", "metadata", "fullness"):
-        _require(isinstance(document.get(key, {}), dict), f"{key} must be an object")
+        _require(isinstance(document.get(key, {}), dict), "{} must be an object", key)
 
     a_dims = _parse_graded(document.get("ext", ()), n, ("src", "dst"), False)
     n_dims = _parse_graded(
@@ -395,7 +381,7 @@ def parse(document):
             for rec in document.get(name, ()):
                 key, table = pr.parse_product(rec, n, space_dim, tables is prods)
                 what = "product" if tables is prods else "higher product"
-                _require(key not in tables, f"duplicate {what} {key}")
+                _require(key not in tables, "duplicate {} {}", what, key)
                 if table:
                     tables[key] = table
 
@@ -411,9 +397,8 @@ def parse(document):
         _require(all(isinstance(o, dict) for o in objs), "objects must be objects")
         for o in objs:
             unknown = set(o) - {"label", "canonical_degree"}
-            _require(not unknown, f"unknown object keys {sorted(unknown)} in {o!r}")
-            label = o.get("label", "")
-            _require(isinstance(label, str), f"label must be a string: {o!r}")
+            _require(not unknown, "unknown object keys {} in {!r}", sorted(unknown), o)
+            _require(isinstance(o.get("label", ""), str), "label must be a string: {!r}", o)
         labels = [o.get("label", f"E{i + 1}") for i, o in enumerate(objs)]
         if any("canonical_degree" in o for o in objs):
             _require(
@@ -421,17 +406,15 @@ def parse(document):
                 "canonical_degree must be given for all objects or none",
             )
             degrees = [o["canonical_degree"] for o in objs]
-            _require(
-                all(is_int(d) for d in degrees), "bad canonical degrees"
-            )
+            _require(all(map(is_int, degrees)), "bad canonical degrees")
 
     flags = dict(document.get("flags", {}))
     unknown = set(flags) - KNOWN_FLAGS
-    _require(not unknown, f"unknown flags {sorted(unknown)}")
+    _require(not unknown, "unknown flags {}", sorted(unknown))
     for key, value in flags.items():
         kind = "an integer" if key == "k_squared" else "true or false"
         typed = is_int(value) if key == "k_squared" else isinstance(value, bool)
-        _require(typed, f"flag {key} must be {kind}, got {value!r}")
+        _require(typed, "flag {} must be {}, got {!r}", key, kind, value)
 
     fullness = None
     if "fullness" in document:
@@ -440,10 +423,8 @@ def parse(document):
         if "xi" in rec:
             fullness.xi = _parse_cochain(rec["xi"])
         for prec in _list(rec.get("pairings", []), "pairings"):
-            _require(
-                isinstance(prec, dict) and is_int(prec.get("obj")),
-                f"pairing needs obj: {prec!r}",
-            )
+            ok = isinstance(prec, dict) and is_int(prec.get("obj"))
+            _require(ok, "pairing needs obj: {!r}", prec)
             fullness.pairings[prec["obj"]] = _parse_cochain(prec)
 
     spec = CollectionSpec(

@@ -24,7 +24,12 @@ a coordinate of T^t with one of T^{t+1} across a gap g = mp(row) - mp(col),
 the pair lives on the pages E_1 .. E_g, and the unpaired coordinates are
 the limit page and the cohomology (the persistence pairing of the
 filtration, as in Edelsbrunner-Harer, Computational Topology, ch. VII).
-Survivor bases are read off the same reduction on demand.
+The d_t are reduced in increasing t, with clearing (`FilteredReduction`);
+survivor bases are read off a reduction of every column, on demand.
+
+`perfbench/tracing.py` wraps functions here by name and reads
+`diffs[t].entries` of the assembled complex: the README lists what a change
+here keeps for it, the module-level `exactlin` import included.
 """
 
 import itertools
@@ -32,7 +37,7 @@ import operator
 from collections import namedtuple
 
 from .exactlin import Matrix, Subspace
-from .fields import field_by_name
+from .fields import ExactLinError, field_by_name
 from .model import INF, SpecError
 from .pseudoheight import live_chains
 
@@ -275,20 +280,25 @@ def assemble_differential(spec, check=True):
             offsets[(tm.chain, tm.degs)] = off
             off += tm.dim
         t_dims[t] = off
-    diffs = {}
+    sums = {}  # t -> {(row, col): field element}, summed as the blocks arrive
     all_blocks = []
     for tm in terms if tables else ():
+        src_off = offsets[(tm.chain, tm.degs)]
         for block, placement in _term_blocks(spec, tm, term_lookup):
             all_blocks.append(block)
-            t = tm.t
-            mat = diffs.get(t)
-            if mat is None:
-                mat = Matrix.zero(t_dims.get(t + 1, 0), t_dims[t], fld)
-                diffs[t] = mat
-            src_off = offsets[(tm.chain, tm.degs)]
+            acc = sums.setdefault(tm.t, {})
             tgt_off = offsets[(block.target.chain, block.target.degs)]
             for ti, si, coeff in _block_entries(spec, block, placement, fld):
-                mat.add_to(tgt_off + ti, src_off + si, coeff)
+                key = (tgt_off + ti, src_off + si)
+                acc[key] = fld.add(acc[key], coeff) if key in acc else coeff
+    diffs = {}
+    for t, acc in sums.items():
+        rows, cols = t_dims.get(t + 1, 0), t_dims[t]
+        bad = next((k for k in acc if not (0 <= k[0] < rows and 0 <= k[1] < cols)), None)
+        if bad is not None:
+            raise ExactLinError(f"index {bad} out of bounds")
+        diffs[t] = Matrix.zero(rows, cols, fld)
+        diffs[t].entries = {k: v for k, v in acc.items() if not fld.is_zero(v)}
     return NormalComplex(
         spec, fld, terms, term_lookup, by_t, offsets, t_dims, diffs, all_blocks
     )
@@ -322,7 +332,7 @@ def _axpy(fld, x, a, y):
             x[k] = s
 
 
-def _reduce(cx, t, track=False):
+def _reduce(cx, t, track=False, cleared=()):
     """Column-reduce d_t : T^t -> T^{t+1} in filtration order.
 
     Columns are visited in the order (-mp, index) and only earlier columns
@@ -330,20 +340,24 @@ def _reduce(cx, t, track=False):
     row of minimal mp, the largest index breaking ties.  Returns
     {col: (low row, reduced column normalized at its low)} over the nonzero
     reduced columns and, if track is set, {col: cocycle} over the zero
-    ones, the cocycle being the column's vector after the additions.
+    ones, the cocycle being the column's vector after the additions.  The
+    columns in `cleared` are known to reduce to zero and are not visited.
     """
     f = cx.field
     rows = _filtration_order(cx, t + 1)
     pos = {r: k for k, r in enumerate(rows)}
     work = {}
     for (r, c), v in cx.differential(t).entries.items():
-        work.setdefault(c, {})[pos[r]] = v
+        if c not in cleared:
+            work.setdefault(c, {})[pos[r]] = v
     by_low = {}  # row position -> (reduced column, its cochain)
     pivots = {}
     cycles = {}
     for c in _filtration_order(cx, t):
+        if c in cleared:
+            continue
         col = work.get(c, {})
-        chain = {c: f.one}
+        chain = {c: f.one} if track else None
         low = max(col, default=None)
         while low in by_low:
             coef = f.neg(col[low])
@@ -370,13 +384,20 @@ class FilteredReduction:
     every paired coordinate of T^t to g = mp(row) - mp(col) >= 1.  A paired
     coordinate lives on the pages E_1 .. E_g and is killed by d_g; an
     unpaired one lives on every page, E_inf included.
+
+    The d_t are reduced in increasing t, with clearing (Chen and Kerber,
+    "Persistent homology computation with a twist", EuroCG 2011): the low
+    row of a reduced column of d_{t-1} is a coboundary, so as a column of
+    d_t it reduces to zero and is skipped.
     """
 
     def __init__(self, cx):
         self.pairs = {}
         self.gaps = {t: {} for t in cx.t_dims}
-        for t in cx.diffs:
-            self.pairs[t] = {c: r for c, (r, _) in _reduce(cx, t)[0].items()}
+        for t in sorted(cx.diffs):
+            cleared = set(self.pairs.get(t - 1, {}).values())
+            pivots = _reduce(cx, t, cleared=cleared)[0]
+            self.pairs[t] = {c: r for c, (r, _) in pivots.items()}
             mp, mp_next = cx.coordinate_mp(t), cx.coordinate_mp(t + 1)
             for c, r in self.pairs[t].items():
                 self.gaps[t][c] = self.gaps[t + 1][r] = mp_next[r] - mp[c]

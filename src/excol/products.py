@@ -45,6 +45,8 @@ whose window occurs in no term.  `tests/test_products.py` checks facts 1 to
 3 on every word with p <= 6 and arity <= 4, over all degree parities.
 """
 
+from operator import contains
+
 from .model import SpecError, _frac, _int_tuple, _list, _require, is_int
 
 AA = "AA"
@@ -160,16 +162,6 @@ def target_space(key):
     return ("N", chain[-1], aux, deg)
 
 
-def normalize_table(table):
-    """Drop zero coefficients; reject malformed entries."""
-    out = {}
-    for src, row in table.items():
-        cleaned = {o: v for o, v in row.items() if v != 0}
-        if cleaned:
-            out[tuple(src)] = cleaned
-    return out
-
-
 # -- reading a product record -----------------------------------------------
 
 
@@ -186,66 +178,66 @@ def product_problems(key, table, space_dim, n):
         return [str(exc)], None
     srcs = source_spaces(key)
     dims = [space_dim(*s) for s in srcs]
-    on_basis = {
-        src: row for src, row in table.items()
-        if len(src) == len(dims) and all(0 <= s < d for s, d in zip(src, dims))
-    }
-    if 0 in dims:
-        k, i, j, d = srcs[dims.index(0)]
-        problem = f"product {key} references the zero space {k}({i},{j})^{d}"
-        return [problem], on_basis
     tk, ti, tj, tdeg = target_space(key)
     tdim = space_dim(tk, ti, tj, tdeg)
-    if tdim == 0:
-        problem = f"product {key} lands in the zero space {tk}({ti},{tj})^{tdeg}"
-        return [problem], on_basis
-    problems = []
+    ranges, targets = [range(d) for d in dims], range(tdim)
+    on_basis, problems = {}, []
     for src, row in table.items():
-        if src not in on_basis:
+        if len(src) == len(dims) and all(map(contains, ranges, src)):
+            on_basis[src] = row
+        else:
             problems.append(f"product {key} has dangling source {src}")
-        if any(not (0 <= o < tdim) for o in row):
+        if not all(map(targets.__contains__, row)):
             problems.append(f"product {key} has dangling target in {row}")
+    if 0 in dims:
+        k, i, j, d = srcs[dims.index(0)]
+        return [f"product {key} references the zero space {k}({i},{j})^{d}"], on_basis
+    if tdim == 0:
+        return [f"product {key} lands in the zero space {tk}({ti},{tj})^{tdeg}"], on_basis
     return problems, on_basis
 
 
 def parse_product(rec, n, space_dim, arity_two):
-    _require(isinstance(rec, dict), f"bad product record {rec!r}")
+    """(key, table) of one product record, zero coefficients dropped.
+
+    Each check builds its message only when it fails.
+    """
+    _require(isinstance(rec, dict), "bad product record {!r}", rec)
     kind = rec.get("kind")
-    _require(kind in (AA, AN, NA), f"bad product kind {kind!r}")
+    _require(kind in (AA, AN, NA), "bad product kind {!r}", kind)
     chain = _int_tuple(rec.get("chain", []), "product chain")
     degs = _int_tuple(rec.get("degs", []), "product degs")
     if kind == AA:
         key = key_aa(chain, degs)
     elif kind == AN:
-        _require(is_int(rec.get("twist_src")), f"AN needs twist_src: {rec!r}")
+        _require(is_int(rec.get("twist_src")), "AN needs twist_src: {!r}", rec)
         key = key_an(rec["twist_src"], chain, degs)
     else:
-        _require(is_int(rec.get("from")), f"NA product needs 'from': {rec!r}")
+        _require(is_int(rec.get("from")), "NA product needs 'from': {!r}", rec)
         key = key_na(rec["from"], chain, degs)
     arity = arity_of(key)
     if arity_two:
-        _require(arity == 2, f"products must have arity 2, got {arity}")
+        _require(arity == 2, "products must have arity 2, got {}", arity)
     else:
-        _require(arity >= 3, f"higher products must have arity >= 3")
-        _require(rec.get("arity") == arity, f"arity field mismatch in {rec!r}")
+        _require(arity >= 3, "higher products must have arity >= 3")
+        _require(rec.get("arity") == arity, "arity field mismatch in {!r}", rec)
     table = {}
     for entry in _list(rec.get("entries", []), "entries"):
-        _require(
-            isinstance(entry, list) and len(entry) == arity + 2,
-            f"bad entry {entry!r} (want {arity} source indices, out, value)",
-        )
-        *src_idx, out, val = entry
-        _require(
-            all(is_int(x) for x in src_idx) and is_int(out),
-            f"bad entry indices {entry!r}",
-        )
-        row = table.setdefault(tuple(src_idx), {})
-        _require(out not in row, f"duplicate entry {entry!r}")
+        if not (isinstance(entry, list) and len(entry) == arity + 2):
+            raise SpecError(f"bad entry {entry!r} (want {arity} source indices, out, value)")
+        *src, out, val = entry
+        for x in entry[:-1]:  # is_int, plain ints taking the short way
+            if x.__class__ is not int and not is_int(x):
+                raise SpecError(f"bad entry indices {entry!r}")
+        row = table.setdefault(tuple(src), {})
+        if out in row:
+            raise SpecError(f"duplicate entry {entry!r}")
         row[out] = _frac(val)
     problems, _ = product_problems(key, table, space_dim, n)
     if problems:
         raise SpecError(problems[0])
-    return key, normalize_table(table)
+    rows = ((src, {o: v for o, v in row.items() if v != 0}) for src, row in table.items())
+    return key, {src: row for src, row in rows if row}
 
 
 # -- Koszul signs -----------------------------------------------------------

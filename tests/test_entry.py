@@ -5,7 +5,8 @@
 a fresh interpreter with `PYTHONPATH=src`: the process gives the same
 stdout and stderr bytes and exit code as `main(argv)` in this process, an `atexit`
 hook never runs, and an output write error is exit 2 with one line on
-stderr and no traceback, with stdout buffered or not.
+stderr and no traceback, with stdout buffered or not.  With stderr closed
+(`2>&-`) the exit code is still the one `main` returns.
 """
 
 import ast
@@ -128,6 +129,38 @@ def test_closed_stdout_is_exit_0(argv):
     proc = subprocess.run(["/bin/sh", "-c", shell, sys.executable, *argv],
                           capture_output=True, env=_env(), cwd=ROOT, timeout=60)
     assert proc.returncode == 0 and not proc.stderr
+
+
+CLOSED_STDERR = [
+    ("no-such-input", lambda tmp: ["height", "nosuch"], 2),
+    ("usage-error", lambda tmp: ["height", "point", "--bogus"], 2),
+    ("malformed", lambda tmp: ["height", _malformed_document(tmp)], 2),
+    ("engine-error", lambda tmp: ["height", _failing_document(tmp)], 1),
+    ("validate-fails", lambda tmp: ["validate", _failing_document(tmp)], 1),
+    ("ss-text", lambda tmp: ["ss", P3], 0),
+]
+
+
+@pytest.mark.parametrize("make_argv, code", [c[1:] for c in CLOSED_STDERR],
+                         ids=[c[0] for c in CLOSED_STDERR])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, capsys, make_argv, code):
+    # `2>&-`: writing the error message fails, and the exit code must not change
+    argv = make_argv(tmp_path)
+    assert main(list(argv)) == code
+    out, _ = capsys.readouterr()
+    shell = '"$0" -m excol "$@" 2>&-'
+    proc = subprocess.run(["/bin/sh", "-c", shell, sys.executable, *argv],
+                          capture_output=True, env=_env(), cwd=ROOT, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout == out.encode("utf-8") and not proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_device_with_closed_stderr_is_exit_2():
+    shell = '"$0" -m excol "$@" >/dev/full 2>&-'
+    proc = subprocess.run(["/bin/sh", "-c", shell, sys.executable, "ss", P3],
+                          capture_output=True, env=_env(), cwd=ROOT, timeout=60)
+    assert proc.returncode == 2 and not proc.stdout and not proc.stderr
 
 
 def test_script_and_module_run_the_same_entry():

@@ -8,9 +8,11 @@ shipped fixture files, and `data/sparse15.json`, an exact document without
 products, so that no product code is compiled for it.  The probe also
 reports `dataclasses`, `inspect`, `fractions`, `argparse`, `gettext` and
 `locale`; no command loads any of them but `fractions`, so every expected
-set below, which never names them, pins their absence as well.  Two jobs
+set below, which never names them, pins their absence as well.  Three jobs
 have a budget of source lines, since with bytecode writing off each job
-compiles every line it loads.  The README's library imports and the
+compiles every line it loads: `height` on an exact document with products
+loads the whole engine, so a faster engine cannot pay for itself in
+compile time unseen.  The README's library imports and the
 `excol.pseudoheight` submodule are checked here too.
 """
 
@@ -113,7 +115,8 @@ def test_command_loads_only_its_modules(cmd, name, expected):
 @pytest.mark.parametrize("argv, budget", [
     (["validate", str(PATHS[SPARSE]), "--json"], 1150),
     (["fixture", "--list"], 280),
-], ids=["validate-sparse15", "fixture-list"])
+    (["height", str(PATHS[EXACT]), "--json"], 2813),
+], ids=["validate-sparse15", "fixture-list", "height-p1"])
 def test_job_source_line_budget(argv, budget):
     # every line a job loads is compiled again when no bytecode is written
     assert probe(*argv)[1] <= budget

@@ -9,6 +9,7 @@ import _specgen
 from _matrices import rank
 from excol import fixtures
 from excol import products as pr
+from excol.fields import ExactLinError
 from excol.model import CollectionSpec, SpecError
 from excol.nhh import (
     DifferentialError,
@@ -366,3 +367,31 @@ def test_second_page_matches_naive_oracle():
         cx = assemble_differential(spec)
         ss = spectral_sequence(cx)
         assert ss.page(2) == _naive_second_page(cx)
+
+
+@pytest.mark.parametrize("index", [10**6, -(10**6)])
+def test_assembly_refuses_an_index_outside_the_matrix(index):
+    # a spec built in code is not checked by parse: the assembly still refuses it
+    spec = fixtures.fixture_spec("beilinson_p1")
+    key = min(spec.products)
+    spec.products[key] = {(0, 0): {index: 1}}
+    with pytest.raises(ExactLinError, match="out of bounds"):
+        assemble_differential(spec, check=False)
+
+
+def test_a_coefficient_zero_in_the_field_leaves_no_entry():
+    # one coefficient of P^1 becomes 1009: an entry over Q, zero over F_1009
+    spec = fixtures.fixture_spec("beilinson_p1")
+    key = min(spec.products)
+    src = min(spec.products[key])
+    spec.products[key][src] = {out: 1009 * c for out, c in spec.products[key][src].items()}
+    over_q = assemble_differential(spec, check=False)
+    spec.field_name = "F1009"
+    over_p = assemble_differential(spec, check=False)
+    assert over_q.diffs.keys() == over_p.diffs.keys()
+    dropped = 0
+    for t, mat in over_p.diffs.items():
+        kept = {k: v % 1009 for k, v in over_q.diffs[t].entries.items() if v % 1009}
+        assert mat.entries == kept
+        dropped += len(over_q.diffs[t].entries) - len(kept)
+    assert dropped > 0
