@@ -26,8 +26,8 @@ _EXPORTS = {
     "fullness": "full_check not_full_check",
     "heights": "Analysis HeightReport build_report height heph_shortcut hkr_total",
     "model": "CollectionSpec QualitativeExtTable parse validate",
-    "nhh": "assemble_differential build_e1 spectral_sequence total_cohomology",
-    "pseudoheight": "cyclically_ext1_connected qualitative_ph_bounds rel_height",
+    "nhh": "assemble_differential spectral_sequence total_cohomology",
+    "pseudoheight": "build_e1 cyclically_ext1_connected qualitative_ph_bounds rel_height",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

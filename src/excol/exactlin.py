@@ -109,6 +109,16 @@ class Matrix:
 RrefResult = namedtuple("RrefResult", "matrix rank pivot_cols")
 
 
+def axpy(fld, x, a, y):
+    """x += a * y on sparse vectors, in place."""
+    for k, v in y.items():
+        s = fld.add(x.get(k, fld.zero), fld.mul(a, v))
+        if fld.is_zero(s):
+            x.pop(k, None)
+        else:
+            x[k] = s
+
+
 def _rref_rows(rows, ncols, field):
     """Reduced row echelon form on a list of sparse row dicts, in place-ish.
 
@@ -123,30 +133,18 @@ def _rref_rows(rows, ncols, field):
         # reduce against existing pivots
         for prow, pcol in zip(reduced, pivots):
             coef = row.get(pcol)
-            if coef is None:
-                continue
-            for c, v in prow.items():
-                s = f.sub(row.get(c, f.zero), f.mul(coef, v))
-                if f.is_zero(s):
-                    row.pop(c, None)
-                else:
-                    row[c] = s
+            if coef is not None:
+                axpy(f, row, f.neg(coef), prow)
         if not row:
             continue
         pcol = min(row)
         inv = f.inv(row[pcol])
         row = {c: f.mul(inv, v) for c, v in row.items()}
         # back-substitute into earlier pivot rows
-        for i, prow in enumerate(reduced):
+        for prow in reduced:
             coef = prow.get(pcol)
-            if coef is None:
-                continue
-            for c, v in row.items():
-                s = f.sub(prow.get(c, f.zero), f.mul(coef, v))
-                if f.is_zero(s):
-                    prow.pop(c, None)
-                else:
-                    prow[c] = s
+            if coef is not None:
+                axpy(f, prow, f.neg(coef), row)
         reduced.append(row)
         pivots.append(pcol)
     order = sorted(range(len(pivots)), key=lambda i: pivots[i])
@@ -211,14 +209,8 @@ class Subspace:
         vec = dict(vec)
         for row, pcol in zip(self.basis, self.pivots):
             coef = vec.get(pcol)
-            if coef is None:
-                continue
-            for c, v in row.items():
-                s = f.sub(vec.get(c, f.zero), f.mul(coef, v))
-                if f.is_zero(s):
-                    vec.pop(c, None)
-                else:
-                    vec[c] = s
+            if coef is not None:
+                axpy(f, vec, f.neg(coef), row)
         return vec
 
     def contains(self, vec):

@@ -111,7 +111,8 @@ class Analysis:
     The stages are lazy and memoized: the chain-engine bounds, the height
     shortcut, the assembled complex (its relations checked once), its
     cohomology and pages, the height, the report and the fullness verdict.
-    Every CLI command reads its answer off one Analysis.
+    The `ss`, `height`, `report` and `fullness` commands read their answers
+    off one Analysis.
     """
 
     def __init__(self, spec):
@@ -125,11 +126,11 @@ class Analysis:
     @property
     def ph_ac(self):
         """The anticanonical pseudoheight when the bounds pin it, else None."""
-        return self.bounds.lower if self.bounds.pinned else None
+        return self.bounds.ph_ac
 
     @property
     def ph(self):
-        return None if self.ph_ac is None else self.ph_ac + self.spec.dim_x
+        return self.bounds.ph(self.spec.dim_x)
 
     @property
     def shortcut(self):

@@ -8,7 +8,9 @@ k_0 + ... + k_p = q, of
 
 with the twisted factor always last.  Since the input is a minimal model the
 internal differential vanishes, so this bigraded space is already the first
-page.  The differential is the signed sum of product blocks: compositions of
+page; its terms and table (`ChainTerm`, `enumerate_terms`, `build_e1`) live
+in `pseudoheight`, beside the chain walk, and are re-exported here.  The
+differential is the signed sum of product blocks: compositions of
 adjacent factors, the composition of the trailing factor into the twisted
 one, the cyclic wrap through the inverse Serre functor, and one block per
 supplied higher product; an arity-k block moves column -p to -p + (k-1).
@@ -27,111 +29,22 @@ filtration, as in Edelsbrunner-Harer, Computational Topology, ch. VII).
 The d_t are reduced in increasing t, with clearing (`FilteredReduction`);
 survivor bases are read off a reduction of every column, on demand.
 
-`perfbench/tracing.py` wraps functions here by name and reads
-`diffs[t].entries` of the assembled complex: the README lists what a change
-here keeps for it, the module-level `exactlin` import included.
+`perfbench/tracing.py` wraps functions here by name, the re-exported
+first-page ones too, and reads `diffs[t].entries`: the README lists what a
+change here keeps for it, the module-level `exactlin` import included.
 """
 
 import itertools
-import operator
 from collections import namedtuple
 
-from .exactlin import Matrix, Subspace
+from .exactlin import Matrix, Subspace, axpy
 from .fields import ExactLinError, field_by_name
 from .model import INF, SpecError
-from .pseudoheight import live_chains
+from .pseudoheight import ChainTerm, build_e1, enumerate_terms  # noqa: F401
 
 
 class DifferentialError(ValueError):
     """d . d != 0: an A-infinity relation of the products fails."""
-
-
-class ChainTerm(namedtuple("ChainTerm", "chain degs factor_dims")):
-    """One tensor-product summand: a chain with a degree split.
-
-    degs lists the internal degrees, the twisted factor last.
-    """
-
-    __slots__ = ()
-
-    @property
-    def p(self):
-        return len(self.chain) - 1
-
-    @property
-    def mp(self):
-        return -self.p
-
-    @property
-    def q(self):
-        return sum(self.degs)
-
-    @property
-    def t(self):
-        return self.q - self.p
-
-    @property
-    def dim(self):
-        out = 1
-        for d in self.factor_dims:
-            out *= d
-        return out
-
-    def strides(self):
-        s = [1] * len(self.factor_dims)
-        for i in range(len(self.factor_dims) - 2, -1, -1):
-            s[i] = s[i + 1] * self.factor_dims[i + 1]
-        return s
-
-    def letters(self):
-        """The word as ("A"|"N", i, j, deg) letters, the twisted one last."""
-        c, d, p = self.chain, self.degs, self.p
-        twisted = ("N", c[0], c[p], d[p])
-        return [("A", c[r], c[r + 1], d[r]) for r in range(p)] + [twisted]
-
-
-def _nonempty(space):
-    return (space,) if space else None
-
-
-def enumerate_terms(spec):
-    """All nonzero chain terms of the bigraded space.
-
-    Only chains whose every Ext space is nonempty are visited (see
-    `live_chains`); terms come shortest chain first, then by chain in lex
-    order, then by degree split.
-    """
-    terms = []
-    for chain, spaces in live_chains(
-        spec.n,
-        lambda i, j: _nonempty(spec.a_space(i, j)),
-        lambda i, j: _nonempty(spec.n_space(i, j)),
-        (),
-        operator.add,
-    ):
-        for degs in itertools.product(*[sorted(sp) for sp in spaces]):
-            dims = tuple(sp[d] for sp, d in zip(spaces, degs))
-            terms.append(ChainTerm(chain, tuple(degs), dims))
-    return terms
-
-
-def build_e1(spec):
-    """First-page table (-p, q) -> dim, with the contributing terms.
-
-    Needs exact dims; the minimal total degree of a nonzero entry is the
-    pseudoheight by construction.
-    """
-    if not spec.is_exact:
-        raise SpecError("the first page needs exact Ext dimensions")
-    table = {}
-    index = {}
-    for term in enumerate_terms(spec):
-        key = (term.mp, term.q)
-        table[key] = table.get(key, 0) + term.dim
-        index.setdefault(key, []).append(term)
-    for terms in index.values():
-        terms.sort(key=lambda tm: (tm.chain, tm.degs))
-    return table, index
 
 
 # one signed product block of the differential between two ChainTerms
@@ -322,16 +235,6 @@ def _filtration_order(cx, t):
     return sorted(range(len(mps)), key=lambda i: (-mps[i], i))
 
 
-def _axpy(fld, x, a, y):
-    """x += a * y on sparse vectors, in place."""
-    for k, v in y.items():
-        s = fld.add(x.get(k, fld.zero), fld.mul(a, v))
-        if fld.is_zero(s):
-            x.pop(k, None)
-        else:
-            x[k] = s
-
-
 def _reduce(cx, t, track=False, cleared=()):
     """Column-reduce d_t : T^t -> T^{t+1} in filtration order.
 
@@ -339,9 +242,10 @@ def _reduce(cx, t, track=False, cleared=()):
     are added to later ones.  The pivot ("low") of a column is its nonzero
     row of minimal mp, the largest index breaking ties.  Returns
     {col: (low row, reduced column normalized at its low)} over the nonzero
-    reduced columns and, if track is set, {col: cocycle} over the zero
-    ones, the cocycle being the column's vector after the additions.  The
-    columns in `cleared` are known to reduce to zero and are not visited.
+    reduced columns and {col: cocycle} over the zero ones, the cocycle
+    being the column's vector after the additions; unless track is set,
+    the reduced columns are None and no cocycle is kept.  The columns in
+    `cleared` are known to reduce to zero and are not visited.
     """
     f = cx.field
     rows = _filtration_order(cx, t + 1)
@@ -361,9 +265,9 @@ def _reduce(cx, t, track=False, cleared=()):
         low = max(col, default=None)
         while low in by_low:
             coef = f.neg(col[low])
-            _axpy(f, col, coef, by_low[low][0])
+            axpy(f, col, coef, by_low[low][0])
             if track:
-                _axpy(f, chain, coef, by_low[low][1])
+                axpy(f, chain, coef, by_low[low][1])
             low = max(col, default=None)
         if col:
             scale = f.inv(col[low])
@@ -371,7 +275,7 @@ def _reduce(cx, t, track=False, cleared=()):
             if track:
                 chain = {k: f.mul(scale, v) for k, v in chain.items()}
             by_low[low] = (col, chain)
-            pivots[c] = (rows[low], {rows[k]: v for k, v in col.items()})
+            pivots[c] = (rows[low], {rows[k]: v for k, v in col.items()} if track else None)
         elif track:
             cycles[c] = chain
     return pivots, cycles

@@ -1,4 +1,4 @@
-"""Chain combinatorics: relative heights, pseudoheight, qualitative bounds.
+"""Chain combinatorics: relative heights, the first page, pseudoheight, bounds.
 
 A chain is a strictly increasing tuple of object indices a_0 < ... < a_p.
 Its value is se(E_a0, E_a1) + ... + se(E_ap, S^{-1} E_a0) - p, where
@@ -15,9 +15,15 @@ reproduces the standard lower-bound lemmas: a Hom-free extended collection
 forces every link >= 1, hence value >= 1; if on top of that no chain is
 cyclically Ext^1-connected some link is >= 2, hence value >= 2.  A nonzero
 H^2(omega^{-1}) on a surface of line bundles caps the length-0 chains at 2.
+
+The first page E_1 of the normal complex is a sum over the live chains too,
+so its terms and table (`ChainTerm`, `enumerate_terms`, `build_e1`) live
+here: `e1` walks the chains without compiling the complex (`nhh`), which
+imports them from here.
 """
 
 import itertools
+import math
 import operator
 from collections import namedtuple
 
@@ -101,6 +107,92 @@ def live_chains(n, a_link, n_link, zero, plus):
                         stack.append((chain + (j,), plus(acc, w), left - 1))
 
 
+# -- the first page ------------------------------------------------------------
+
+
+class ChainTerm(namedtuple("ChainTerm", "chain degs factor_dims")):
+    """One tensor-product summand: a chain with a degree split.
+
+    degs lists the internal degrees, the twisted factor last.
+    """
+
+    __slots__ = ()
+
+    @property
+    def p(self):
+        return len(self.chain) - 1
+
+    @property
+    def mp(self):
+        return -self.p
+
+    @property
+    def q(self):
+        return sum(self.degs)
+
+    @property
+    def t(self):
+        return self.q - self.p
+
+    @property
+    def dim(self):
+        return math.prod(self.factor_dims)
+
+    def strides(self):
+        dims = self.factor_dims
+        return [math.prod(dims[i + 1:]) for i in range(len(dims))]
+
+    def letters(self):
+        """The word as ("A"|"N", i, j, deg) letters, the twisted one last."""
+        c, d, p = self.chain, self.degs, self.p
+        twisted = ("N", c[0], c[p], d[p])
+        return [("A", c[r], c[r + 1], d[r]) for r in range(p)] + [twisted]
+
+
+def _nonempty(space):
+    return (space,) if space else None
+
+
+def enumerate_terms(spec):
+    """All nonzero chain terms of the bigraded space.
+
+    Only chains whose every Ext space is nonempty are visited (see
+    `live_chains`); terms come shortest chain first, then by chain in lex
+    order, then by degree split.
+    """
+    terms = []
+    for chain, spaces in live_chains(
+        spec.n,
+        lambda i, j: _nonempty(spec.a_space(i, j)),
+        lambda i, j: _nonempty(spec.n_space(i, j)),
+        (),
+        operator.add,
+    ):
+        for degs in itertools.product(*[sorted(sp) for sp in spaces]):
+            dims = tuple(sp[d] for sp, d in zip(spaces, degs))
+            terms.append(ChainTerm(chain, tuple(degs), dims))
+    return terms
+
+
+def build_e1(spec):
+    """First-page table (-p, q) -> dim, with the contributing terms.
+
+    Needs exact dims; the minimal total degree of a nonzero entry is the
+    pseudoheight by construction.
+    """
+    if not spec.is_exact:
+        raise SpecError("the first page needs exact Ext dimensions")
+    table = {}
+    index = {}
+    for term in enumerate_terms(spec):
+        key = (term.mp, term.q)
+        table[key] = table.get(key, 0) + term.dim
+        index.setdefault(key, []).append(term)
+    for terms in index.values():
+        terms.sort(key=lambda tm: (tm.chain, tm.degs))
+    return table, index
+
+
 # -- the chain engine ----------------------------------------------------------
 
 
@@ -112,6 +204,15 @@ class PhBounds(namedtuple("PhBounds", "lower upper witness_chain", defaults=(Non
     @property
     def pinned(self):
         return self.lower == self.upper
+
+    @property
+    def ph_ac(self):
+        """The anticanonical pseudoheight when the interval pins it, else None."""
+        return self.lower if self.pinned else None
+
+    def ph(self, dim_x):
+        """The pseudoheight, ph_ac + dim_x, when the interval pins it, else None."""
+        return None if self.ph_ac is None else self.ph_ac + dim_x
 
 
 def effective_table(spec, table=None):
@@ -219,9 +320,7 @@ def pseudoheight(spec):
     if not spec.is_exact:
         raise SpecError("pseudoheight needs exact Ext dimensions")
     bounds = qualitative_ph_bounds(spec)
-    return PseudoheightResult(
-        bounds.lower + spec.dim_x, bounds.witness_chain, spec.dim_x
-    )
+    return PseudoheightResult(bounds.ph(spec.dim_x), bounds.witness_chain, spec.dim_x)
 
 
 def link_status(spec, table, kind, i, j, deg):

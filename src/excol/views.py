@@ -1,7 +1,9 @@
 """What the engine commands print: pseudoheight, e1, ss, height, report, fullness.
 
-Each `cmd_*(spec, args)` reads its answer off one `heights.Analysis` (or,
-for `e1`, the first page) and returns it as (JSON payload, text lines).
+Each `cmd_*(spec, args)` reads its answer off one `heights.Analysis` and
+returns it as (JSON payload, text lines); `pseudoheight` and `e1` read the
+chain walk of `pseudoheight` instead, so they compile neither `heights` nor
+the complex.
 `excol.cli` loads this module only for these six commands, so `validate`
 and `fixture` compile none of it.
 """
@@ -44,37 +46,39 @@ def _analysis(spec):
     return Analysis(spec)
 
 
-def _witness(a):
-    chain = a.bounds.witness_chain
+def _witness(bounds):
+    chain = bounds.witness_chain
     return list(chain) if chain else None
 
 
-def _interval(a):
+def _interval(bounds):
     """Keys and line of an open (qualitative) pseudoheight interval."""
-    lo, hi = _jval(a.bounds.lower), _jval(a.bounds.upper)
-    payload = {"ph_ac_lower": lo, "ph_ac_upper": hi, "witness": _witness(a)}
+    lo, hi = _jval(bounds.lower), _jval(bounds.upper)
+    payload = {"ph_ac_lower": lo, "ph_ac_upper": hi, "witness": _witness(bounds)}
     return payload, f"anticanonical pseudoheight interval: [{lo}, {hi}]"
 
 
 def cmd_pseudoheight(spec, args):
-    a = _analysis(spec)
-    if a.spec.is_exact:
-        payload = {"ph": _jval(a.ph), "ph_ac": _jval(a.ph_ac), "witness": _witness(a)}
+    from .pseudoheight import qualitative_ph_bounds
+    bounds = qualitative_ph_bounds(spec)
+    if spec.is_exact:
+        ph, ph_ac = _jval(bounds.ph(spec.dim_x)), _jval(bounds.ph_ac)
+        payload = {"ph": ph, "ph_ac": ph_ac, "witness": _witness(bounds)}
         lines = [
-            f"pseudoheight: {payload['ph']}",
-            f"anticanonical pseudoheight: {payload['ph_ac']}",
-            f"witness chain: {a.bounds.witness_chain}",
+            f"pseudoheight: {ph}",
+            f"anticanonical pseudoheight: {ph_ac}",
+            f"witness chain: {bounds.witness_chain}",
         ]
         if args.anticanonical:
             lines = lines[1:] + lines[:1]
     else:
-        payload, line = _interval(a)
-        lines = [line, f"upper bound witness chain: {a.bounds.witness_chain}"]
+        payload, line = _interval(bounds)
+        lines = [line, f"upper bound witness chain: {bounds.witness_chain}"]
     return payload, lines
 
 
 def cmd_e1(spec, args):
-    from .nhh import build_e1
+    from .pseudoheight import build_e1
     table, _ = build_e1(spec)
     nonzero_t = [mp + q for (mp, q), d in table.items() if d]
     payload = {
@@ -123,7 +127,7 @@ def cmd_height(spec, args):
                 "see the fullness command"
             )
     else:
-        payload, line = _interval(a)
+        payload, line = _interval(a.bounds)
         lines = [line, f"height: {h}"]
     payload.update(he_lo=_jval(h.lo), he_hi=_jval(h.hi))
     return payload, lines
@@ -143,7 +147,7 @@ def cmd_report(spec, args):
         "iso_range": _jval(rep.iso_range),
         "mono_degree": _jval(rep.mono_degree),
         "deformation_equivalent": rep.deformation_equivalent,
-        "witness": _witness(a),
+        "witness": _witness(a.bounds),
     }
     if rep.nhh_dims is not None:
         payload["nhh"] = _nhh_json(rep.nhh_dims)
@@ -151,7 +155,7 @@ def cmd_report(spec, args):
         payload["hoh_x"] = rep.hoh_x_dims
         payload["hoh_a"] = rep.hoh_a_dims
     if rep.ph is None:
-        ph_line = _interval(a)[1]
+        ph_line = _interval(a.bounds)[1]
     else:
         ph_line = f"pseudoheight: {_jval(rep.ph)} (anticanonical {_jval(rep.ph_ac)})"
     lines = [

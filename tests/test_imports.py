@@ -8,12 +8,13 @@ shipped fixture files, and `data/sparse15.json`, an exact document without
 products, so that no product code is compiled for it.  The probe also
 reports `dataclasses`, `inspect`, `fractions`, `argparse`, `gettext` and
 `locale`; no command loads any of them but `fractions`, so every expected
-set below, which never names them, pins their absence as well.  Three jobs
+set below, which never names them, pins their absence as well.  Five jobs
 have a budget of source lines, since with bytecode writing off each job
 compiles every line it loads: `height` on an exact document with products
 loads the whole engine, so a faster engine cannot pay for itself in
-compile time unseen.  The README's library imports and the
-`excol.pseudoheight` submodule are checked here too.
+compile time unseen, and `e1` and `pseudoheight` load only the chain walk.
+The README's library imports and the `excol.pseudoheight` submodule are
+checked here too.
 """
 
 import importlib
@@ -68,9 +69,10 @@ def loaded_modules(*argv):
 
 PARSE = {"cli", "model", "fields"}
 PRODUCTS = {"products"}
-ANALYSIS = PARSE | {"heights", "pseudoheight", "views"}
+# the pseudoheight and the first page need the chain walk and nothing more
+CHAINS = PARSE | {"pseudoheight", "views"}
+ANALYSIS = CHAINS | {"heights"}
 ENGINE = ANALYSIS | {"nhh", "exactlin"}
-PAGE = PARSE | {"nhh", "exactlin", "pseudoheight", "views"}
 EXACT, QUALITATIVE, SPARSE = "beilinson_p1", "burniat", "sparse15"
 PATHS = {
     EXACT: DOCS / f"{EXACT}.json",
@@ -84,12 +86,12 @@ CASES = [
     ("validate", EXACT, PARSE | PRODUCTS),
     ("validate", QUALITATIVE, PARSE),
     ("validate", SPARSE, PARSE),
-    ("pseudoheight", EXACT, ANALYSIS | PRODUCTS),
-    ("pseudoheight", QUALITATIVE, ANALYSIS),
-    ("pseudoheight", SPARSE, ANALYSIS),
-    ("e1", EXACT, PAGE | PRODUCTS),
-    ("e1", QUALITATIVE, PAGE),
-    ("e1", SPARSE, PAGE),
+    ("pseudoheight", EXACT, CHAINS | PRODUCTS),
+    ("pseudoheight", QUALITATIVE, CHAINS),
+    ("pseudoheight", SPARSE, CHAINS),
+    ("e1", EXACT, CHAINS | PRODUCTS),
+    ("e1", QUALITATIVE, CHAINS),
+    ("e1", SPARSE, CHAINS),
     ("ss", EXACT, ENGINE | PRODUCTS),
     ("ss", QUALITATIVE, ENGINE),
     ("ss", SPARSE, ENGINE),
@@ -116,7 +118,9 @@ def test_command_loads_only_its_modules(cmd, name, expected):
     (["validate", str(PATHS[SPARSE]), "--json"], 1150),
     (["fixture", "--list"], 280),
     (["height", str(PATHS[EXACT]), "--json"], 2813),
-], ids=["validate-sparse15", "fixture-list", "height-p1"])
+    (["e1", str(PATHS[EXACT]), "--json"], 1961),
+    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1961),
+], ids=["validate-sparse15", "fixture-list", "height-p1", "e1-p1", "pseudoheight-p1"])
 def test_job_source_line_budget(argv, budget):
     # every line a job loads is compiled again when no bytecode is written
     assert probe(*argv)[1] <= budget
@@ -216,6 +220,27 @@ def test_import_excol_loads_no_submodule():
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     ).stdout
     assert out.split() == ["['excol']"]
+
+
+def test_first_page_lives_beside_the_chain_walk():
+    # the tracer wraps these on `nhh`; they must be the very same objects
+    from excol import nhh, pseudoheight
+
+    for name in ("ChainTerm", "enumerate_terms", "build_e1"):
+        assert getattr(nhh, name) is getattr(pseudoheight, name), name
+
+
+def test_library_first_page_loads_no_complex_code():
+    code = """
+import sys, excol
+excol.build_e1
+print(*sorted(m for m in sys.modules if m.startswith("excol.")))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    ).stdout
+    assert out.split() == ["excol.fields", "excol.model", "excol.pseudoheight"]
 
 
 def test_pseudoheight_attribute_is_the_submodule():

@@ -152,7 +152,7 @@ def test_beilinson_p3_runs_on_ints():
     columns = [
         v
         for t in cx.diffs
-        for _, col in nhh._reduce(cx, t)[0].values()
+        for _, col in nhh._reduce(cx, t, track=True)[0].values()
         for v in col.values()
     ]
     assert columns and all(type(v) is int for v in columns)
