@@ -44,8 +44,37 @@ def _point_document():
     }
 
 
+def _surface_document(degrees, k_squared, statuses=None, flags=None, **sections):
+    """A surface collection of line bundles L1, L2, ... with the given
+    canonical degrees, on a surface with ample K and H^2(-K) != 0.
+
+    `statuses` are the qualitative Ext facts over the degree window [0, 2],
+    `flags` extends the surface flags, and `sections` are the other
+    top-level sections of the document.
+    """
+    doc = {
+        "n": len(degrees),
+        "dim_x": 2,
+        "field": "Q",
+        "objects": [
+            {"label": f"L{i}", "canonical_degree": d} for i, d in enumerate(degrees, 1)
+        ],
+        "flags": {
+            "is_surface": True,
+            "ample_canonical": True,
+            "line_bundles": True,
+            "h2_anticanonical_nonzero": True,
+            "k_squared": k_squared,
+            **(flags or {}),
+        },
+        **sections,
+    }
+    if statuses is not None:
+        doc["qualitative"] = {"degree_window": [0, 2], "statuses": statuses}
+    return doc
+
+
 def _burniat_document():
-    degrees = [3, 3, 2, 2, 2, 0]
     statuses = []
     # no Ext^1 between distinct bundles of the collection
     for i in range(1, 7):
@@ -54,23 +83,11 @@ def _burniat_document():
     # H^1 of the anticanonical bundle vanishes
     for i in range(1, 7):
         statuses.append({"src": i, "dst": 6 + i, "deg": 1, "status": "ZERO"})
-    return {
-        "n": 6,
-        "dim_x": 2,
-        "field": "Q",
-        "objects": [
-            {"label": f"L{i + 1}", "canonical_degree": d}
-            for i, d in enumerate(degrees)
-        ],
-        "qualitative": {"degree_window": [0, 2], "statuses": statuses},
-        "flags": {
-            "is_surface": True,
-            "ample_canonical": True,
-            "line_bundles": True,
-            "h2_anticanonical_nonzero": True,
-            "k_squared": 6,
-        },
-        "metadata": {
+    return _surface_document(
+        [3, 3, 2, 2, 2, 0],
+        6,
+        statuses,
+        metadata={
             "name": "burniat",
             "assumptions": [
                 {
@@ -94,33 +111,20 @@ def _burniat_document():
                 },
             ],
         },
-    }
+    )
 
 
 def _beauville_i1_document():
-    degrees = [0, -2, -2, -4]
     statuses = []
     # no Ext^1 from any object to any anticanonical twist
     for u in range(1, 5):
         for v in range(1, 5):
             statuses.append({"src": u, "dst": 4 + v, "deg": 1, "status": "ZERO"})
-    return {
-        "n": 4,
-        "dim_x": 2,
-        "field": "Q",
-        "objects": [
-            {"label": f"L{i + 1}", "canonical_degree": d}
-            for i, d in enumerate(degrees)
-        ],
-        "qualitative": {"degree_window": [0, 2], "statuses": statuses},
-        "flags": {
-            "is_surface": True,
-            "ample_canonical": True,
-            "line_bundles": True,
-            "h2_anticanonical_nonzero": True,
-            "k_squared": 8,
-        },
-        "metadata": {
+    return _surface_document(
+        [0, -2, -2, -4],
+        8,
+        statuses,
+        metadata={
             "name": "beauville_I1",
             "assumptions": [
                 {
@@ -136,11 +140,10 @@ def _beauville_i1_document():
                 },
             ],
         },
-    }
+    )
 
 
 def _beauville_i0_document():
-    degrees = [0, -2, -4, -6]
     ext = [
         {"src": 1, "dst": 2, "deg": 1, "dim": 1},
         {"src": 2, "dst": 3, "deg": 1, "dim": 1},
@@ -190,27 +193,15 @@ def _beauville_i0_document():
         {"src": 3, "dst": 4, "deg": 1, "status": "NONZERO"},
         {"src": 4, "dst": 5, "deg": 1, "status": "NONZERO"},
     ]
-    return {
-        "n": 4,
-        "dim_x": 2,
-        "field": "Q",
-        "objects": [
-            {"label": f"L{i + 1}", "canonical_degree": d}
-            for i, d in enumerate(degrees)
-        ],
-        "ext": ext,
-        "serre_ext": serre_ext,
-        "products": products,
-        "qualitative": {"degree_window": [0, 2], "statuses": statuses},
-        "flags": {
-            "is_surface": True,
-            "ample_canonical": True,
-            "line_bundles": True,
-            "h2_anticanonical_nonzero": True,
-            "k_squared": 8,
-            "higher_products_complete": False,
-        },
-        "metadata": {
+    return _surface_document(
+        [0, -2, -4, -6],
+        8,
+        statuses,
+        flags={"higher_products_complete": False},
+        ext=ext,
+        serre_ext=serre_ext,
+        products=products,
+        metadata={
             "name": "beauville_I0",
             "assumptions": [
                 {
@@ -236,25 +227,20 @@ def _beauville_i0_document():
                 },
             ],
         },
-    }
+    )
 
 
 def _godeaux_document():
-    degrees = [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0]
     serre_ext = [
         {"twist_src": i, "from": i, "deg": 4, "dim": 2} for i in range(1, 12)
     ] + [{"twist_src": 2, "from": 3, "deg": 4, "dim": 2}]
-    return {
-        "n": 11,
-        "dim_x": 2,
-        "field": "Q",
-        "objects": [
-            {"label": f"L{i + 1}", "canonical_degree": d}
-            for i, d in enumerate(degrees)
-        ],
-        "ext": [{"src": 2, "dst": 3, "deg": 0, "dim": 1}],
-        "serre_ext": serre_ext,
-        "products": [
+    return _surface_document(
+        [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0],
+        1,
+        flags={"higher_products_complete": False},
+        ext=[{"src": 2, "dst": 3, "deg": 0, "dim": 1}],
+        serre_ext=serre_ext,
+        products=[
             {
                 "kind": "AN",
                 "twist_src": 2,
@@ -263,15 +249,7 @@ def _godeaux_document():
                 "entries": [[0, 0, 0, "1"], [0, 1, 1, "1"]],
             }
         ],
-        "flags": {
-            "is_surface": True,
-            "ample_canonical": True,
-            "line_bundles": True,
-            "h2_anticanonical_nonzero": True,
-            "k_squared": 1,
-            "higher_products_complete": False,
-        },
-        "metadata": {
+        metadata={
             "name": "godeaux",
             "assumptions": [
                 {
@@ -308,48 +286,26 @@ def _godeaux_document():
                 },
             ],
         },
-    }
+    )
 
 
 def _monomials(nvars, degree):
     """Exponent tuples of the degree-d monomials, x_1-major order."""
-    if degree == 0:
-        return [(0,) * nvars]
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, nvars)
-    return out
-
-
-def _monomial_index(nvars):
-    cache = {}
-
-    def index(degree, expo):
-        if degree not in cache:
-            cache[degree] = {m: k for k, m in enumerate(_monomials(nvars, degree))}
-        return cache[degree][expo]
-
-    return index
+    return [
+        tuple(c.count(v) for v in range(nvars))
+        for c in itertools.combinations_with_replacement(range(nvars), degree)
+    ]
 
 
 def _multiply_table(nvars, deg_a, deg_b):
     """Structure constants of S^a V (x) S^b V -> S^{a+b} V on monomials."""
-    idx = _monomial_index(nvars)
-    table = {}
-    mons_a = _monomials(nvars, deg_a)
+    index = {m: k for k, m in enumerate(_monomials(nvars, deg_a + deg_b))}
     mons_b = _monomials(nvars, deg_b)
-    for ia, ma in enumerate(mons_a):
-        for ib, mb in enumerate(mons_b):
-            prod = tuple(x + y for x, y in zip(ma, mb))
-            table[(ia, ib)] = {idx(deg_a + deg_b, prod): 1}
-    return table
+    return {
+        (ia, ib): {index[tuple(x + y for x, y in zip(ma, mb))]: 1}
+        for ia, ma in enumerate(_monomials(nvars, deg_a))
+        for ib, mb in enumerate(mons_b)
+    }
 
 
 def beilinson_fixture(n):
@@ -401,30 +357,14 @@ def beilinson_fixture(n):
     return spec, pairing, xi
 
 
-def _permutation_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def antisymmetrizer_line(nvars):
     """The fully antisymmetric tensor in V^(x)n coordinates (oracle helper)."""
     stride = [nvars ** (nvars - 1 - i) for i in range(nvars)]
     vec = {}
     for perm in itertools.permutations(range(nvars)):
         idx = sum(perm[i] * stride[i] for i in range(nvars))
-        vec[idx] = _permutation_sign(perm)
+        # the sign of a permutation is the parity of its inversions
+        vec[idx] = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
     return vec
 
 
@@ -442,10 +382,6 @@ _BUILDERS = {
     "godeaux": _godeaux_document,
     "point": _point_document,
 }
-
-
-def fixture_list():
-    return list(FIXTURE_NAMES)
 
 
 def fixture_document(name):

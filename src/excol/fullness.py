@@ -38,7 +38,7 @@ def not_full_check(h):
     return None
 
 
-def _cochain_vector(cx, cochain, expect_t=None, expect_p=None):
+def _cochain_vector(cx, cochain, expect_t=None):
     """Embed a cochain into total-complex coordinates, checking bidegree."""
     vec = {}
     fld = cx.field
@@ -63,10 +63,8 @@ def _cochain_vector(cx, cochain, expect_t=None, expect_p=None):
         raise SpecError(f"cochain mixes chain lengths {sorted(seen_p)}")
     if expect_t is not None and seen_t - {expect_t}:
         raise SpecError(f"cochain has total degrees {sorted(seen_t)}, want {expect_t}")
-    if expect_p is not None and seen_p - {expect_p}:
-        raise SpecError(f"cochain spreads over chain lengths {sorted(seen_p)}")
     t = next(iter(seen_t)) if seen_t else expect_t
-    return vec, t, (max(seen_p) if seen_p else expect_p)
+    return vec, t, next(iter(seen_p), None)
 
 
 def full_check(spec, xi=None, pairing=None, cx=None):

@@ -64,7 +64,7 @@ class HeightReport(Record):
     def __init__(
         self, ph, ph_ac, height, height_ac, used_shortcut, iso_range, mono_degree,
         deformation_equivalent, nhh_dims=None, hoh_x_dims=None, hoh_a_dims=None,
-        ph_bounds=None, witness=None,
+        witness=None,
     ):
         self.ph = ph  # None unless pinned
         self.ph_ac = ph_ac
@@ -78,7 +78,6 @@ class HeightReport(Record):
         self.nhh_dims = nhh_dims
         self.hoh_x_dims = hoh_x_dims
         self.hoh_a_dims = hoh_a_dims
-        self.ph_bounds = ph_bounds  # pseudoheight.PhBounds
         self.witness = witness
 
 
@@ -194,7 +193,6 @@ class Analysis:
             ph_ac=self.ph_ac,
             used_shortcut=shortcut if self.spec.is_exact else "qualitative",
             witness=self.bounds.witness_chain,
-            ph_bounds=self.bounds,
         )
 
     @cached_property

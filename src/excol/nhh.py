@@ -21,11 +21,13 @@ built, and a failure names the relation's window.
 Total degree is t = q - p.  The decreasing column filtration by -p gives the
 spectral sequence; its page-r differential is exactly the arity-(r+1) part.
 Every page comes from one filtered column reduction of each d_t, cached on
-the complex: with the coordinates ordered by (-mp, index), each pivot pairs
-a coordinate of T^t with one of T^{t+1} across a gap g = mp(row) - mp(col),
-the pair lives on the pages E_1 .. E_g, and the unpaired coordinates are
-the limit page and the cohomology (the persistence pairing of the
-filtration, as in Edelsbrunner-Harer, Computational Topology, ch. VII).
+the complex.  Each T^t is laid out in filtration order (mp never increases
+along its coordinates), so the reduction reads d_t as assembled.  Each
+pivot pairs a coordinate of T^t with one of T^{t+1} across a gap
+g = mp(row) - mp(col), the pair lives on the pages E_1 .. E_g, and the
+unpaired coordinates are the limit page and the cohomology (the persistence
+pairing of the filtration, as in Edelsbrunner-Harer, Computational
+Topology, ch. VII).
 The d_t are reduced in increasing t, with clearing (`FilteredReduction`);
 survivor bases are read off a reduction of every column, on demand.
 
@@ -116,7 +118,12 @@ def _block_entries(spec, block, placement, fld):
 
 
 class NormalComplex:
-    """The assembled total complex, graded by total degree."""
+    """The assembled total complex, graded by total degree.
+
+    Each T^t is laid out in filtration order: by_t[t] is sorted by
+    (p, chain, degs) and the terms take consecutive coordinates in that
+    order, so mp never increases along T^t.  The reduction relies on it.
+    """
 
     def __init__(
         self, spec, fld, terms, term_lookup, by_t, offsets, t_dims, diffs, blocks
@@ -146,11 +153,7 @@ class NormalComplex:
         """For each coordinate of T^t, the column index -p it belongs to."""
         got = self._mp_cache.get(t)
         if got is None:
-            got = [0] * self.t_dims.get(t, 0)
-            for term in self.by_t.get(t, ()):
-                off = self.term_offset(term)
-                for i in range(term.dim):
-                    got[off + i] = term.mp
+            got = [tm.mp for tm in self.by_t.get(t, ()) for _ in range(tm.dim)]
             self._mp_cache[t] = got
         return got
 
@@ -187,7 +190,7 @@ def assemble_differential(spec, check=True):
     offsets = {}
     t_dims = {}
     for t, tms in by_t.items():
-        tms.sort(key=lambda tm: (tm.mp, tm.chain, tm.degs))
+        tms.sort(key=lambda tm: (tm.p, tm.chain, tm.degs))  # filtration order
         off = 0
         for tm in tms:
             offsets[(tm.chain, tm.degs)] = off
@@ -229,35 +232,27 @@ def total_cohomology(cx):
 # -- the filtered reduction ----------------------------------------------------
 
 
-def _filtration_order(cx, t):
-    """Coordinates of T^t sorted by (-mp, index): deepest filtration first."""
-    mps = cx.coordinate_mp(t)
-    return sorted(range(len(mps)), key=lambda i: (-mps[i], i))
-
-
 def _reduce(cx, t, track=False, cleared=()):
     """Column-reduce d_t : T^t -> T^{t+1} in filtration order.
 
-    Columns are visited in the order (-mp, index) and only earlier columns
-    are added to later ones.  The pivot ("low") of a column is its nonzero
-    row of minimal mp, the largest index breaking ties.  Returns
-    {col: (low row, reduced column normalized at its low)} over the nonzero
-    reduced columns and {col: cocycle} over the zero ones, the cocycle
-    being the column's vector after the additions; unless track is set,
-    the reduced columns are None and no cocycle is kept.  The columns in
-    `cleared` are known to reduce to zero and are not visited.
+    The coordinates are in filtration order (see `NormalComplex`), so the
+    columns are visited by index and only earlier columns are added to
+    later ones; the pivot ("low") of a column is its last nonzero row.
+    Returns {col: (low row, reduced column normalized at its low)} over the
+    nonzero reduced columns and {col: cocycle} over the zero ones, the
+    cocycle being the column's vector after the additions; unless track is
+    set, no cocycle is kept.  The columns in `cleared` are known to reduce
+    to zero and are not visited.
     """
     f = cx.field
-    rows = _filtration_order(cx, t + 1)
-    pos = {r: k for k, r in enumerate(rows)}
     work = {}
     for (r, c), v in cx.differential(t).entries.items():
         if c not in cleared:
-            work.setdefault(c, {})[pos[r]] = v
-    by_low = {}  # row position -> (reduced column, its cochain)
+            work.setdefault(c, {})[r] = v
+    by_low = {}  # low row -> (reduced column, its cochain)
     pivots = {}
     cycles = {}
-    for c in _filtration_order(cx, t):
+    for c in range(cx.t_dims.get(t, 0)):
         if c in cleared:
             continue
         col = work.get(c, {})
@@ -275,7 +270,7 @@ def _reduce(cx, t, track=False, cleared=()):
             if track:
                 chain = {k: f.mul(scale, v) for k, v in chain.items()}
             by_low[low] = (col, chain)
-            pivots[c] = (rows[low], {rows[k]: v for k, v in col.items()} if track else None)
+            pivots[c] = (low, col)
         elif track:
             cycles[c] = chain
     return pivots, cycles
@@ -343,8 +338,8 @@ class SpectralSequencePages:
         cycles = self._reduced[t][1]
         z = [v for c, v in cycles.items() if mps[c] >= mp]
         b = [v for c, v in cycles.items() if mps[c] > mp] + [
-            col for _, col in self._reduced[t - 1][0].values()
-            if all(mps[k] >= mp for k in col)
+            col for low, col in self._reduced[t - 1][0].values()
+            if mps[low] >= mp
         ]
         dim = cx.t_dims[t]
         return Subspace(dim, z, cx.field), Subspace(dim, b, cx.field)

@@ -215,7 +215,7 @@ class PhBounds(namedtuple("PhBounds", "lower upper witness_chain", defaults=(Non
         return None if self.ph_ac is None else self.ph_ac + dim_x
 
 
-def effective_table(spec, table=None):
+def effective_table(spec):
     """Merge explicit statuses, degree deductions, induced exact facts.
 
     Exact dims induce pinned statuses (in anticanonical degrees); explicit
@@ -224,8 +224,7 @@ def effective_table(spec, table=None):
     applied when the flags make them available.  Deductions are monotone:
     nothing is ever retracted.
     """
-    if table is None:
-        table = spec.qualitative
+    table = spec.qualitative
     if table is None:
         table = QualitativeExtTable(spec.n, {}, None)
     updates = {}
@@ -243,7 +242,7 @@ def effective_table(spec, table=None):
     return table.merged_with(updates)
 
 
-def _link_intervals(spec, table):
+def _link_intervals(spec):
     """se-intervals of the A links and of the twisted links, anticanonically.
 
     Exact dims pin every interval; the twisted link is shifted by dim_x.
@@ -257,7 +256,7 @@ def _link_intervals(spec, table):
             {pair: pinned(dims) for pair, dims in spec.a_dims.items()},
             {pair: pinned(dims, spec.dim_x) for pair, dims in spec.n_dims.items()},
         )
-    table = effective_table(spec, table)
+    table = effective_table(spec)
     pairs = list(itertools.combinations_with_replacement(range(1, spec.n + 1), 2))
     return (
         {(i, j): table.se_interval(i, j) for i, j in pairs if i < j},
@@ -279,14 +278,14 @@ def _add_intervals(u, v):
     return (u[0] + v[0], u[1] + v[1])
 
 
-def qualitative_ph_bounds(spec, table=None):
+def qualitative_ph_bounds(spec):
     """Anticanonical pseudoheight interval: the one walk over the chains.
 
     The witness chain attains the upper bound; length-0 witnesses are
     preferred so the height shortcut can fire on a pinned interval.  Exact
     data gives a pinned interval (or [inf, inf] when every chain is dead).
     """
-    a_iv, n_iv = _link_intervals(spec, table)
+    a_iv, n_iv = _link_intervals(spec)
     lower = INF
     upper = INF
     witness = None
@@ -339,14 +338,14 @@ def link_status(spec, table, kind, i, j, deg):
     return table.status(j, spec.n + i, deg)
 
 
-def cyclically_ext1_connected(spec, table=None):
+def cyclically_ext1_connected(spec):
     """Three-valued: is some chain linked by nonzero Ext^1 all around?
 
     Returns (True, witness) when a chain has every link NONZERO in degree 1,
     (False, None) when every chain has a link ZERO in degree 1, and
     (None, None) otherwise.
     """
-    table = effective_table(spec, table)
+    table = effective_table(spec)
 
     def link(kind):
         def nonzero(i, j):  # None if ZERO, else whether surely NONZERO

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from excol import cli, exactlin, fixtures, model, nhh
+from excol import FIXTURE_NAMES, cli, exactlin, fixtures, model, nhh
 from excol.cli import main
 
 
@@ -30,7 +30,7 @@ def test_json_output_is_byte_identical(capsys):
 
 
 def test_validate_all_fixtures(capsys):
-    for name in fixtures.fixture_list():
+    for name in FIXTURE_NAMES:
         code, out, _ = run(capsys, "validate", name)
         assert code == 0, (name, out)
 
@@ -39,7 +39,7 @@ def test_fixture_list(capsys):
     code, out, _ = run(capsys, "fixture", "--list")
     assert code == 0
     names = out.split()
-    assert names == fixtures.fixture_list()
+    assert names == list(FIXTURE_NAMES)
     assert {"burniat", "beauville_I0", "beauville_I1", "point"} <= set(names)
 
 
@@ -193,7 +193,7 @@ def test_env_fixture_directory(tmp_path, capsys, monkeypatch):
 
 def test_shipped_fixture_files_match_registry():
     root = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-    for name in fixtures.fixture_list():
+    for name in FIXTURE_NAMES:
         path = os.path.join(root, f"{name}.json")
         assert os.path.isfile(path), f"missing shipped fixture {path}"
         with open(path, encoding="utf-8") as fh:
@@ -348,7 +348,7 @@ def test_options_anywhere(capsys, argv):
 
 def test_fixture_list_with_a_name(capsys):
     code, out, _ = run(capsys, "fixture", "--list", "point")
-    assert code == 0 and out.split() == fixtures.fixture_list()
+    assert code == 0 and out.split() == list(FIXTURE_NAMES)
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])
@@ -397,4 +397,4 @@ def test_usage_error(capsys, argv, message):
 def test_main_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["excol", "fixture", "--list"])
     assert main() == 0
-    assert capsys.readouterr().out.split() == fixtures.fixture_list()
+    assert capsys.readouterr().out.split() == list(FIXTURE_NAMES)

@@ -19,7 +19,7 @@ import sys
 
 import pytest
 
-from excol import fixtures
+from excol import FIXTURE_NAMES
 from excol.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -38,7 +38,7 @@ EXTRA = [
 
 def command_lines():
     out = []
-    for name in fixtures.fixture_list():
+    for name in FIXTURE_NAMES:
         for cmd, *flags in [[c] for c in COMMANDS] + EXTRA:
             for as_json in ([], ["--json"]):
                 out.append([cmd, name, *flags, *as_json])

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from excol import fixtures
+from excol import FIXTURE_NAMES, fixtures
 from excol.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,7 +86,7 @@ def test_interpreter_teardown_is_skipped():
     proc = subprocess.run([sys.executable, "-c", hook, "fixture", "--list"],
                           capture_output=True, text=True, env=_env(), cwd=ROOT, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout.split() == fixtures.fixture_list()
+    assert proc.stdout.split() == list(FIXTURE_NAMES)
     assert "teardown ran" not in proc.stdout + proc.stderr
 
 

@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from excol import fixtures
+from excol import FIXTURE_NAMES, fixtures
 from excol.exactlin import Matrix, Subspace, kernel_basis
 from excol.fixtures import antisymmetrizer_line, beilinson_fixture
 from excol.fullness import FULL, INCONCLUSIVE, NOT_FULL, full_check, not_full_check
@@ -189,7 +189,7 @@ def test_point_certificate():
 
 
 def test_verdicts_are_mutually_exclusive_on_fixtures():
-    for name in fixtures.fixture_list():
+    for name in FIXTURE_NAMES:
         spec = fixtures.fixture_spec(name)
         h, _ = height(spec)
         not_full = not_full_check(h)

@@ -18,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from excol import fixtures, model  # noqa: E402
+from excol import FIXTURE_NAMES, fixtures, model  # noqa: E402
 from excol.cli import main  # noqa: E402
 
 # the CLI runs on the small fixtures only, so that no corruption is costly
@@ -43,7 +43,7 @@ def _keys(node, out):
     return out
 
 
-DOCS = {name: fixtures.fixture_document(name) for name in fixtures.fixture_list()}
+DOCS = {name: fixtures.fixture_document(name) for name in FIXTURE_NAMES}
 KEYS = sorted(set().union(*(_keys(doc, set()) for doc in DOCS.values())))
 
 WORDS = ["Q", "F4", "F7", "F\u00b2", "F1000000000000000001", "1/0", "x",

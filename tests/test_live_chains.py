@@ -57,8 +57,8 @@ def brute_terms(spec):
     return terms
 
 
-def brute_bounds(spec, table=None):
-    a_iv, n_iv = _link_intervals(spec, table)
+def brute_bounds(spec):
+    a_iv, n_iv = _link_intervals(spec)
     dead = (INF, INF)
     lower = upper = INF
     witness = None
@@ -92,8 +92,8 @@ def chain_links(chain):
     yield ("N", chain[0], chain[-1])
 
 
-def brute_cyclic(spec, table=None):
-    table = effective_table(spec, table)
+def brute_cyclic(spec):
+    table = effective_table(spec)
     unknown = False
     for chain in iter_chains(spec.n):
         statuses = [link_status(spec, table, k, i, j, 1) for k, i, j in chain_links(chain)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from excol import fixtures, model
+from excol import FIXTURE_NAMES, fixtures, model
 from excol import products as pr
 from excol.heights import Height
 from excol.model import (
@@ -206,7 +206,7 @@ def test_height_and_chain_term_are_immutable(record, name):
         record.extra = 5
 
 
-@pytest.mark.parametrize("name", fixtures.fixture_list())
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_round_trip(name):
     spec = fixtures.fixture_spec(name)
     text = serialize(spec)
@@ -339,7 +339,7 @@ def test_duplicate_degree_rejected():
 
 
 def test_validate_fixture_corpus_all_green():
-    for name in fixtures.fixture_list():
+    for name in FIXTURE_NAMES:
         report = validate(fixtures.fixture_spec(name))
         assert report.ok, (name, [c.detail for c in report.failures()])
 

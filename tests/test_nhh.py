@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 from math import comb
@@ -7,10 +8,10 @@ import pytest
 
 import _specgen
 from _matrices import rank
-from excol import fixtures
+from excol import FIXTURE_NAMES, fixtures
 from excol import products as pr
 from excol.fields import ExactLinError
-from excol.model import CollectionSpec, SpecError
+from excol.model import CollectionSpec, SpecError, parse
 from excol.nhh import (
     DifferentialError,
     assemble_differential,
@@ -395,3 +396,40 @@ def test_a_coefficient_zero_in_the_field_leaves_no_entry():
         assert mat.entries == kept
         dropped += len(over_q.diffs[t].entries) - len(kept)
     assert dropped > 0
+
+
+def _layout_specs():
+    """Every exact fixture, the two data documents and 100 random specs."""
+    for name in FIXTURE_NAMES:
+        spec = fixtures.fixture_spec(name)
+        if spec.is_exact:
+            yield name, spec
+    for name in ("arity3.json", "sparse15.json"):
+        path = os.path.join(os.path.dirname(__file__), "data", name)
+        with open(path, encoding="utf-8") as fh:
+            yield name, parse(fh.read())
+    rng = random.Random(3)
+    for k in range(100):
+        yield f"draw {k}", _specgen.random_spec(rng)
+
+
+def test_coordinates_are_laid_out_in_filtration_order():
+    """mp never increases along T^t, and each term's coordinates carry its mp.
+
+    The reduction visits columns and reads pivots by index, so this layout
+    is what makes it a filtered reduction.
+    """
+    drops = 0
+    for label, spec in _layout_specs():
+        cx = assemble_differential(spec)
+        for t, terms in cx.by_t.items():
+            mps = cx.coordinate_mp(t)
+            assert len(mps) == cx.t_dims[t], (label, t)
+            assert all(a >= b for a, b in zip(mps, mps[1:])), (label, t)
+            drops += sum(a > b for a, b in zip(mps, mps[1:]))
+            for tm in terms:
+                off = cx.term_offset(tm)
+                assert [mps[off + i] for i in range(tm.dim)] == [tm.mp] * tm.dim, (label, tm)
+    # the projective and random specs have one column per T^t (their degrees
+    # telescope); beauville_I0 and sparse15 have T^t spanning several
+    assert drops >= 6

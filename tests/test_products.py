@@ -14,14 +14,14 @@ import random
 import pytest
 
 import _specgen
-from excol import fixtures, model, nhh
+from excol import FIXTURE_NAMES, fixtures, model, nhh
 from excol import products as pr
 
 ARITY3 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "arity3.json")
 
 
 def _specs():
-    for name in fixtures.fixture_list():
+    for name in FIXTURE_NAMES:
         yield fixtures.fixture_spec(name)
     rng = random.Random(11)
     for _ in range(200):

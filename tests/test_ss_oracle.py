@@ -69,7 +69,7 @@ def _planted_complex(rng):
     filtration-preserving changes of basis then hide the pairs.  Returns
     the complex and the planted (t, a, b) multiset.
     """
-    levels = range(-3, 1)
+    levels = range(0, -4, -1)  # filtration order: mp never increases
     terms, by_t, offsets, t_dims, mps = [], {}, {}, {}, {}
     for t in range(3):
         off = 0

@@ -9,7 +9,7 @@ import pytest
 
 # every module that imports a counted function by name is loaded before the
 # counters go in, so that its copy of the name is swapped as well
-from excol import fixtures, fullness, heights, nhh  # noqa: F401
+from excol import FIXTURE_NAMES, fixtures, fullness, heights, nhh  # noqa: F401
 from excol import pseudoheight as ph_module
 from excol.cli import main
 
@@ -61,7 +61,7 @@ def counts(monkeypatch):
 
 
 @pytest.mark.parametrize("cmd", COMMANDS)
-@pytest.mark.parametrize("name", fixtures.fixture_list())
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_each_stage_runs_at_most_once(counts, cmd, name):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
