@@ -119,7 +119,7 @@ def axpy(fld, x, a, y):
             x[k] = s
 
 
-def _rref_rows(rows, ncols, field):
+def _rref_rows(rows, field):
     """Reduced row echelon form on a list of sparse row dicts, in place-ish.
 
     Returns (reduced rows with zero rows dropped, pivot column list).
@@ -153,7 +153,7 @@ def _rref_rows(rows, ncols, field):
 
 def rref(m):
     """Reduced row echelon form of a Matrix."""
-    rows, pivots = _rref_rows(m.row_dicts(), m.cols, m.field)
+    rows, pivots = _rref_rows(m.row_dicts(), m.field)
     out = Matrix(m.rows, m.cols, None, m.field)
     for r, row in enumerate(rows):
         for c, v in row.items():
@@ -192,7 +192,7 @@ class Subspace:
     def __init__(self, ambient_dim, basis, field=QQ):
         self.ambient_dim = ambient_dim
         self.field = field
-        rows, pivots = _rref_rows(basis, ambient_dim, field)
+        rows, pivots = _rref_rows(basis, field)
         for row in rows:
             if row and max(row) >= ambient_dim:
                 raise ExactLinError("vector exceeds ambient dimension")

@@ -48,10 +48,6 @@ class RationalField:
         c = a + b
         return c if c.__class__ is int else _integral(c)
 
-    def sub(self, a, b):
-        c = a - b
-        return c if c.__class__ is int else _integral(c)
-
     def mul(self, a, b):
         c = a * b
         return c if c.__class__ is int else _integral(c)
@@ -127,9 +123,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

@@ -6,7 +6,9 @@ Conversely a degree-0 cocycle xi of the normal complex whose evaluation
 pairing against the canonical degree-0 map out of the Serre twist of some
 object is nonzero certifies fullness.  The pairing is the arity p+2 product
 against that canonical generator; it is part of the input, since computing
-it amounts to knowing the higher product structure at that arity.
+it amounts to knowing the higher product structure at that arity.  The
+candidate's survival and the pairing's vanishing on coboundaries are both
+read off the complex's one filtered reduction (`nhh.FilteredReduction`).
 
 For the standard collection O, O(1), ..., O(n-1) on projective (n-1)-space
 everything is explicit: the degree-0 page is cut out of n-fold tensors of
@@ -67,6 +69,16 @@ def _cochain_vector(cx, cochain, expect_t=None):
     return vec, t, next(iter(seen_p), None)
 
 
+def _dot(fld, u, v):
+    """The sum of u[k] * v[k] over the coordinates of two sparse vectors."""
+    total = fld.zero
+    for k, a in u.items():
+        b = v.get(k)
+        if b is not None:
+            total = fld.add(total, fld.mul(a, b))
+    return total
+
+
 def full_check(spec, xi=None, pairing=None, cx=None):
     """Fullness certificate from a degree-0 cocycle and evaluation pairing.
 
@@ -74,10 +86,10 @@ def full_check(spec, xi=None, pairing=None, cx=None):
     that every differential block vanishes on it, and that some per-object
     pairing evaluates to a nonzero scalar.  A pairing must be a functional
     on T^0 that vanishes on coboundaries, so its value depends only on the
-    class of xi.
+    class of xi; it is checked against the reduced columns of d_{-1}, the
+    basis of the coboundaries that the complex's filtered reduction keeps.
     """
-    # here, not at the top: a qualitative verdict needs neither
-    from .exactlin import Matrix
+    # here, not at the top: a qualitative verdict needs no complex
     from .nhh import assemble_differential, spectral_sequence
     if xi is None or pairing is None:
         data = spec.fullness_data
@@ -113,7 +125,7 @@ def full_check(spec, xi=None, pairing=None, cx=None):
             INCONCLUSIVE, "candidate is not a cocycle of the assembled differential"
         )
 
-    d_in = cx.differential(-1)
+    coboundaries = cx.reduction().image.get(-1, {}).values()
     for i, functional in sorted(pairing.items()):
         for chain, _, _ in functional.terms:
             if chain[0] != i:
@@ -121,14 +133,9 @@ def full_check(spec, xi=None, pairing=None, cx=None):
                     f"pairing for object {i} names a chain starting at {chain[0]}"
                 )
         fvec, _, _ = _cochain_vector(cx, functional, expect_t=0)
-        row = Matrix(1, d_in.rows, {(0, c): v for c, v in fvec.items()}, fld)
-        if not row.compose(d_in).is_zero():
+        if any(not fld.is_zero(_dot(fld, fvec, b)) for b in coboundaries):
             raise SpecError(f"pairing for object {i} does not vanish on coboundaries")
-        total = fld.zero
-        for coord, val in vec.items():
-            fval = fvec.get(coord)
-            if fval is not None:
-                total = fld.add(total, fld.mul(val, fval))
+        total = _dot(fld, vec, fvec)
         if not fld.is_zero(total):
             return FullnessVerdict(
                 FULL,

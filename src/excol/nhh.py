@@ -20,16 +20,18 @@ built, and a failure names the relation's window.
 
 Total degree is t = q - p.  The decreasing column filtration by -p gives the
 spectral sequence; its page-r differential is exactly the arity-(r+1) part.
-Every page comes from one filtered column reduction of each d_t, cached on
-the complex.  Each T^t is laid out in filtration order (mp never increases
-along its coordinates), so the reduction reads d_t as assembled.  Each
-pivot pairs a coordinate of T^t with one of T^{t+1} across a gap
-g = mp(row) - mp(col), the pair lives on the pages E_1 .. E_g, and the
-unpaired coordinates are the limit page and the cohomology (the persistence
-pairing of the filtration, as in Edelsbrunner-Harer, Computational
-Topology, ch. VII).
-The d_t are reduced in increasing t, with clearing (`FilteredReduction`);
-survivor bases are read off a reduction of every column, on demand.
+The cohomology, every page, the limit page, the survivors and the
+coboundaries that the fullness pairing must vanish on all come from one
+filtered column reduction of each d_t, cached on the complex.  Each T^t is
+laid out in filtration order (mp never increases along its coordinates), so
+the reduction reads d_t as assembled.  Each pivot pairs a coordinate of T^t
+with one of T^{t+1} across a gap g = mp(row) - mp(col), the pair lives on
+the pages E_1 .. E_g, and the unpaired coordinates are the limit page and
+the cohomology (the persistence pairing of the filtration, as in
+Edelsbrunner-Harer, Computational Topology, ch. VII).  The d_t are reduced
+in increasing t, with clearing, keeping a cochain per column
+(`FilteredReduction`): the reduced columns span the image, and the cochains
+of the unpaired coordinates complete them to a basis of the kernel.
 
 `perfbench/tracing.py` wraps functions here by name, the re-exported
 first-page ones too, and reads `diffs[t].entries`: the README lists what a
@@ -125,18 +127,14 @@ class NormalComplex:
     order, so mp never increases along T^t.  The reduction relies on it.
     """
 
-    def __init__(
-        self, spec, fld, terms, term_lookup, by_t, offsets, t_dims, diffs, blocks
-    ):
+    def __init__(self, spec, fld, term_lookup, by_t, offsets, t_dims, diffs):
         self.spec = spec
         self.field = fld
-        self.terms = terms
         self.term_lookup = term_lookup  # (chain, degs) -> ChainTerm
         self.by_t = by_t
         self.offsets = offsets
         self.t_dims = t_dims
         self.diffs = diffs  # t -> Matrix from T^t to T^{t+1}
-        self.blocks = blocks
         self._mp_cache = {}
         self._reduction = None
 
@@ -197,11 +195,9 @@ def assemble_differential(spec, check=True):
             off += tm.dim
         t_dims[t] = off
     sums = {}  # t -> {(row, col): field element}, summed as the blocks arrive
-    all_blocks = []
     for tm in terms if tables else ():
         src_off = offsets[(tm.chain, tm.degs)]
         for block, placement in _term_blocks(spec, tm, term_lookup):
-            all_blocks.append(block)
             acc = sums.setdefault(tm.t, {})
             tgt_off = offsets[(block.target.chain, block.target.degs)]
             for ti, si, coeff in _block_entries(spec, block, placement, fld):
@@ -215,65 +211,57 @@ def assemble_differential(spec, check=True):
             raise ExactLinError(f"index {bad} out of bounds")
         diffs[t] = Matrix.zero(rows, cols, fld)
         diffs[t].entries = {k: v for k, v in acc.items() if not fld.is_zero(v)}
-    return NormalComplex(
-        spec, fld, terms, term_lookup, by_t, offsets, t_dims, diffs, all_blocks
-    )
+    return NormalComplex(spec, fld, term_lookup, by_t, offsets, t_dims, diffs)
 
 
 def total_cohomology(cx):
     """dim ker/im of the total differential in every populated degree."""
-    pairs = cx.reduction().pairs
-    return {
-        t: dim - len(pairs.get(t, ())) - len(pairs.get(t - 1, ()))
-        for t, dim in sorted(cx.t_dims.items())
-    }
+    cycles = cx.reduction().cycles
+    return {t: len(cycles[t]) for t in sorted(cx.t_dims)}
 
 
 # -- the filtered reduction ----------------------------------------------------
 
 
-def _reduce(cx, t, track=False, cleared=()):
-    """Column-reduce d_t : T^t -> T^{t+1} in filtration order.
+def _reduce(cx, t, cleared=()):
+    """Column-reduce d_t : T^t -> T^{t+1} in filtration order, with cochains.
 
     The coordinates are in filtration order (see `NormalComplex`), so the
     columns are visited by index and only earlier columns are added to
     later ones; the pivot ("low") of a column is its last nonzero row.
-    Returns {col: (low row, reduced column normalized at its low)} over the
-    nonzero reduced columns and {col: cocycle} over the zero ones, the
-    cocycle being the column's vector after the additions; unless track is
-    set, no cocycle is kept.  The columns in `cleared` are known to reduce
-    to zero and are not visited.
+    Returns (pairs, image, cycles): pairs maps each column that reduces to
+    nonzero to its low row, image maps that low row to the reduced column
+    normalized at it (together a basis of im d_t), and cycles maps each
+    column that reduces to zero to its cocycle, the column's cochain after
+    the additions.  The columns in `cleared` are known to reduce to zero
+    and are not visited.
     """
     f = cx.field
     work = {}
     for (r, c), v in cx.differential(t).entries.items():
         if c not in cleared:
             work.setdefault(c, {})[r] = v
-    by_low = {}  # low row -> (reduced column, its cochain)
-    pivots = {}
-    cycles = {}
+    pairs, image, cycles = {}, {}, {}
+    chains = {}  # low row -> the cochain of its reduced column
     for c in range(cx.t_dims.get(t, 0)):
         if c in cleared:
             continue
         col = work.get(c, {})
-        chain = {c: f.one} if track else None
+        chain = {c: f.one}
         low = max(col, default=None)
-        while low in by_low:
+        while low in image:
             coef = f.neg(col[low])
-            axpy(f, col, coef, by_low[low][0])
-            if track:
-                axpy(f, chain, coef, by_low[low][1])
+            axpy(f, col, coef, image[low])
+            axpy(f, chain, coef, chains[low])
             low = max(col, default=None)
         if col:
             scale = f.inv(col[low])
-            col = {k: f.mul(scale, v) for k, v in col.items()}
-            if track:
-                chain = {k: f.mul(scale, v) for k, v in chain.items()}
-            by_low[low] = (col, chain)
-            pivots[c] = (low, col)
-        elif track:
+            image[low] = {k: f.mul(scale, v) for k, v in col.items()}
+            chains[low] = {k: f.mul(scale, v) for k, v in chain.items()}
+            pairs[c] = low
+        else:
             cycles[c] = chain
-    return pivots, cycles
+    return pairs, image, cycles
 
 
 class FilteredReduction:
@@ -282,21 +270,26 @@ class FilteredReduction:
     pairs[t] maps a column of T^t to its low row of T^{t+1}; gaps[t] maps
     every paired coordinate of T^t to g = mp(row) - mp(col) >= 1.  A paired
     coordinate lives on the pages E_1 .. E_g and is killed by d_g; an
-    unpaired one lives on every page, E_inf included.
+    unpaired one lives on every page, E_inf included.  image[t] maps each
+    low row to its reduced column, a basis of im d_t, and cycles[t] maps
+    each unpaired coordinate of T^t to its cocycle; together, cycles[t] and
+    image[t-1] are a basis of ker d_t with one low per vector, and a vector
+    lies in F^j exactly when its low's level is >= j.
 
-    The d_t are reduced in increasing t, with clearing (Chen and Kerber,
+    Every T^t is reduced, in increasing t, with clearing (Chen and Kerber,
     "Persistent homology computation with a twist", EuroCG 2011): the low
     row of a reduced column of d_{t-1} is a coboundary, so as a column of
-    d_t it reduces to zero and is skipped.
+    d_t it reduces to zero and is skipped; that reduced column is its
+    cocycle.
     """
 
     def __init__(self, cx):
-        self.pairs = {}
+        self.pairs, self.image, self.cycles = {}, {}, {}
         self.gaps = {t: {} for t in cx.t_dims}
-        for t in sorted(cx.diffs):
-            cleared = set(self.pairs.get(t - 1, {}).values())
-            pivots = _reduce(cx, t, cleared=cleared)[0]
-            self.pairs[t] = {c: r for c, (r, _) in pivots.items()}
+        for t in sorted(cx.t_dims):
+            self.pairs[t], self.image[t], self.cycles[t] = _reduce(
+                cx, t, cleared=self.image.get(t - 1, {})
+            )
             mp, mp_next = cx.coordinate_mp(t), cx.coordinate_mp(t + 1)
             for c, r in self.pairs[t].items():
                 self.gaps[t][c] = self.gaps[t + 1][r] = mp_next[r] - mp[c]
@@ -313,7 +306,6 @@ class SpectralSequencePages:
         self.infinity = infinity
         self.stable_page = stable_page
         self._cx = cx
-        self._reduced = {}  # t -> tracked reduction of d_t
 
     def page(self, r):
         top = max(self.pages)
@@ -323,26 +315,23 @@ class SpectralSequencePages:
         """Cocycle space and boundary space presenting E_inf at (mp, q).
 
         Z = ker d cap F^mp and B = (ker d cap F^{mp+1}) + (im d cap F^mp)
-        in T^t: ker d cap F^j is spanned by the cocycles of the zero columns
-        of d_t at levels >= j, im d cap F^mp by the reduced columns of
-        d_{t-1} lying in F^mp.
+        in T^t, read off the basis of ker d_t that the reduction keeps (the
+        cocycles of the unpaired coordinates and the reduced columns of
+        d_{t-1}), each vector filed at the level of its low.  Z is B plus
+        the cocycles at level mp, built on B's reduced basis.
         """
         if (mp, q) not in self.pages[1]:
             return None
         cx = self._cx
+        red = cx.reduction()
         t = mp + q
-        for s in (t - 1, t):
-            if s not in self._reduced:
-                self._reduced[s] = _reduce(cx, s, track=True)
         mps = cx.coordinate_mp(t)
-        cycles = self._reduced[t][1]
-        z = [v for c, v in cycles.items() if mps[c] >= mp]
-        b = [v for c, v in cycles.items() if mps[c] > mp] + [
-            col for low, col in self._reduced[t - 1][0].values()
-            if mps[low] >= mp
-        ]
-        dim = cx.t_dims[t]
-        return Subspace(dim, z, cx.field), Subspace(dim, b, cx.field)
+        cycles = red.cycles[t]
+        border = [col for low, col in red.image.get(t - 1, {}).items() if mps[low] >= mp]
+        border += [v for c, v in cycles.items() if mps[c] > mp]
+        b = Subspace(cx.t_dims[t], border, cx.field)
+        top = [v for c, v in cycles.items() if mps[c] == mp]
+        return Subspace(b.ambient_dim, b.basis + top, cx.field), b
 
 
 def spectral_sequence(cx, max_page=None):

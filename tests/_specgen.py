@@ -8,6 +8,14 @@ product is monomial multiplication truncated above a cutoff exponent.
 Truncation is an ideal (exponents only grow), so associativity and the
 module compatibilities hold for any draw; random diagonal rescalings of the
 bases then scramble the structure constants without breaking anything.
+
+On every chain the degrees telescope: the morphism factors sum to
+delta_{a_p} - delta_{a_0} and the twisted one adds delta_{a_0} + D -
+delta_{a_p}, so q = D (`d_shift` in `random_spec`) on each term.  Each T^t is then the one column
+mp = t - D, every pair has gap 1, and the draws exercise only d_1.  The
+later differentials d_r, r >= 2, are covered by the planted complexes of
+`test_ss_oracle._planted_complex` and by `tests/data/sparse15.json` and the
+`beauville_I0` fixture.
 """
 
 from fractions import Fraction

@@ -3,7 +3,7 @@
 `nhh.FilteredReduction` reduces d_t in increasing t and skips each column of
 d_t that is the low row of a reduced column of d_{t-1} (the twist of Chen and
 Kerber).  Such a column reduces to zero, so the pairs and gaps must equal
-those of `nhh._reduce` run on every column of every d_t.  Checked over Q and
+those of `nhh._reduce` run on every column of every T^t.  Checked over Q and
 F_1009 on the exact fixtures, the two data documents, random `_specgen`
 draws and the planted complexes of `test_ss_oracle`.
 """
@@ -28,8 +28,8 @@ PLANTED = 60
 
 
 def _uncleared(cx):
-    """(pairs, gaps) of a reduction that visits every column of every d_t."""
-    pairs = {t: {c: r for c, (r, _) in nhh._reduce(cx, t)[0].items()} for t in cx.diffs}
+    """(pairs, gaps) of a reduction that visits every column of every T^t."""
+    pairs = {t: nhh._reduce(cx, t)[0] for t in cx.t_dims}
     gaps = {t: {} for t in cx.t_dims}
     for t, got in pairs.items():
         mp, mp_next = cx.coordinate_mp(t), cx.coordinate_mp(t + 1)
@@ -90,9 +90,9 @@ def test_beilinson_p3_clears_columns(monkeypatch):
     skipped = []
     reduce_all = nhh._reduce
 
-    def spy(cx, t, track=False, cleared=()):
+    def spy(cx, t, cleared=()):
         skipped.extend(cleared)
-        return reduce_all(cx, t, track, cleared)
+        return reduce_all(cx, t, cleared)
 
     monkeypatch.setattr(nhh, "_reduce", spy)
     cx = nhh.assemble_differential(fixture_spec("beilinson_p3"))

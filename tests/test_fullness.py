@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+import _specgen
 from excol import FIXTURE_NAMES, fixtures
 from excol.exactlin import Matrix, Subspace, kernel_basis
 from excol.fixtures import antisymmetrizer_line, beilinson_fixture
@@ -240,3 +242,59 @@ def test_full_check_rejects_pairing_outside_degree_zero():
     pairing = {1: Cochain([((1, 2), (0, 0), {0: Fraction(1)})])}
     with pytest.raises(SpecError, match="want 0"):
         full_check(spec, xi=xi, pairing=pairing)
+
+
+def _as_cochain(cx, t, vec):
+    """A sparse vector of T^t as a Cochain over the terms it touches."""
+    out = []
+    for tm in cx.by_t[t]:
+        off = cx.term_offset(tm)
+        values = {i - off: v for i, v in vec.items() if off <= i < off + tm.dim}
+        if values:
+            out.append((tm.chain, tm.degs, values))
+    return Cochain(out)
+
+
+def _functionals(cx, i):
+    """Functionals on the T^0 coordinates of chains starting at object i:
+    each coordinate alone, and a basis of those vanishing on im d_{-1}."""
+    coords = [
+        cx.term_offset(tm) + k
+        for tm in cx.by_t[0] if tm.chain[0] == i for k in range(tm.dim)
+    ]
+    pos = {r: j for j, r in enumerate(coords)}
+    d_in = cx.differential(-1)
+    transpose = Matrix(d_in.cols, len(coords), {
+        (c, pos[r]): v for (r, c), v in d_in.entries.items() if r in pos
+    }, cx.field)
+    yield from ({k: Fraction(1)} for k in coords)
+    for vec in kernel_basis(transpose).basis:
+        yield {coords[j]: v for j, v in vec.items()}
+
+
+def test_coboundary_check_matches_composition_with_d():
+    # functionals on T^0 of random draws with a nonzero d_{-1} are refused
+    # exactly when f . d_{-1} != 0, the composition that the reduction's
+    # basis of the coboundaries replaces
+    rng = random.Random(7)
+    refused = accepted = 0
+    for _ in range(300):
+        spec = _specgen.random_spec(rng)
+        cx = assemble_differential(spec)
+        red = cx.reduction()
+        if not (red.image.get(-1) and red.cycles.get(0)):
+            continue
+        xi = _as_cochain(cx, 0, next(iter(red.cycles[0].values())))
+        d_in = cx.differential(-1)
+        for i in sorted({tm.chain[0] for tm in cx.by_t[0]}):
+            for fvec in _functionals(cx, i):
+                pairing = {i: _as_cochain(cx, 0, fvec)}
+                row = Matrix(1, d_in.rows, {(0, k): v for k, v in fvec.items()})
+                if row.compose(d_in).is_zero():
+                    full_check(spec, xi=xi, pairing=pairing, cx=cx)
+                    accepted += 1
+                else:
+                    with pytest.raises(SpecError, match="coboundaries"):
+                        full_check(spec, xi=xi, pairing=pairing, cx=cx)
+                    refused += 1
+    assert refused > 100 and accepted > 5

@@ -14,12 +14,26 @@ from excol.fields import ExactLinError
 from excol.model import CollectionSpec, SpecError, parse
 from excol.nhh import (
     DifferentialError,
+    _term_blocks,
     assemble_differential,
     build_e1,
     spectral_sequence,
     total_cohomology,
 )
 from excol.pseudoheight import pseudoheight
+
+
+def _terms(cx):
+    return [tm for tms in cx.by_t.values() for tm in tms]
+
+
+def _blocks(cx):
+    """Every differential block, leaving every term of the complex."""
+    return [
+        block
+        for tm in _terms(cx)
+        for block, _ in _term_blocks(cx.spec, tm, cx.term_lookup)
+    ]
 
 
 def test_first_page_projective_line():
@@ -84,7 +98,7 @@ def test_beauville_block_targets():
     # the full-chain source maps into exactly the four published summands
     spec = fixtures.fixture_spec("beauville_I0")
     cx = assemble_differential(spec)
-    sources = [b for b in cx.blocks if b.source.chain == (1, 2, 3, 4)]
+    sources = [b for b in _blocks(cx) if b.source.chain == (1, 2, 3, 4)]
     targets = {(b.target.chain, b.target.degs) for b in sources}
     assert targets == {
         ((1, 3, 4), (2, 1, 3)),
@@ -266,7 +280,7 @@ def test_no_block_leaves_the_zero_column():
     # differentials only shorten chains, so the -p = 0 column never emits
     for name in ["beilinson_p2", "beauville_I0", "godeaux"]:
         cx = assemble_differential(fixtures.fixture_spec(name))
-        assert all(b.source.p >= 1 for b in cx.blocks)
+        assert all(b.source.p >= 1 for b in _blocks(cx))
 
 
 def test_beauville_degree_three_is_on_the_deep_corner_only():
@@ -305,7 +319,7 @@ def test_all_three_arity_three_block_kinds():
         },
     )
     cx = assemble_differential(spec)
-    placements = {(b.key[0], b.target.chain) for b in cx.blocks}
+    placements = {(b.key[0], b.target.chain) for b in _blocks(cx)}
     assert placements == {("AA", (1, 4)), ("AN", (1, 2)), ("NA", (3, 4))}
     assert total_cohomology(cx) == {-2: 0, -1: 2, 0: 1}
     ss = spectral_sequence(cx)
@@ -320,19 +334,18 @@ def _naive_second_page(cx):
     bidegree by bidegree and take plain kernel-modulo-image dimensions,
     bypassing the nested-subquotient machinery entirely."""
     from excol.exactlin import Matrix
-    from excol.nhh import _block_entries, _term_blocks
+    from excol.nhh import _block_entries
 
     dims = {}
     offsets = {}
-    for tm in cx.terms:
+    for tm in _terms(cx):
         key = (tm.mp, tm.q)
         offsets[(tm.chain, tm.degs)] = dims.get(key, 0)
         dims[key] = dims.get(key, 0) + tm.dim
-    lookup = {(tm.chain, tm.degs): tm for tm in cx.terms}
     mats = {}  # source bidegree -> matrix of the column-raising differential
-    for tm in cx.terms:
+    for tm in _terms(cx):
         skey = (tm.mp, tm.q)
-        for block, placement in _term_blocks(cx.spec, tm, lookup):
+        for block, placement in _term_blocks(cx.spec, tm, cx.term_lookup):
             if pr.arity_of(block.key) != 2:
                 continue
             tgt = block.target

@@ -74,7 +74,7 @@ def _outcome(spec):
     out.update(
         pairs=red.pairs,
         gaps=red.gaps,
-        columns={t: nhh._reduce(cx, t, track=True) for t in cx.diffs},
+        columns={t: (red.image[t], red.cycles[t]) for t in cx.t_dims},
         pages=(ss.pages, ss.infinity, ss.stable_page),
         cohomology=nhh.total_cohomology(cx),
         survivors={
@@ -87,11 +87,11 @@ def _outcome(spec):
 
 
 def _scalars(outcome):
-    """Every scalar of the differentials and of the reduced columns."""
+    """Every scalar of the differentials, the reduced columns and the cocycles."""
     for entries in outcome["diffs"].values():
         yield from entries.values()
-    for pivots, cycles in outcome.get("columns", {}).values():
-        for _, col in pivots.values():
+    for image, cycles in outcome.get("columns", {}).values():
+        for col in image.values():
             yield from col.values()
         for chain in cycles.values():
             yield from chain.values()
@@ -149,10 +149,12 @@ def test_beilinson_p3_runs_on_ints():
     cx = nhh.assemble_differential(spec)
     entries = [v for m in cx.diffs.values() for v in m.entries.values()]
     assert entries and all(type(v) is int for v in entries)
+    red = cx.reduction()
     columns = [
         v
-        for t in cx.diffs
-        for _, col in nhh._reduce(cx, t, track=True)[0].values()
+        for t in cx.t_dims
+        for vectors in (red.image[t], red.cycles[t])
+        for col in vectors.values()
         for v in col.values()
     ]
     assert columns and all(type(v) is int for v in columns)

@@ -198,7 +198,7 @@ def test_each_block_of_d_squared_is_a_relation_map():
         oracle = _d_squared_blocks(cx)
         expected = {}
         lookup = cx.term_lookup
-        for s in cx.terms:
+        for s in (tm for tms in cx.by_t.values() for tm in tms):
             letters = s.letters()
             for b1, (consumed, out_pos) in nhh._term_blocks(spec, s, lookup):
                 kept = [i for i in range(s.p + 1) if i not in consumed]

@@ -1,5 +1,6 @@
 """The filtered reduction against the explicit Z_r / B_r engine."""
 
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +12,7 @@ import _ss_oracle
 from _matrices import from_rows
 from excol import fixtures
 from excol.exactlin import QQ
+from excol.model import parse
 from excol.nhh import (
     ChainTerm,
     NormalComplex,
@@ -20,6 +22,7 @@ from excol.nhh import (
 )
 
 FIXTURES = ["point", "beilinson_p1", "beilinson_p2", "beauville_I0", "godeaux"]
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def _specs():
@@ -53,12 +56,29 @@ def test_reduction_matches_subspace_engine():
         _check_against_oracle(label, assemble_differential(spec))
 
 
-@pytest.mark.parametrize("name", ["beilinson_p1", "beilinson_p2", "beauville_I0"])
+def _survivor_complexes(name):
+    """(label, complex) pairs: a fixture, a data document or the planted set."""
+    if name == "planted":  # gaps up to 3: survivors past d_2 and d_3 kills
+        rng = random.Random(5)
+        return [(f"planted {k}", _planted_complex(rng)[0]) for k in range(60)]
+    if name.endswith(".json"):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            spec = parse(fh.read())
+    else:
+        spec = fixtures.fixture_spec(name)
+    return [(name, assemble_differential(spec))]
+
+
+@pytest.mark.parametrize("name", [
+    "beilinson_p1", "beilinson_p2", "beauville_I0",
+    "sparse15.json", "arity3.json", "planted",
+])
 def test_survivors_match_subspace_engine(name):
-    ss, ref = _check_against_oracle(name, assemble_differential(fixtures.fixture_spec(name)))
-    for key, (z, b) in ref.survivors.items():
-        assert ss.survivors(*key) == (z, b), (name, key)
-    assert ss.survivors(99, 99) is None
+    for label, cx in _survivor_complexes(name):
+        ss, ref = _check_against_oracle(label, cx)
+        for key, (z, b) in ref.survivors.items():
+            assert ss.survivors(*key) == (z, b), (label, key)
+        assert ss.survivors(99, 99) is None
 
 
 def _planted_complex(rng):
@@ -117,7 +137,7 @@ def _planted_complex(rng):
         t: from_rows(rows, QQ) for t, rows in dense.items() if rows and rows[0]
     }
     lookup = {(tm.chain, tm.degs): tm for tm in terms}
-    cx = NormalComplex(None, QQ, terms, lookup, by_t, offsets, t_dims, diffs, [])
+    cx = NormalComplex(None, QQ, lookup, by_t, offsets, t_dims, diffs)
     return cx, planted
 
 
