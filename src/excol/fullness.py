@@ -7,8 +7,8 @@ pairing against the canonical degree-0 map out of the Serre twist of some
 object is nonzero certifies fullness.  The pairing is the arity p+2 product
 against that canonical generator; it is part of the input, since computing
 it amounts to knowing the higher product structure at that arity.  The
-candidate's survival and the pairing's vanishing on coboundaries are both
-read off the complex's one filtered reduction (`nhh.FilteredReduction`).
+candidate's depth and its pairing's vanishing on coboundaries are read
+off the one filtered reduction (`nhh.FilteredReduction`), not the pages.
 
 For the standard collection O, O(1), ..., O(n-1) on projective (n-1)-space
 everything is explicit: the degree-0 page is cut out of n-fold tensors of
@@ -82,15 +82,16 @@ def _dot(fld, u, v):
 def full_check(spec, xi=None, pairing=None, cx=None):
     """Fullness certificate from a degree-0 cocycle and evaluation pairing.
 
-    Verifies that xi sits at the deepest surviving column of the limit page,
-    that every differential block vanishes on it, and that some per-object
-    pairing evaluates to a nonzero scalar.  A pairing must be a functional
+    Verifies that xi sits at the deepest surviving column of the limit page
+    (the deepest level among the reduction's cocycles of T^0), that every
+    differential block vanishes on it, and that some per-object pairing
+    evaluates to a nonzero scalar.  A pairing must be a functional
     on T^0 that vanishes on coboundaries, so its value depends only on the
     class of xi; it is checked against the reduced columns of d_{-1}, the
     basis of the coboundaries that the complex's filtered reduction keeps.
     """
     # here, not at the top: a qualitative verdict needs no complex
-    from .nhh import assemble_differential, spectral_sequence
+    from .nhh import assemble_differential
     if xi is None or pairing is None:
         data = spec.fullness_data
         if data is None or data.xi is None or not data.pairings:
@@ -108,14 +109,12 @@ def full_check(spec, xi=None, pairing=None, cx=None):
         return FullnessVerdict(INCONCLUSIVE, "zero candidate")
     if t != 0:
         raise SpecError(f"candidate has total degree {t}, want 0")
-    ss = spectral_sequence(cx)
-    deeper = [
-        mp for (mp, q), d in ss.infinity.items() if q + mp == 0 and d > 0 and -mp > p
-    ]
-    if deeper:
+    mps = cx.coordinate_mp(0)
+    deepest = min((mps[c] for c in cx.reduction().cycles[0]), default=0)
+    if -deepest > p:
         raise SpecError(
             f"candidate sits at chain length {p} but the limit page survives "
-            f"at length {-min(deeper)}"
+            f"at length {-deepest}"
         )
 
     d0 = cx.differential(0)
@@ -127,12 +126,12 @@ def full_check(spec, xi=None, pairing=None, cx=None):
 
     coboundaries = cx.reduction().image.get(-1, {}).values()
     for i, functional in sorted(pairing.items()):
+        fvec, _, _ = _cochain_vector(cx, functional, expect_t=0)  # refuses chain ()
         for chain, _, _ in functional.terms:
             if chain[0] != i:
                 raise SpecError(
                     f"pairing for object {i} names a chain starting at {chain[0]}"
                 )
-        fvec, _, _ = _cochain_vector(cx, functional, expect_t=0)
         if any(not fld.is_zero(_dot(fld, fvec, b)) for b in coboundaries):
             raise SpecError(f"pairing for object {i} does not vanish on coboundaries")
         total = _dot(fld, vec, fvec)

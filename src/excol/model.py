@@ -316,7 +316,8 @@ def _parse_cochain(rec):
         vals = {}
         for pair in _list(values, "cochain values"):
             ok = isinstance(pair, list) and len(pair) == 2 and is_int(pair[0])
-            _require(ok, "bad cochain value {!r}", pair)
+            _require(ok and pair[0] not in vals, "{} cochain value {!r}",
+                     "duplicate index in" if ok else "bad", pair)
             vals[pair[0]] = _frac(pair[1])
         terms.append((_int_tuple(chain, "chain"), _int_tuple(degs, "degs"), vals))
     return Cochain(terms)
@@ -419,12 +420,11 @@ def parse(document):
     fullness = None
     if "fullness" in document:
         rec = document["fullness"]
-        fullness = FullnessData()
-        if "xi" in rec:
-            fullness.xi = _parse_cochain(rec["xi"])
+        fullness = FullnessData(_parse_cochain(rec["xi"]) if "xi" in rec else None)
         for prec in _list(rec.get("pairings", []), "pairings"):
             ok = isinstance(prec, dict) and is_int(prec.get("obj"))
-            _require(ok, "pairing needs obj: {!r}", prec)
+            _require(ok and prec["obj"] not in fullness.pairings, "{}: {!r}",
+                     "duplicate pairing obj" if ok else "pairing needs obj", prec)
             fullness.pairings[prec["obj"]] = _parse_cochain(prec)
 
     spec = CollectionSpec(

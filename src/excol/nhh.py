@@ -31,7 +31,8 @@ the cohomology (the persistence pairing of the filtration, as in
 Edelsbrunner-Harer, Computational Topology, ch. VII).  The d_t are reduced
 in increasing t, with clearing, keeping a cochain per column
 (`FilteredReduction`): the reduced columns span the image, and the cochains
-of the unpaired coordinates complete them to a basis of the kernel.
+of the unpaired coordinates complete them to a basis of the kernel, which
+`survivors` returns filed by level.
 
 `perfbench/tracing.py` wraps functions here by name, the re-exported
 first-page ones too, and reads `diffs[t].entries`: the README lists what a
@@ -41,7 +42,7 @@ change here keeps for it, the module-level `exactlin` import included.
 import itertools
 from collections import namedtuple
 
-from .exactlin import Matrix, Subspace, axpy
+from .exactlin import Matrix, axpy
 from .fields import ExactLinError, field_by_name
 from .model import INF, SpecError
 from .pseudoheight import ChainTerm, build_e1, enumerate_terms  # noqa: F401
@@ -312,26 +313,23 @@ class SpectralSequencePages:
         return self.pages[min(r, top)]
 
     def survivors(self, mp, q):
-        """Cocycle space and boundary space presenting E_inf at (mp, q).
+        """Bases (Z, B) of the cocycles and boundaries presenting E_inf at (mp, q).
 
         Z = ker d cap F^mp and B = (ker d cap F^{mp+1}) + (im d cap F^mp)
-        in T^t, read off the basis of ker d_t that the reduction keeps (the
-        cocycles of the unpaired coordinates and the reduced columns of
-        d_{t-1}), each vector filed at the level of its low.  Z is B plus
-        the cocycles at level mp, built on B's reduced basis.
+        in T^t, as lists of the reduction's kernel vectors filed by the
+        level of their lows: B is the reduced columns of d_{t-1} at level
+        >= mp and the cocycles above mp, Z is B plus the cocycles at mp.
+        The lows are distinct, so len(Z) - len(B) is the E_inf dimension.
         """
         if (mp, q) not in self.pages[1]:
             return None
-        cx = self._cx
-        red = cx.reduction()
+        red = self._cx.reduction()
         t = mp + q
-        mps = cx.coordinate_mp(t)
+        mps = self._cx.coordinate_mp(t)
         cycles = red.cycles[t]
         border = [col for low, col in red.image.get(t - 1, {}).items() if mps[low] >= mp]
         border += [v for c, v in cycles.items() if mps[c] > mp]
-        b = Subspace(cx.t_dims[t], border, cx.field)
-        top = [v for c, v in cycles.items() if mps[c] == mp]
-        return Subspace(b.ambient_dim, b.basis + top, cx.field), b
+        return border + [v for c, v in cycles.items() if mps[c] == mp], border
 
 
 def spectral_sequence(cx, max_page=None):

@@ -222,6 +222,14 @@ CASES = [
     ("pairing-without-obj", P1, _drop("fullness", "pairings", 0, "obj"),
      "pairing needs obj: {'terms': [{'chain': [1, 2], 'degs': [0, 1], "
      "'values': [[1, '1'], [2, '-1']]}]}"),
+    # a second value at one index, or a second pairing for one object, would
+    # overwrite the first: a zeroed repeat of object 1's pairing made
+    # beilinson_p1 INCONCLUSIVE instead of FULL
+    ("cochain-value-duplicate-index", P1, _set(*XI, "values", [[1, "1"], [1, "-1"]]),
+     "duplicate index in cochain value [1, '-1']"),
+    ("pairing-duplicate-obj", P1, _duplicate("fullness", "pairings", 0),
+     "duplicate pairing obj: {'obj': 1, 'terms': [{'chain': [1, 2], 'degs': [0, 1], "
+     "'values': [[1, '1'], [2, '-1']]}]}"),
     # objects and flags
     ("object-unknown-key", SURFACE, _set("objects", 0, "colour", "red"),
      "unknown object keys ['colour'] in {'canonical_degree': 3, 'label': 'L1', 'colour': 'red'}"),

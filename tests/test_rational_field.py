@@ -77,10 +77,7 @@ def _outcome(spec):
         columns={t: (red.image[t], red.cycles[t]) for t in cx.t_dims},
         pages=(ss.pages, ss.infinity, ss.stable_page),
         cohomology=nhh.total_cohomology(cx),
-        survivors={
-            key: [(s.basis, s.pivots) for s in ss.survivors(*key)]
-            for key in ss.pages[1]
-        },
+        survivors={key: ss.survivors(*key) for key in ss.pages[1]},
         fullness=(verdict.status, verdict.evidence),
     )
     return out

@@ -11,7 +11,7 @@ import _specgen
 import _ss_oracle
 from _matrices import from_rows
 from excol import fixtures
-from excol.exactlin import QQ
+from excol.exactlin import QQ, Subspace
 from excol.model import parse
 from excol.nhh import (
     ChainTerm,
@@ -77,7 +77,11 @@ def test_survivors_match_subspace_engine(name):
     for label, cx in _survivor_complexes(name):
         ss, ref = _check_against_oracle(label, cx)
         for key, (z, b) in ref.survivors.items():
-            assert ss.survivors(*key) == (z, b), (label, key)
+            z_basis, b_basis = ss.survivors(*key)
+            # independent bases that span the oracle's spaces
+            assert len(z_basis) == z.dim and len(b_basis) == b.dim, (label, key)
+            assert Subspace(z.ambient_dim, z_basis, cx.field) == z, (label, key)
+            assert Subspace(b.ambient_dim, b_basis, cx.field) == b, (label, key)
         assert ss.survivors(99, 99) is None
 
 
