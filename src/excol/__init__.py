@@ -24,7 +24,7 @@ _EXPORTS = {
     "exactlin": "Matrix Subspace kernel_basis rref subquotient_dim",
     "fixtures": "beilinson_fixture serialize",
     "fullness": "full_check not_full_check",
-    "heights": "Analysis HeightReport build_report height heph_shortcut hkr_total",
+    "heights": "Analysis HeightReport build_report height heph_shortcut",
     "model": "CollectionSpec QualitativeExtTable parse validate",
     "nhh": "assemble_differential spectral_sequence total_cohomology",
     "pseudoheight": "build_e1 cyclically_ext1_connected qualitative_ph_bounds rel_height",

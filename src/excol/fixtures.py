@@ -314,7 +314,9 @@ def beilinson_fixture(n):
     Ext(E_i, E_j) is the degree-(j-i) part of the polynomial algebra on the
     n linear forms, concentrated in degree 0; the Serre-twisted spaces sit in
     degree n-1 with symmetric powers S^{i+n-j} V; every product is polynomial
-    multiplication.  Returns (spec, pairing, xi).
+    multiplication.  The certificate (`spec.fullness_data`) takes the
+    antisymmetrizer on n-fold tensors of the linear forms as both the
+    candidate xi and the pairing against object 1.
     """
     from . import products as pr
     from .model import Cochain, CollectionSpec, FullnessData, SpecError
@@ -338,12 +340,9 @@ def beilinson_fixture(n):
 
     full_chain = tuple(range(1, n + 1))
     degs = (0,) * (n - 1) + (n - 1,)
-    # both xi and the pairing are the antisymmetrizer on n-fold tensors of
-    # the linear forms
     xi = Cochain([(full_chain, degs, antisymmetrizer_line(nvars))])
     pairing = {1: Cochain([(full_chain, degs, antisymmetrizer_line(nvars))])}
-
-    spec = CollectionSpec(
+    return CollectionSpec(
         n=n,
         dim_x=n - 1,
         field_name="Q",
@@ -354,7 +353,6 @@ def beilinson_fixture(n):
         metadata={"name": f"beilinson_p{n - 1}"},
         fullness_data=FullnessData(xi=xi, pairings=pairing),
     )
-    return spec, pairing, xi
 
 
 def antisymmetrizer_line(nvars):
@@ -369,7 +367,7 @@ def antisymmetrizer_line(nvars):
 
 
 def _beilinson_document(n):
-    return to_document(beilinson_fixture(n)[0])
+    return to_document(beilinson_fixture(n))
 
 
 _BUILDERS = {
@@ -393,17 +391,6 @@ def fixture_document(name):
 def fixture_spec(name):
     from .model import parse
     return parse(fixture_document(name))
-
-
-def write_all(directory):
-    """Canonically serialize the whole corpus into a directory."""
-    import os
-    os.makedirs(directory, exist_ok=True)
-    for name in FIXTURE_NAMES:
-        path = os.path.join(directory, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize(fixture_spec(name)))
-    return [os.path.join(directory, f"{name}.json") for name in FIXTURE_NAMES]
 
 
 # -- writing a document ------------------------------------------------------

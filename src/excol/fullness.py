@@ -6,15 +6,18 @@ Conversely a degree-0 cocycle xi of the normal complex whose evaluation
 pairing against the canonical degree-0 map out of the Serre twist of some
 object is nonzero certifies fullness.  The pairing is the arity p+2 product
 against that canonical generator; it is part of the input, since computing
-it amounts to knowing the higher product structure at that arity.  The
-candidate's depth and its pairing's vanishing on coboundaries are read
-off the one filtered reduction (`nhh.FilteredReduction`), not the pages.
+it amounts to knowing the higher product structure at that arity.
+`full_check` takes only the assembled complex: the candidate and its
+pairings are its spec's `fullness_data`, and the candidate's depth and the
+pairings' vanishing on coboundaries are read off the complex's one
+filtered reduction (`nhh.FilteredReduction`), not the pages.
 
 For the standard collection O, O(1), ..., O(n-1) on projective (n-1)-space
 everything is explicit: the degree-0 page is cut out of n-fold tensors of
 the linear forms by cyclic-adjacent symmetrizations, the surviving line is
 the fully antisymmetric tensor, and the pairing is exterior contraction
-(a determinant); `fixtures.beilinson_fixture` builds this exact certificate.
+(a determinant); `fixtures.beilinson_fixture` puts this exact certificate
+in its spec.
 """
 
 from collections import namedtuple
@@ -79,32 +82,24 @@ def _dot(fld, u, v):
     return total
 
 
-def full_check(spec, xi=None, pairing=None, cx=None):
-    """Fullness certificate from a degree-0 cocycle and evaluation pairing.
+def full_check(cx):
+    """Fullness certificate from the spec's degree-0 cocycle and pairings.
 
-    Verifies that xi sits at the deepest surviving column of the limit page
-    (the deepest level among the reduction's cocycles of T^0), that every
-    differential block vanishes on it, and that some per-object pairing
-    evaluates to a nonzero scalar.  A pairing must be a functional
+    The candidate xi and the per-object pairings are the spec's
+    `fullness_data`.  Verifies that xi sits at the deepest surviving column
+    of the limit page (the deepest level among the reduction's cocycles of
+    T^0), that every differential block vanishes on it, and that some
+    pairing evaluates to a nonzero scalar.  A pairing must be a functional
     on T^0 that vanishes on coboundaries, so its value depends only on the
     class of xi; it is checked against the reduced columns of d_{-1}, the
     basis of the coboundaries that the complex's filtered reduction keeps.
     """
-    # here, not at the top: a qualitative verdict needs no complex
-    from .nhh import assemble_differential
-    if xi is None or pairing is None:
-        data = spec.fullness_data
-        if data is None or data.xi is None or not data.pairings:
-            return FullnessVerdict(
-                INCONCLUSIVE, "no candidate cocycle and pairing supplied"
-            )
-        xi = xi or data.xi
-        pairing = pairing or data.pairings
-    if cx is None:
-        cx = assemble_differential(spec)
+    data = cx.spec.fullness_data
+    if data is None or data.xi is None or not data.pairings:
+        return FullnessVerdict(INCONCLUSIVE, "no candidate cocycle and pairing supplied")
     fld = cx.field
 
-    vec, t, p = _cochain_vector(cx, xi)
+    vec, t, p = _cochain_vector(cx, data.xi)
     if not vec:
         return FullnessVerdict(INCONCLUSIVE, "zero candidate")
     if t != 0:
@@ -125,7 +120,7 @@ def full_check(spec, xi=None, pairing=None, cx=None):
         )
 
     coboundaries = cx.reduction().image.get(-1, {}).values()
-    for i, functional in sorted(pairing.items()):
+    for i, functional in sorted(data.pairings.items()):
         fvec, _, _ = _cochain_vector(cx, functional, expect_t=0)  # refuses chain ()
         for chain, _, _ in functional.terms:
             if chain[0] != i:

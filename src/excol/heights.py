@@ -49,17 +49,6 @@ class Height(namedtuple("Height", "lo hi nhh_vanishes", defaults=(False,))):
         return f"[{fmt(self.lo)}, {fmt(self.hi)}]"
 
 
-def hkr_total(h_table):
-    """Collapse a Hodge-type table (q, p) -> h^q(Lambda^p T) to total dims."""
-    if not h_table:
-        return []
-    top = max(q + p for (q, p) in h_table)
-    out = [0] * (top + 1)
-    for (q, p), d in h_table.items():
-        out[q + p] += d
-    return out
-
-
 class HeightReport(Record):
     def __init__(
         self, ph, ph_ac, height, height_ac, used_shortcut, iso_range, mono_degree,
@@ -206,7 +195,7 @@ class Analysis:
             return FullnessVerdict(
                 INCONCLUSIVE, "no exact data: cannot run the cocycle certificate"
             )
-        return full_check(self.spec, cx=self.complex)
+        return full_check(self.complex)
 
 
 def heph_shortcut(spec):

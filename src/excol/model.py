@@ -476,26 +476,24 @@ def hom_vanishing_updates(extended_degrees, n):
     return updates
 
 
-def hom_vanishing_from_degrees(spec):
-    """Apply the degree criterion to a spec, returning table updates.
+def qualitative_deductions(spec):
+    """The statuses that the flags and canonical degrees deduce, or {}.
 
-    Refuses unless the spec declares a surface with ample canonical class
-    consisting of line bundles, with canonical degrees and K^2 supplied.
+    On a surface of line bundles: with ample canonical class, canonical
+    degrees and K^2, the degree criterion gives ZEROs; with a nonzero
+    H^2(omega^{-1}), NONZERO at (i, n + i, 2) caps the length-0 chains at 2.
+    Missing flags or degrees deduce nothing.
     """
     flags = spec.flags
-    if not (
-        flags.get("is_surface")
-        and flags.get("ample_canonical")
-        and flags.get("line_bundles")
-    ):
-        raise SpecError(
-            "degree criterion needs is_surface, ample_canonical and "
-            "line_bundles flags"
-        )
-    if spec.canonical_degrees is None or "k_squared" not in flags:
-        raise SpecError("degree criterion needs canonical degrees and k_squared")
-    ext = extend_degrees(spec.canonical_degrees, flags["k_squared"])
-    return hom_vanishing_updates(ext, spec.n)
+    if not (flags.get("is_surface") and flags.get("line_bundles")):
+        return {}
+    updates = {}
+    degrees, k_squared = spec.canonical_degrees, flags.get("k_squared")
+    if flags.get("ample_canonical") and degrees is not None and k_squared is not None:
+        updates = hom_vanishing_updates(extend_degrees(degrees, k_squared), spec.n)
+    if flags.get("h2_anticanonical_nonzero"):
+        updates.update({(i, spec.n + i, 2): NONZERO for i in range(1, spec.n + 1)})
+    return updates
 
 
 # -- validation --------------------------------------------------------------
@@ -532,8 +530,18 @@ def _check_structure(spec):
 
 
 def _check_qualitative(spec):
-    """Exact dims win over statuses; contradictions are reported."""
-    if spec.qualitative is None or not spec.is_exact:
+    """Exact dims win over statuses; contradictions are reported.
+
+    Without exact dims the statuses and the deductions are merged, as the
+    engine merges them, and a conflict is reported with the engine's message.
+    """
+    if spec.qualitative is None:
+        return []
+    if not spec.is_exact:
+        try:
+            spec.qualitative.merged_with(qualitative_deductions(spec))
+        except SpecError as exc:
+            return [str(exc)]
         return []
     problems = []
     table = spec.qualitative

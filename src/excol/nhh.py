@@ -32,7 +32,9 @@ Edelsbrunner-Harer, Computational Topology, ch. VII).  The d_t are reduced
 in increasing t, with clearing, keeping a cochain per column
 (`FilteredReduction`): the reduced columns span the image, and the cochains
 of the unpaired coordinates complete them to a basis of the kernel, which
-`survivors` returns filed by level.
+`survivors` returns filed by level.  `spectral_sequence` stops at the page
+r = width + 1, which is the limit page; `heights.Analysis.pages` holds it
+once per spec, and the `ss` command pads it out to `--max-page`.
 
 `perfbench/tracing.py` wraps functions here by name, the re-exported
 first-page ones too, and reads `diffs[t].entries`: the README lists what a
@@ -44,7 +46,7 @@ from collections import namedtuple
 
 from .exactlin import Matrix, axpy
 from .fields import ExactLinError, field_by_name
-from .model import INF, SpecError
+from .model import INF
 from .pseudoheight import ChainTerm, build_e1, enumerate_terms  # noqa: F401
 
 
@@ -332,16 +334,14 @@ class SpectralSequencePages:
         return border + [v for c, v in cycles.items() if mps[c] == mp], border
 
 
-def spectral_sequence(cx, max_page=None):
+def spectral_sequence(cx):
     """The column-filtration spectral sequence, read off the reduction.
 
     E_r at (mp, q) counts the coordinates of that bidegree that are unpaired
     or paired with a gap >= r.  Pages run through r = width + 1, where only
-    the unpaired coordinates (the limit page) remain, and on to max_page as
-    copies of the limit page.
+    the unpaired coordinates (the limit page) remain; `page` reads any later
+    page as the limit page.
     """
-    if max_page is not None and max_page < 1:
-        raise SpecError(f"max_page must be >= 1, got {max_page}")
     gaps = cx.reduction().gaps
     lives = {}  # (mp, q) -> the last page each coordinate lives on
     for t in cx.t_dims:
@@ -356,7 +356,5 @@ def spectral_sequence(cx, max_page=None):
         for r in range(1, r_inf + 1)
     }
     infinity = pages[r_inf]
-    for r in range(r_inf + 1, (max_page or 0) + 1):
-        pages[r] = dict(infinity)
     top_gap = max((g for gs in gaps.values() for g in gs.values()), default=0)
     return SpectralSequencePages(pages, infinity, min(top_gap + 1, r_inf), cx)

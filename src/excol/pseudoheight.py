@@ -33,7 +33,7 @@ from .model import (
     ZERO,
     QualitativeExtTable,
     SpecError,
-    hom_vanishing_from_degrees,
+    qualitative_deductions,
 )
 
 MAX_N = 24  # every worked example has n <= 11
@@ -175,7 +175,7 @@ def enumerate_terms(spec):
 
 
 def build_e1(spec):
-    """First-page table (-p, q) -> dim, with the contributing terms.
+    """First-page table (-p, q) -> dim.
 
     Needs exact dims; the minimal total degree of a nonzero entry is the
     pseudoheight by construction.
@@ -183,14 +183,10 @@ def build_e1(spec):
     if not spec.is_exact:
         raise SpecError("the first page needs exact Ext dimensions")
     table = {}
-    index = {}
     for term in enumerate_terms(spec):
         key = (term.mp, term.q)
         table[key] = table.get(key, 0) + term.dim
-        index.setdefault(key, []).append(term)
-    for terms in index.values():
-        terms.sort(key=lambda tm: (tm.chain, tm.degs))
-    return table, index
+    return table
 
 
 # -- the chain engine ----------------------------------------------------------
@@ -216,30 +212,15 @@ class PhBounds(namedtuple("PhBounds", "lower upper witness_chain", defaults=(Non
 
 
 def effective_table(spec):
-    """Merge explicit statuses, degree deductions, induced exact facts.
+    """The explicit statuses merged with the flags' deductions.
 
-    Exact dims induce pinned statuses (in anticanonical degrees); explicit
-    statuses clashing with them have already been rejected by validate, and
-    clash again here.  The degree criterion and the H^2(omega^{-1}) cap are
-    applied when the flags make them available.  Deductions are monotone:
-    nothing is ever retracted.
+    The degree criterion and the H^2(omega^{-1}) cap
+    (`model.qualitative_deductions`) apply when the flags make them
+    available; a deduction clashing with a status raises SpecError.
+    Deductions are monotone: nothing is ever retracted.
     """
-    table = spec.qualitative
-    if table is None:
-        table = QualitativeExtTable(spec.n, {}, None)
-    updates = {}
-    try:
-        updates.update(hom_vanishing_from_degrees(spec))
-    except SpecError:
-        pass
-    if (
-        spec.flags.get("is_surface")
-        and spec.flags.get("line_bundles")
-        and spec.flags.get("h2_anticanonical_nonzero")
-    ):
-        for i in range(1, spec.n + 1):
-            updates[(i, spec.n + i, 2)] = NONZERO
-    return table.merged_with(updates)
+    table = spec.qualitative or QualitativeExtTable(spec.n, {}, None)
+    return table.merged_with(qualitative_deductions(spec))
 
 
 def _link_intervals(spec):

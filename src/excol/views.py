@@ -79,7 +79,7 @@ def cmd_pseudoheight(spec, args):
 
 def cmd_e1(spec, args):
     from .pseudoheight import build_e1
-    table, _ = build_e1(spec)
+    table = build_e1(spec)
     nonzero_t = [mp + q for (mp, q), d in table.items() if d]
     payload = {
         "entries": _table_json(table),
@@ -91,19 +91,21 @@ def cmd_e1(spec, args):
 
 
 def cmd_ss(spec, args):
-    from .nhh import spectral_sequence
-    ss = spectral_sequence(_analysis(spec).complex, max_page=args.max_page)
+    ss = _analysis(spec).pages
+    pages = dict(ss.pages)  # past width + 1 each page is the limit page, if any
+    while pages[1] and len(pages) < (args.max_page or 0):
+        pages[len(pages) + 1] = ss.infinity
     payload = {
-        "pages": {str(r): _table_json(t) for r, t in sorted(ss.pages.items())},
+        "pages": {str(r): _table_json(t) for r, t in sorted(pages.items())},
         "stable_page": ss.stable_page,
         "infinity": _table_json(ss.infinity),
     }
     lines = []
     shown = args.max_page or ss.stable_page
-    for r in sorted(ss.pages):
+    for r in sorted(pages):
         if r > shown:
             break
-        lines += _grid_lines(f"page {r}", ss.pages[r])
+        lines += _grid_lines(f"page {r}", pages[r])
     lines.append(f"stabilizes at page {ss.stable_page}")
     lines += _grid_lines("limit page", ss.infinity)
     return payload, lines

@@ -55,11 +55,11 @@ def _sum(a, b):
     return Subspace(a.ambient_dim, a.basis + b.basis, a.field)
 
 
-def spectral_sequence(cx, max_page=None):
+def spectral_sequence(cx):
     """Pages, limit page, stable page and survivors, as a namespace.
 
-    Pages run through r = width + 1 (and on to max_page as copies of the
-    limit page); survivors maps (mp, q) to the (Z, B) pair at the limit.
+    Pages run through r = width + 1, the limit page; survivors maps (mp, q)
+    to the (Z, B) pair at the limit.
     """
     bidegrees = {}
     for tms in cx.by_t.values():
@@ -124,8 +124,6 @@ def spectral_sequence(cx, max_page=None):
         if pages[r] != infinity:
             stable = r + 1
             break
-    for r in range(r_inf + 1, (max_page or 0) + 1):
-        pages[r] = dict(infinity)
     return SimpleNamespace(
         pages=pages, infinity=infinity, stable_page=min(stable, r_inf),
         survivors=survivors,

@@ -13,12 +13,13 @@ from fractions import Fraction
 import pytest
 
 import _specgen
+from test_heights import hkr_total
 from excol import fixtures
 from excol.cli import main as cli_main
 from excol.exactlin import Subspace
 from excol.fixtures import antisymmetrizer_line, beilinson_fixture
 from excol.fullness import FULL, NOT_FULL
-from excol.heights import build_report, height, hkr_total
+from excol.heights import build_report, height
 from excol.model import (
     NONZERO,
     CollectionSpec,
@@ -94,7 +95,7 @@ def _symmetrization_kernel_dim_and_line(n):
 
 def test_criterion_3_degree_zero_survivors():
     for n in (2, 3):
-        spec, _, _ = beilinson_fixture(n)
+        spec = beilinson_fixture(n)
         cx = assemble_differential(spec)
         ss = spectral_sequence(cx)
         mp = -(n - 1)

@@ -182,9 +182,44 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def _add_status(src, dst, deg, status):
+    def edit(doc):
+        row = {"src": src, "dst": dst, "deg": deg, "status": status}
+        doc["qualitative"]["statuses"].append(row)
+    return edit
+
+
+def _set_window(lo, hi):
+    def edit(doc):
+        doc["qualitative"]["degree_window"] = [lo, hi]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    # against the degree criterion's ZERO, and against the H^2 cap's NONZERO
+    (_add_status(1, 2, 0, "NONZERO"), "qualitative conflict at (1, 2, 0): NONZERO vs ZERO"),
+    (_add_status(1, 7, 2, "ZERO"), "qualitative conflict at (1, 7, 2): ZERO vs NONZERO"),
+    # the H^2 cap's NONZERO in degree 2 outside the window
+    (_set_window(0, 1), "NONZERO status at (1, 7, 2) outside degree window"),
+], ids=["degree-criterion", "h2-cap", "window"])
+def test_validate_refuses_what_the_engine_refuses(tmp_path, capsys, edit, message):
+    doc = fixtures.fixture_document("burniat")
+    edit(doc)
+    path = tmp_path / "burniat.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 1
+    assert f"FAIL qualitative_consistency: {message}\n" in out
+    for cmd in ("pseudoheight", "height", "fullness"):
+        assert run(capsys, cmd, str(path)) == (1, "", f"error: {message}\n")
+
+
 def test_env_fixture_directory(tmp_path, capsys, monkeypatch):
     target = tmp_path / "corpus"
-    fixtures.write_all(str(target))
+    target.mkdir()
+    for name in FIXTURE_NAMES:
+        (target / f"{name}.json").write_text(
+            fixtures.serialize(fixtures.fixture_spec(name)), encoding="utf-8")
     monkeypatch.setenv("EXCOL_FIXTURES", str(target))
     code, out, _ = run(capsys, "height", "fixtures/beilinson_p1", "--json")
     assert code == 0
@@ -205,6 +240,42 @@ def test_ss_text_grid(capsys):
     code, out, _ = run(capsys, "ss", "beilinson_p1")
     assert code == 0
     assert "page 1" in out and "stabilizes at page 2" in out
+
+
+ARITY3 = os.path.join(os.path.dirname(__file__), "data", "arity3.json")
+
+
+def test_ss_max_page_below_the_width(capsys):
+    # --max-page cuts the text only: the JSON keeps every page through the
+    # width + 1 = 4, past stable page 3
+    code, out, _ = run(capsys, "ss", ARITY3, "--max-page", "2", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "infinity": [[-1, 0, 2], [0, 0, 1]],
+        "pages": {
+            "1": [[-3, 1, 1], [-1, 0, 3], [0, 0, 1]],
+            "2": [[-3, 1, 1], [-1, 0, 3], [0, 0, 1]],
+            "3": [[-1, 0, 2], [0, 0, 1]],
+            "4": [[-1, 0, 2], [0, 0, 1]],
+        },
+        "stable_page": 3,
+    }
+    code, out, _ = run(capsys, "ss", ARITY3, "--max-page", "2")
+    assert code == 0
+    assert out == (
+        "page 1 (rows q, columns -p):\n"
+        "        -3  -1   0\n"
+        "  q=1     1   .   .\n"
+        "  q=0     .   3   1\n"
+        "page 2 (rows q, columns -p):\n"
+        "        -3  -1   0\n"
+        "  q=1     1   .   .\n"
+        "  q=0     .   3   1\n"
+        "stabilizes at page 3\n"
+        "limit page (rows q, columns -p):\n"
+        "        -1   0\n"
+        "  q=0     2   1\n"
+    )
 
 
 def test_field_override(capsys):

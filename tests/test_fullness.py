@@ -13,9 +13,20 @@ from excol.exactlin import Matrix, Subspace, kernel_basis
 from excol.fixtures import antisymmetrizer_line, beilinson_fixture
 from excol.fullness import FULL, INCONCLUSIVE, NOT_FULL, full_check, not_full_check
 from excol.heights import Height, height
-from excol.model import Cochain, CollectionSpec, SpecError, parse, validate
+from excol.model import Cochain, CollectionSpec, FullnessData, SpecError, parse, validate
 from excol.nhh import assemble_differential, spectral_sequence
 from excol.pseudoheight import pseudoheight
+
+
+def _check(spec, xi, pairing, cx=None):
+    """`full_check` with (xi, pairing) put in as the spec's certificate."""
+    spec.fullness_data = FullnessData(xi, pairing)
+    return full_check(cx or assemble_differential(spec))
+
+
+def _verdict(name):
+    """`full_check` of a shipped fixture, with the certificate it ships."""
+    return full_check(assemble_differential(fixtures.fixture_spec(name)))
 
 
 def test_not_full_fires_on_positive_height():
@@ -34,41 +45,42 @@ def test_not_full_silent_on_weak_interval():
 
 
 def test_full_certificate_projective_line():
-    verdict = full_check(fixtures.fixture_spec("beilinson_p1"))
+    verdict = _verdict("beilinson_p1")
     assert verdict.status == FULL
 
 
 def test_full_certificate_projective_plane():
-    verdict = full_check(fixtures.fixture_spec("beilinson_p2"))
+    verdict = _verdict("beilinson_p2")
     assert verdict.status == FULL
 
 
 def test_full_check_rejects_symmetric_candidate():
-    spec, pairing, _ = beilinson_fixture(2)
+    spec = beilinson_fixture(2)
     xx = Cochain([((1, 2), (0, 1), {0: Fraction(1)})])  # x (x) x: symmetric
-    verdict = full_check(spec, xi=xx, pairing=pairing)
+    verdict = _check(spec, xx, spec.fullness_data.pairings)
     assert verdict.status == INCONCLUSIVE
     assert "not a cocycle" in verdict.evidence
 
 
 def test_full_check_rejects_zero_candidate():
-    spec, pairing, _ = beilinson_fixture(2)
+    spec = beilinson_fixture(2)
     zero = Cochain([((1, 2), (0, 1), {})])
-    assert full_check(spec, xi=zero, pairing=pairing).status == INCONCLUSIVE
+    assert _check(spec, zero, spec.fullness_data.pairings).status == INCONCLUSIVE
 
 
 def test_full_check_rejects_wrong_bidegree():
-    spec, pairing, _ = beilinson_fixture(2)
+    spec = beilinson_fixture(2)
     bad = Cochain([((1,), (1,), {0: Fraction(1)})])  # total degree 1
     with pytest.raises(SpecError):
-        full_check(spec, xi=bad, pairing=pairing)
+        _check(spec, bad, spec.fullness_data.pairings)
 
 
 def test_full_check_rejects_mixed_chain_lengths():
-    spec, pairing, xi = beilinson_fixture(2)
+    spec = beilinson_fixture(2)
+    xi, pairing = spec.fullness_data.xi, spec.fullness_data.pairings
     mixed = Cochain(xi.terms + [((1,), (1,), {0: Fraction(1)})])
     with pytest.raises(SpecError):
-        full_check(spec, xi=mixed, pairing=pairing)
+        _check(spec, mixed, pairing)
 
 
 def test_full_check_rejects_candidate_below_deepest_survivor():
@@ -82,35 +94,35 @@ def test_full_check_rejects_candidate_below_deepest_survivor():
     xi = Cochain([((1,), (0,), {0: Fraction(1)})])
     pairing = {1: Cochain([((1,), (0,), {0: Fraction(1)})])}
     with pytest.raises(SpecError) as err:
-        full_check(spec, xi=xi, pairing=pairing)
+        _check(spec, xi, pairing)
     assert "deepest" in str(err.value) or "survives" in str(err.value)
 
 
 def test_full_check_rejects_misanchored_pairing():
-    spec, _, xi = beilinson_fixture(2)
+    spec = beilinson_fixture(2)
     bad = {2: Cochain([((1, 2), (0, 1), {0: Fraction(1)})])}
     with pytest.raises(SpecError):
-        full_check(spec, xi=xi, pairing=bad)
+        _check(spec, spec.fullness_data.xi, bad)
 
 
 def test_full_check_without_certificate_data():
-    spec = fixtures.fixture_spec("godeaux")
-    assert full_check(spec).status == INCONCLUSIVE
+    assert _verdict("godeaux").status == INCONCLUSIVE
 
 
 def test_full_check_vanishing_pairing():
-    spec, _, xi = beilinson_fixture(2)
+    spec = beilinson_fixture(2)
     dead = {1: Cochain([((1, 2), (0, 1), {})])}
-    verdict = full_check(spec, xi=xi, pairing=dead)
+    verdict = _check(spec, spec.fullness_data.xi, dead)
     assert verdict.status == INCONCLUSIVE
     assert "vanish" in verdict.evidence
 
 
 def test_full_check_scale_invariant():
-    spec, pairing, xi = beilinson_fixture(2)
+    spec = beilinson_fixture(2)
+    xi, pairing = spec.fullness_data.xi, spec.fullness_data.pairings
     scaled = Cochain([(c, d, {i: 7 * v for i, v in vals.items()})
                       for c, d, vals in xi.terms])
-    assert full_check(spec, xi=scaled, pairing=pairing).status == FULL
+    assert _check(spec, scaled, pairing).status == FULL
 
 
 def _symmetrization_kernel(n):
@@ -141,7 +153,7 @@ def _symmetrization_kernel(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_degree_zero_survivors_are_the_antisymmetric_line(n):
-    spec, _, _ = beilinson_fixture(n)
+    spec = beilinson_fixture(n)
     cx = assemble_differential(spec)
     ss = spectral_sequence(cx)
     mp = -(n - 1)
@@ -156,7 +168,7 @@ def test_degree_zero_survivors_are_the_antisymmetric_line(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_projective_fixture_dimensions(n):
-    spec, _, _ = beilinson_fixture(n)
+    spec = beilinson_fixture(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             assert spec.a_space(i, j) == {0: comb(j - i + n - 1, n - 1)}
@@ -167,7 +179,7 @@ def test_projective_fixture_dimensions(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_projective_fixture_pseudoheight_zero_on_full_chain(n):
-    spec, _, _ = beilinson_fixture(n)
+    spec = beilinson_fixture(n)
     res = pseudoheight(spec)
     assert res.value == 0
     assert res.witness == tuple(range(1, n + 1))
@@ -182,14 +194,13 @@ def test_projective_fixture_range_checked():
 
 def test_pairing_value_is_n_factorial():
     for n in (2, 3):
-        spec, pairing, xi = beilinson_fixture(n)
-        verdict = full_check(spec, xi=xi, pairing=pairing)
+        verdict = full_check(assemble_differential(beilinson_fixture(n)))
         assert verdict.status == FULL
         assert str(factorial(n)) in verdict.evidence
 
 
 def test_point_certificate():
-    assert full_check(fixtures.fixture_spec("point")).status == FULL
+    assert _verdict("point").status == FULL
 
 
 def test_verdicts_are_mutually_exclusive_on_fixtures():
@@ -199,7 +210,7 @@ def test_verdicts_are_mutually_exclusive_on_fixtures():
         not_full = not_full_check(h)
         if not spec.is_exact:
             continue
-        full = full_check(spec)
+        full = full_check(assemble_differential(spec))
         assert not (not_full is not None and full.status == FULL)
 
 
@@ -233,7 +244,7 @@ def test_full_check_rejects_pairing_that_sees_coboundaries():
     ])
     pairing = {1: Cochain([((1,), (0,), {0: Fraction(1)})])}
     with pytest.raises(SpecError, match="coboundaries"):
-        full_check(spec, xi=xi, pairing=pairing, cx=cx)
+        _check(spec, xi, pairing, cx)
 
 
 def test_full_check_rejects_pairing_outside_degree_zero():
@@ -243,14 +254,14 @@ def test_full_check_rejects_pairing_outside_degree_zero():
     xi = Cochain([((1,), (0,), {0: Fraction(1)})])
     pairing = {1: Cochain([((1, 2), (0, 0), {0: Fraction(1)})])}
     with pytest.raises(SpecError, match="want 0"):
-        full_check(spec, xi=xi, pairing=pairing)
+        _check(spec, xi, pairing)
 
 
 def test_full_check_refuses_pairing_on_the_empty_chain():
-    spec, _, xi = beilinson_fixture(2)
+    spec = beilinson_fixture(2)
     pairing = {1: Cochain([((), (0, 1), {0: Fraction(1)})])}
     with pytest.raises(SpecError, match="cochain names a zero term"):
-        full_check(spec, xi=xi, pairing=pairing)
+        _check(spec, spec.fullness_data.xi, pairing)
 
 
 def test_fullness_command_refuses_pairing_on_the_empty_chain(tmp_path, capsys):
@@ -315,10 +326,10 @@ def test_coboundary_check_matches_composition_with_d():
                 pairing = {i: _as_cochain(cx, 0, fvec)}
                 row = Matrix(1, d_in.rows, {(0, k): v for k, v in fvec.items()})
                 if row.compose(d_in).is_zero():
-                    full_check(spec, xi=xi, pairing=pairing, cx=cx)
+                    _check(spec, xi, pairing, cx)
                     accepted += 1
                 else:
                     with pytest.raises(SpecError, match="coboundaries"):
-                        full_check(spec, xi=xi, pairing=pairing, cx=cx)
+                        _check(spec, xi, pairing, cx)
                     refused += 1
     assert refused > 100 and accepted > 5

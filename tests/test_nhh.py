@@ -37,12 +37,12 @@ def _blocks(cx):
 
 
 def test_first_page_projective_line():
-    table, _ = build_e1(fixtures.fixture_spec("beilinson_p1"))
+    table = build_e1(fixtures.fixture_spec("beilinson_p1"))
     assert table == {(0, 1): 6, (-1, 1): 4}
 
 
 def test_first_page_point():
-    table, _ = build_e1(fixtures.fixture_spec("point"))
+    table = build_e1(fixtures.fixture_spec("point"))
     assert table == {(0, 0): 1}
 
 
@@ -72,7 +72,7 @@ def _counted_first_page(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_first_page_matches_counting_oracle(n):
     spec = fixtures.fixture_spec(f"beilinson_p{n - 1}")
-    table, _ = build_e1(spec)
+    table = build_e1(spec)
     assert table == _counted_first_page(n)
 
 
@@ -126,7 +126,7 @@ def test_total_cohomology_projective_spaces():
 def test_minimal_nonzero_degree_is_pseudoheight():
     for name in ["beilinson_p1", "beilinson_p2", "godeaux", "beauville_I0"]:
         spec = fixtures.fixture_spec(name)
-        table, _ = build_e1(spec)
+        table = build_e1(spec)
         min_t = min(mp + q for (mp, q), d in table.items() if d)
         assert min_t == pseudoheight(spec).value
 
@@ -150,12 +150,6 @@ def test_spectral_sequence_zero_differential():
     ss = spectral_sequence(cx)
     assert ss.pages[1] == ss.infinity
     assert ss.stable_page == 1
-
-
-def test_spectral_sequence_rejects_bad_max_page():
-    cx = assemble_differential(fixtures.fixture_spec("point"))
-    with pytest.raises(SpecError):
-        spectral_sequence(cx, max_page=0)
 
 
 def test_beauville_second_page_kills_the_deep_corner():
@@ -284,7 +278,7 @@ def test_no_block_leaves_the_zero_column():
 
 
 def test_beauville_degree_three_is_on_the_deep_corner_only():
-    table, _ = build_e1(fixtures.fixture_spec("beauville_I0"))
+    table = build_e1(fixtures.fixture_spec("beauville_I0"))
     degree_three = {(mp, q): d for (mp, q), d in table.items() if mp + q == 3}
     assert degree_three == {(-3, 6): 1}
 

@@ -142,7 +142,7 @@ def test_inverse_is_exact():
 
 def test_beilinson_p3_runs_on_ints():
     """Integral data stays int from the tables through the reduction."""
-    spec = beilinson_fixture(4)[0]
+    spec = beilinson_fixture(4)
     cx = nhh.assemble_differential(spec)
     entries = [v for m in cx.diffs.values() for v in m.entries.values()]
     assert entries and all(type(v) is int for v in entries)
