@@ -496,6 +496,33 @@ def qualitative_deductions(spec):
     return updates
 
 
+def merged_table(spec):
+    """The stated statuses merged with the flags' deductions.
+
+    A deduction clashing with a status raises SpecError; nothing is retracted.
+    """
+    return (spec.qualitative or QualitativeExtTable(spec.n)).merged_with(
+        qualitative_deductions(spec)
+    )
+
+
+# -- chain links ---------------------------------------------------------------
+
+
+def link_key(spec, kind, i, j):
+    """The link's (src, dst) in a QualitativeExtTable, and its degree shift.
+
+    Ext(E_i, E_j) is (i, j); Ext(E_j, S^{-1} E_i) is (j, n + i), whose dims
+    sit dim_x above the anticanonical degrees of the table.
+    """
+    return (i, j, 0) if kind == "A" else (j, spec.n + i, spec.dim_x)
+
+
+def is_link_key(spec, src, dst):
+    """Whether (src, dst) is the `link_key` of a link, not a backward pair."""
+    return src < dst <= spec.n or spec.n < dst <= spec.n + src
+
+
 # -- validation --------------------------------------------------------------
 
 
@@ -530,36 +557,31 @@ def _check_structure(spec):
 
 
 def _check_qualitative(spec):
-    """Exact dims win over statuses; contradictions are reported.
+    """The statuses agree with the flags' deductions and with exact dims.
 
-    Without exact dims the statuses and the deductions are merged, as the
-    engine merges them, and a conflict is reported with the engine's message.
+    The statuses and the deductions are merged as the engine merges them
+    (`merged_table`), and a clash is reported with the engine's message.  On
+    exact data, where the engine reads the dims alone, every link's merged
+    status (stated, deduced or a window ZERO) must then match its dims at
+    each degree where the dims are nonzero or a status is stated.
     """
-    if spec.qualitative is None:
-        return []
+    try:
+        table = merged_table(spec)
+    except SpecError as exc:
+        return [str(exc)]
     if not spec.is_exact:
-        try:
-            spec.qualitative.merged_with(qualitative_deductions(spec))
-        except SpecError as exc:
-            return [str(exc)]
         return []
+    dims_at = {}  # (src, dst, deg) -> the exact dim of the link filed there
+    for kind, spaces in (("A", spec.a_dims), ("N", spec.n_dims)):
+        for (i, j), dims in spaces.items():
+            src, dst, shift = link_key(spec, kind, i, j)
+            dims_at.update(((src, dst, d - shift), m) for d, m in dims.items())
+    keys = dims_at.keys() | {k for k in table.statuses if is_link_key(spec, *k[:2])}
     problems = []
-    table = spec.qualitative
-    n = spec.n
-    for (src, dst, deg), st in sorted(table.statuses.items()):
-        if dst <= n:
-            if not (src < dst):
-                continue
-            dim = spec.space_dim("A", src, dst, deg)
-        else:
-            i = dst - n
-            if not (i <= src):
-                continue
-            dim = spec.space_dim("N", i, src, deg + spec.dim_x)
-        if dim == 0 and st == NONZERO:
-            problems.append(f"status NONZERO at {(src, dst, deg)} but exact dim 0")
-        if dim > 0 and st == ZERO:
-            problems.append(f"status ZERO at {(src, dst, deg)} but exact dim {dim}")
+    for key in sorted(keys):
+        st, dim = table.status(*key), dims_at.get(key, 0)
+        if st == (ZERO if dim > 0 else NONZERO):
+            problems.append(f"status {st} at {key} but exact dim {dim}")
     return problems
 
 

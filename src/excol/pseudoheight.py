@@ -9,8 +9,10 @@ walks depth first over the live links only, and its cost follows the live
 chains rather than all 2^n - 1 of them.  The anticanonical variants
 subtract dim_x.
 
-One walk computes the minimum over se-intervals.  Exact dims pin every
-interval.  Partial (three-valued) knowledge leaves them open, which
+One walk computes the minimum over se-intervals.  Every link is read once
+(`_links`): exact dims pin its interval and decide its Ext^1 status, and
+only without them do the statuses, merged with the flags' deductions,
+answer.  Partial (three-valued) knowledge leaves the intervals open, which
 reproduces the standard lower-bound lemmas: a Hom-free extended collection
 forces every link >= 1, hence value >= 1; if on top of that no chain is
 cyclically Ext^1-connected some link is >= 2, hence value >= 2.  A nonzero
@@ -27,14 +29,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .model import (
-    INF,
-    NONZERO,
-    ZERO,
-    QualitativeExtTable,
-    SpecError,
-    qualitative_deductions,
-)
+from .model import INF, NONZERO, ZERO, SpecError, link_key, merged_table
 
 MAX_N = 24  # every worked example has n <= 11
 
@@ -57,11 +52,11 @@ def iter_chains(n):
         yield from itertools.combinations(range(1, n + 1), length)
 
 
-def live_chains(n, a_link, n_link, zero, plus):
+def live_chains(n, link, zero, plus):
     """The chains whose every link is live, in the order of `iter_chains`.
 
-    a_link(i, j) weighs the link Ext(E_i, E_j) and n_link(a_0, a_p) the
-    closing twisted link; either returns None for a dead link.  Yields
+    link("A", i, j) weighs the link Ext(E_i, E_j) and link("N", a_0, a_p)
+    the closing twisted link; it returns None for a dead link.  Yields
     (chain, weight) with weight = plus(...plus(zero, w_1)..., w_closing),
     the A links in order and the closing link last.
 
@@ -76,9 +71,9 @@ def live_chains(n, a_link, n_link, zero, plus):
     succ = {i: [] for i in objects}
     close = {}
     for i, j in itertools.combinations_with_replacement(objects, 2):
-        if i < j and (w := a_link(i, j)) is not None:
+        if i < j and (w := link("A", i, j)) is not None:
             succ[i].append((j, w))
-        if (w := n_link(i, j)) is not None:
+        if (w := link("N", i, j)) is not None:
             close[i, j] = w
     # ends[a0][j] has bit r set iff r more live links lead from j to some
     # a_p whose closing link N(a0, a_p) is live
@@ -162,11 +157,7 @@ def enumerate_terms(spec):
     """
     terms = []
     for chain, spaces in live_chains(
-        spec.n,
-        lambda i, j: _nonempty(spec.a_space(i, j)),
-        lambda i, j: _nonempty(spec.n_space(i, j)),
-        (),
-        operator.add,
+        spec.n, lambda *link: _nonempty(spec.space(*link)), (), operator.add
     ):
         for degs in itertools.product(*[sorted(sp) for sp in spaces]):
             dims = tuple(sp[d] for sp, d in zip(spaces, degs))
@@ -211,46 +202,25 @@ class PhBounds(namedtuple("PhBounds", "lower upper witness_chain", defaults=(Non
         return None if self.ph_ac is None else self.ph_ac + dim_x
 
 
-def effective_table(spec):
-    """The explicit statuses merged with the flags' deductions.
+def _links(spec, weigh):
+    """The chain walks' link reader: link(kind, i, j) = weigh(interval, status).
 
-    The degree criterion and the H^2(omega^{-1}) cap
-    (`model.qualitative_deductions`) apply when the flags make them
-    available; a deduction clashing with a status raises SpecError.
-    Deductions are monotone: nothing is ever retracted.
+    Each link ("A", i, j), i < j, or twisted ("N", i, j), i <= j, is read
+    for its anticanonical se-interval and its Ext^1 status.  Exact dims
+    decide both, so an exact document without dims has every Ext zero;
+    otherwise the statuses merged with the flags' deductions decide
+    (`model.merged_table`, whose clash raises SpecError), filed under the
+    link's `model.link_key`.
     """
-    table = spec.qualitative or QualitativeExtTable(spec.n, {}, None)
-    return table.merged_with(qualitative_deductions(spec))
+    table = None if spec.is_exact else merged_table(spec)
 
-
-def _link_intervals(spec):
-    """se-intervals of the A links and of the twisted links, anticanonically.
-
-    Exact dims pin every interval; the twisted link is shifted by dim_x.
-    """
-    if spec.is_exact:
-        def pinned(dims, shift=0):
+    def link(kind, i, j):
+        src, dst, shift = link_key(spec, kind, i, j)
+        if table is None:
+            dims = spec.space(kind, i, j)
             se = rel_height(dims) - shift
-            return (se, se)
-
-        return (
-            {pair: pinned(dims) for pair, dims in spec.a_dims.items()},
-            {pair: pinned(dims, spec.dim_x) for pair, dims in spec.n_dims.items()},
-        )
-    table = effective_table(spec)
-    pairs = list(itertools.combinations_with_replacement(range(1, spec.n + 1), 2))
-    return (
-        {(i, j): table.se_interval(i, j) for i, j in pairs if i < j},
-        {(i, j): table.se_interval(j, spec.n + i) for i, j in pairs},
-    )
-
-
-def _live_interval(intervals):
-    """Link weight for `live_chains`: the se-interval, None if known zero."""
-
-    def link(i, j):
-        iv = intervals.get((i, j))
-        return None if iv is None or iv[0] == INF else iv
+            return weigh((se, se), NONZERO if dims.get(1 + shift) else ZERO)
+        return weigh(table.se_interval(src, dst), table.status(src, dst, 1))
 
     return link
 
@@ -266,13 +236,11 @@ def qualitative_ph_bounds(spec):
     preferred so the height shortcut can fire on a pinned interval.  Exact
     data gives a pinned interval (or [inf, inf] when every chain is dead).
     """
-    a_iv, n_iv = _link_intervals(spec)
     lower = INF
     upper = INF
     witness = None
-    for chain, (lo, hi) in live_chains(
-        spec.n, _live_interval(a_iv), _live_interval(n_iv), (0, 0), _add_intervals
-    ):
+    live = _links(spec, lambda iv, st: None if iv[0] == INF else iv)
+    for chain, (lo, hi) in live_chains(spec.n, live, (0, 0), _add_intervals):
         p = len(chain) - 1
         lower = min(lower, lo - p)
         if hi - p < upper:
@@ -303,22 +271,6 @@ def pseudoheight(spec):
     return PseudoheightResult(bounds.ph(spec.dim_x), bounds.witness_chain, spec.dim_x)
 
 
-def link_status(spec, table, kind, i, j, deg):
-    """Status of one chain link in anticanonical degree deg.
-
-    Exact dims win; the table (with its rule deductions) answers otherwise.
-    """
-    if spec.is_exact and (spec.a_dims or spec.n_dims):
-        if kind == "A":
-            dim = spec.a_space(i, j).get(deg, 0)
-        else:
-            dim = spec.n_space(i, j).get(deg + spec.dim_x, 0)
-        return NONZERO if dim else ZERO
-    if kind == "A":
-        return table.status(i, j, deg)
-    return table.status(j, spec.n + i, deg)
-
-
 def cyclically_ext1_connected(spec):
     """Three-valued: is some chain linked by nonzero Ext^1 all around?
 
@@ -326,19 +278,10 @@ def cyclically_ext1_connected(spec):
     (False, None) when every chain has a link ZERO in degree 1, and
     (None, None) otherwise.
     """
-    table = effective_table(spec)
-
-    def link(kind):
-        def nonzero(i, j):  # None if ZERO, else whether surely NONZERO
-            st = link_status(spec, table, kind, i, j, 1)
-            return None if st == ZERO else st == NONZERO
-
-        return nonzero
-
+    # a link is None if ZERO in degree 1, else whether surely NONZERO there
+    live = _links(spec, lambda iv, st: None if st == ZERO else st == NONZERO)
     found_unknown = False
-    for chain, nonzero in live_chains(
-        spec.n, link("A"), link("N"), True, operator.and_
-    ):
+    for chain, nonzero in live_chains(spec.n, live, True, operator.and_):
         if nonzero:
             return (True, chain)
         found_unknown = True

@@ -214,6 +214,44 @@ def test_validate_refuses_what_the_engine_refuses(tmp_path, capsys, edit, messag
         assert run(capsys, cmd, str(path)) == (1, "", f"error: {message}\n")
 
 
+def _exact_hom(doc):
+    doc.setdefault("ext", []).append({"src": 1, "dst": 2, "deg": 0, "dim": 1})
+
+
+def _exact_hom_stated_nonzero(doc):
+    _exact_hom(doc)
+    _add_status(1, 2, 0, "NONZERO")(doc)
+
+
+def _window_without_degree_0(doc):
+    doc["qualitative"] = {"degree_window": [1, 2], "statuses": []}
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    # the stated NONZERO clashes with the degree criterion's ZERO
+    ("burniat", _exact_hom_stated_nonzero,
+     "qualitative conflict at (1, 2, 0): NONZERO vs ZERO"),
+    # the degree criterion's ZERO, with no statuses at all, against a dim
+    ("godeaux", _exact_hom, "status ZERO at (1, 2, 0) but exact dim 1"),
+    # the window's ZERO in degree 0 against the first of four dims
+    ("beilinson_p1", _window_without_degree_0, "status ZERO at (1, 2, 0) but exact dim 2"),
+], ids=["burniat-stated", "godeaux-deduced", "beilinson_p1-window"])
+def test_validate_checks_every_status_against_exact_dims(
+    tmp_path, capsys, name, edit, message
+):
+    doc = fixtures.fixture_document(name)
+    edit(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", str(path), "--json")
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["qualitative_consistency"]
+    assert failed[0]["detail"].split("; ")[0] == message
+    # the engine reads the dims alone
+    assert run(capsys, "height", str(path))[0] == 0
+
+
 def test_env_fixture_directory(tmp_path, capsys, monkeypatch):
     target = tmp_path / "corpus"
     target.mkdir()

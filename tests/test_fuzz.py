@@ -4,7 +4,8 @@ Each example edits a shipped fixture document in one to three places
 (replacing, deleting or adding an entry at any depth) and feeds it to
 `model.parse` or to `cli.main`.  A JSON boolean in place of any integer
 must be refused, although Python counts it as one, and so must a flag value
-of the wrong type.
+of the wrong type.  Whatever `validate` accepts, the two chain walks read
+without raising.
 """
 
 import contextlib
@@ -20,6 +21,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from excol import FIXTURE_NAMES, fixtures, model  # noqa: E402
 from excol.cli import main  # noqa: E402
+from excol.pseudoheight import (  # noqa: E402
+    MAX_N,
+    cyclically_ext1_connected,
+    qualitative_ph_bounds,
+)
 
 # the CLI runs on the small fixtures only, so that no corruption is costly
 CLI_FIXTURES = ["point", "beilinson_p1", "godeaux", "burniat", "beauville_I1"]
@@ -146,6 +152,20 @@ def test_boolean_for_an_integer_is_rejected(data):
     node[last] = data.draw(values)
     with pytest.raises(model.SpecError):
         model.parse(json.dumps(doc))
+
+
+@SETTINGS
+@given(st.data())
+def test_validated_document_never_fails_the_chain_walks(data):
+    # whatever validate accepts, both walks read without raising
+    doc = _corrupted(data, sorted(DOCS), _values(SMALL))
+    try:
+        spec = model.parse(json.dumps(doc))
+    except model.SpecError:
+        return
+    if spec.n <= MAX_N and model.validate(spec).ok:
+        qualitative_ph_bounds(spec)
+        cyclically_ext1_connected(spec)
 
 
 @SETTINGS

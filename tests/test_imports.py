@@ -117,9 +117,9 @@ def test_command_loads_only_its_modules(cmd, name, expected):
 @pytest.mark.parametrize("argv, budget", [
     (["validate", str(PATHS[SPARSE]), "--json"], 1150),
     (["fixture", "--list"], 280),
-    (["height", str(PATHS[EXACT]), "--json"], 2757),
-    (["e1", str(PATHS[EXACT]), "--json"], 1944),
-    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1944),
+    (["height", str(PATHS[EXACT]), "--json"], 2722),
+    (["e1", str(PATHS[EXACT]), "--json"], 1909),
+    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1909),
 ], ids=["validate-sparse15", "fixture-list", "height-p1", "e1-p1", "pseudoheight-p1"])
 def test_job_source_line_budget(argv, budget):
     # every line a job loads is compiled again when no bytecode is written

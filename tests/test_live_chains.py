@@ -3,7 +3,9 @@
 `live_chains` visits only the chains whose every link is live.  Each
 chain-walk entry point is recomputed here from its definition over all
 2^n - 1 chains of `iter_chains`, and must agree exactly: the same terms in
-the same order, the same bounds and the same witness.
+the same order, the same bounds and the same witness.  The references read
+each link from its definition (`link_reading`), not through the engine's
+link reader: exact dims, or else the statuses with the flags' deductions.
 """
 
 import itertools
@@ -15,18 +17,17 @@ from _specgen import random_spec
 from excol.model import (
     INF,
     NONZERO,
+    UNKNOWN,
     ZERO,
     CollectionSpec,
     QualitativeExtTable,
     SpecError,
+    qualitative_deductions,
 )
 from excol.nhh import ChainTerm, enumerate_terms
 from excol.pseudoheight import (
-    _link_intervals,
     cyclically_ext1_connected,
-    effective_table,
     iter_chains,
-    link_status,
     live_chains,
     pseudoheight,
     qualitative_ph_bounds,
@@ -57,14 +58,70 @@ def brute_terms(spec):
     return terms
 
 
+def merged_statuses(spec):
+    """The stated statuses with the flags' deductions added, one at a time.
+
+    A deduction that clashes with a status, or a deduced NONZERO outside the
+    degree window, raises SpecError with the engine's message.
+    """
+    statuses = dict(spec.qualitative.statuses)
+    window = spec.qualitative.degree_window
+    for key, st in qualitative_deductions(spec).items():
+        if statuses.get(key, st) != st:
+            raise SpecError(f"qualitative conflict at {key}: {statuses[key]} vs {st}")
+        if window is not None and st == NONZERO and not window[0] <= key[2] <= window[1]:
+            raise SpecError(f"NONZERO status at {key} outside degree window")
+        statuses[key] = st
+    return statuses, window
+
+
+def link_reading(spec):
+    """(kind, i, j) -> the link's anticanonical se-interval and Ext^1 status.
+
+    Ext(E_i, E_j) is the A link (i, j), and the closing Ext(E_j, S^{-1} E_i)
+    the N link (i, j), whose dims sit dim_x above the anticanonical degree
+    and whose statuses are filed under (j, n + i).  Exact dims decide;
+    otherwise a status is stated, deduced, ZERO outside the degree window
+    or UNKNOWN, and the interval runs from the first degree not known ZERO
+    (-inf without a window) to the first known NONZERO.
+    """
+    if spec.is_exact:
+        def read(kind, i, j):
+            dims = spec.a_dims.get((i, j), {}) if kind == "A" else spec.n_dims.get((i, j), {})
+            shift = 0 if kind == "A" else spec.dim_x
+            se = min((d for d, m in dims.items() if m > 0), default=INF) - shift
+            return (se, se), NONZERO if dims.get(1 + shift, 0) > 0 else ZERO
+
+        return read
+    statuses, window = merged_statuses(spec)
+
+    def status(src, dst, deg):
+        if (src, dst, deg) in statuses:
+            return statuses[src, dst, deg]
+        if window is not None and not window[0] <= deg <= window[1]:
+            return ZERO
+        return UNKNOWN
+
+    def read(kind, i, j):
+        src, dst = (i, j) if kind == "A" else (j, spec.n + i)
+        if window is None:
+            degs = sorted(d for s, t, d in statuses if (s, t) == (src, dst))
+            lo = -INF
+        else:
+            degs = range(window[0], window[1] + 1)
+            lo = next((d for d in degs if status(src, dst, d) != ZERO), INF)
+        hi = next((d for d in degs if status(src, dst, d) == NONZERO), INF)
+        return (lo, hi), status(src, dst, 1)
+
+    return read
+
+
 def brute_bounds(spec):
-    a_iv, n_iv = _link_intervals(spec)
-    dead = (INF, INF)
+    read = link_reading(spec)
     lower = upper = INF
     witness = None
     for chain in iter_chains(spec.n):
-        ivs = [a_iv.get(pair, dead) for pair in zip(chain, chain[1:])]
-        ivs.append(n_iv.get((chain[0], chain[-1]), dead))
+        ivs = [read(*link)[0] for link in chain_links(chain)]
         if any(lo == INF for lo, _ in ivs):
             continue
         p = len(chain) - 1
@@ -93,10 +150,10 @@ def chain_links(chain):
 
 
 def brute_cyclic(spec):
-    table = effective_table(spec)
+    read = link_reading(spec)
     unknown = False
     for chain in iter_chains(spec.n):
-        statuses = [link_status(spec, table, k, i, j, 1) for k, i, j in chain_links(chain)]
+        statuses = [read(*link)[1] for link in chain_links(chain)]
         if all(st == NONZERO for st in statuses):
             return (True, chain)
         if ZERO not in statuses:
@@ -184,8 +241,7 @@ def test_walker_is_the_filtered_brute_force(seed):
     n_w = {(i, j): rng.randint(0, 3) for i, j in pairs if rng.random() < density}
     got = list(live_chains(
         n,
-        lambda i, j: a_w.get((i, j)),
-        lambda i, j: n_w.get((i, j)),
+        lambda kind, i, j: (a_w if kind == "A" else n_w).get((i, j)),
         (),
         lambda acc, w: acc + (w,),
     ))
@@ -199,7 +255,7 @@ def test_walker_is_the_filtered_brute_force(seed):
 
 def test_walker_keeps_the_cap():
     with pytest.raises(SpecError):
-        list(live_chains(25, lambda i, j: 0, lambda i, j: 0, 0, int.__add__))
+        list(live_chains(25, lambda kind, i, j: 0, 0, int.__add__))
 
 
 @pytest.mark.parametrize("kind, i, spec", [

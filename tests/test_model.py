@@ -504,6 +504,36 @@ def test_validate_flags_exact_qualitative_conflict():
                for c in report.checks)
 
 
+@pytest.mark.parametrize("n, dim_x", [(1, 0), (2, 2), (4, 1), (5, 3)])
+def test_link_keys_are_the_forward_pairs(n, dim_x):
+    # every link has its own key, and is_link_key names exactly those keys
+    spec = CollectionSpec(n=n, dim_x=dim_x)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    links = [("A", i, j) for i, j in pairs if i < j] + [("N", i, j) for i, j in pairs]
+    keys = {model.link_key(spec, *link)[:2]: link for link in links}
+    assert len(keys) == len(links)
+    table_pairs = [(s, d) for s in range(1, n + 1) for d in range(1, 2 * n + 1)]
+    assert {p for p in table_pairs if model.is_link_key(spec, *p)} == set(keys)
+    for kind, i, j in links:
+        assert model.link_key(spec, kind, i, j)[2] == (0 if kind == "A" else dim_x)
+
+
+def test_validate_reads_only_the_links_with_data():
+    # a wide, sparse exact document: the check follows its records, not n^2 links
+    doc = {
+        "n": 10**9, "dim_x": 0,
+        "ext": [{"src": 1, "dst": 2, "deg": 0, "dim": 1}],
+        "qualitative": {"statuses": [
+            {"src": 1, "dst": 10**9 + 1, "deg": 0, "status": "NONZERO"}]},
+    }
+    t0 = time.monotonic()
+    report = validate(parse(doc))
+    assert time.monotonic() - t0 < 1.0
+    assert report.failures() == [model.CheckResult(
+        "qualitative_consistency", False,
+        f"status NONZERO at (1, {10**9 + 1}, 0) but exact dim 0")]
+
+
 def test_serialization_is_canonical_json():
     text = serialize(fixtures.fixture_spec("burniat"))
     tree = json.loads(text)

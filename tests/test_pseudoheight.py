@@ -1,6 +1,6 @@
 import pytest
 
-from excol import fixtures
+from excol import fixtures, model
 from excol.model import INF, NONZERO, ZERO, CollectionSpec, QualitativeExtTable, SpecError
 from excol.pseudoheight import (
     cyclically_ext1_connected,
@@ -186,3 +186,24 @@ def test_cyclic_connectivity_exact_route():
     assert verdict is True and witness == (1, 2, 3, 4)
     verdict, witness = cyclically_ext1_connected(fixtures.fixture_spec("godeaux"))
     assert verdict is False and witness is None
+
+
+def test_cyclic_connectivity_exact_without_dims():
+    # exact data without dims: every Ext is zero, so no chain is connected
+    assert cyclically_ext1_connected(CollectionSpec(n=1, dim_x=2)) == (False, None)
+
+
+def test_exact_dims_decide_over_clashing_statuses():
+    # one exact Hom(E_1, E_2) and a NONZERO status there that the degree
+    # criterion contradicts: validate fails, the walks read the dims alone
+    doc = fixtures.fixture_document("burniat")
+    doc["ext"] = [{"src": 1, "dst": 2, "deg": 0, "dim": 1}]
+    doc["qualitative"]["statuses"].append(
+        {"src": 1, "dst": 2, "deg": 0, "status": "NONZERO"})
+    spec = model.parse(doc)
+    with pytest.raises(SpecError, match="qualitative conflict"):
+        model.merged_table(spec)
+    assert not model.validate(spec).ok
+    # no twisted dims, so every chain has a zero closing link
+    assert cyclically_ext1_connected(spec) == (False, None)
+    assert qualitative_ph_bounds(spec) == (INF, INF, None)
