@@ -101,10 +101,10 @@ def cmd_fixture(args):
         return 0
     from . import fixtures
     try:
-        spec = fixtures.fixture_spec(args.input)
+        doc = fixtures.fixture_document(args.input)  # built in canonical form
     except KeyError:
         raise CliFormatError(f"unknown fixture {args.input!r}") from None
-    _write(fixtures.serialize(spec))
+    _write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     return 0
 
 

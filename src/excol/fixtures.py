@@ -10,8 +10,8 @@ Surface models keep only the spaces and products that the published
 arguments constrain; everything else is zero.  That is enough to reproduce
 the known heights, and the assumptions list is the contract.
 
-The canonical writer (`to_document`, `serialize`) is here too, since the
-`fixture` command is the only one that prints a document.
+Each builder emits its document in canonical form, and `fixture` prints it
+as built; the canonical writer (`to_document`, `serialize`) is here too.
 """
 
 import itertools
@@ -75,14 +75,12 @@ def _surface_document(degrees, k_squared, statuses=None, flags=None, **sections)
 
 
 def _burniat_document():
-    statuses = []
-    # no Ext^1 between distinct bundles of the collection
-    for i in range(1, 7):
-        for j in range(i + 1, 7):
-            statuses.append({"src": i, "dst": j, "deg": 1, "status": "ZERO"})
-    # H^1 of the anticanonical bundle vanishes
-    for i in range(1, 7):
-        statuses.append({"src": i, "dst": 6 + i, "deg": 1, "status": "ZERO"})
+    # no Ext^1 between distinct bundles, nor H^1 of the anticanonical bundle
+    statuses = [
+        {"src": i, "dst": j, "deg": 1, "status": "ZERO"}
+        for i in range(1, 7)
+        for j in [*range(i + 1, 7), 6 + i]
+    ]
     return _surface_document(
         [3, 3, 2, 2, 2, 0],
         6,
@@ -146,18 +144,20 @@ def _beauville_i1_document():
 def _beauville_i0_document():
     ext = [
         {"src": 1, "dst": 2, "deg": 1, "dim": 1},
-        {"src": 2, "dst": 3, "deg": 1, "dim": 1},
-        {"src": 3, "dst": 4, "deg": 1, "dim": 1},
         {"src": 1, "dst": 3, "deg": 2, "dim": 1},
-        {"src": 2, "dst": 4, "deg": 2, "dim": 1},
         {"src": 1, "dst": 4, "deg": 2, "dim": 1},
+        {"src": 2, "dst": 3, "deg": 1, "dim": 1},
+        {"src": 2, "dst": 4, "deg": 2, "dim": 1},
+        {"src": 3, "dst": 4, "deg": 1, "dim": 1},
     ]
     serre_ext = [
-        {"twist_src": i, "from": i, "deg": 4, "dim": 9} for i in range(1, 5)
-    ] + [
-        {"twist_src": 1, "from": 4, "deg": 3, "dim": 1},
+        {"twist_src": 1, "from": 1, "deg": 4, "dim": 9},
         {"twist_src": 1, "from": 3, "deg": 4, "dim": 1},
+        {"twist_src": 1, "from": 4, "deg": 3, "dim": 1},
+        {"twist_src": 2, "from": 2, "deg": 4, "dim": 9},
         {"twist_src": 2, "from": 4, "deg": 4, "dim": 1},
+        {"twist_src": 3, "from": 3, "deg": 4, "dim": 9},
+        {"twist_src": 4, "from": 4, "deg": 4, "dim": 9},
     ]
     products = [
         {
@@ -231,9 +231,9 @@ def _beauville_i0_document():
 
 
 def _godeaux_document():
-    serre_ext = [
-        {"twist_src": i, "from": i, "deg": 4, "dim": 2} for i in range(1, 12)
-    ] + [{"twist_src": 2, "from": 3, "deg": 4, "dim": 2}]
+    serre_ext = [{"twist_src": i, "from": i, "deg": 4, "dim": 2} for i in range(1, 12)]
+    # Ext^2(E_3, E_2(-K)), in canonical order after (2, 2)
+    serre_ext.insert(2, {"twist_src": 2, "from": 3, "deg": 4, "dim": 2})
     return _surface_document(
         [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0],
         1,

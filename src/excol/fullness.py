@@ -7,10 +7,10 @@ pairing against the canonical degree-0 map out of the Serre twist of some
 object is nonzero certifies fullness.  The pairing is the arity p+2 product
 against that canonical generator; it is part of the input, since computing
 it amounts to knowing the higher product structure at that arity.
-`full_check` takes only the assembled complex: the candidate and its
-pairings are its spec's `fullness_data`, and the candidate's depth and the
-pairings' vanishing on coboundaries are read off the complex's one
-filtered reduction (`nhh.FilteredReduction`), not the pages.
+`full_check` takes only the complex: the candidate and its pairings are its
+spec's `fullness_data`, and the candidate's depth and the pairings'
+vanishing on coboundaries are read off the complex's one filtered reduction
+(`nhh.FilteredReduction`) through degree 0, not the pages.
 
 For the standard collection O, O(1), ..., O(n-1) on projective (n-1)-space
 everything is explicit: the degree-0 page is cut out of n-fold tensors of
@@ -92,7 +92,7 @@ def full_check(cx):
     pairing evaluates to a nonzero scalar.  A pairing must be a functional
     on T^0 that vanishes on coboundaries, so its value depends only on the
     class of xi; it is checked against the reduced columns of d_{-1}, the
-    basis of the coboundaries that the complex's filtered reduction keeps.
+    coboundary basis of the reduction through degree 0, which is all it reads.
     """
     data = cx.spec.fullness_data
     if data is None or data.xi is None or not data.pairings:
@@ -105,7 +105,7 @@ def full_check(cx):
     if t != 0:
         raise SpecError(f"candidate has total degree {t}, want 0")
     mps = cx.coordinate_mp(0)
-    deepest = min((mps[c] for c in cx.reduction().cycles[0]), default=0)
+    deepest = min((mps[c] for c in cx.reduction(0).cycles[0]), default=0)
     if -deepest > p:
         raise SpecError(
             f"candidate sits at chain length {p} but the limit page survives "
@@ -119,7 +119,7 @@ def full_check(cx):
             INCONCLUSIVE, "candidate is not a cocycle of the assembled differential"
         )
 
-    coboundaries = cx.reduction().image.get(-1, {}).values()
+    coboundaries = cx.reduction(0).image.get(-1, {}).values()
     for i, functional in sorted(data.pairings.items()):
         fvec, _, _ = _cochain_vector(cx, functional, expect_t=0)  # refuses chain ()
         for chain, _, _ in functional.terms:

@@ -97,10 +97,12 @@ class Analysis:
     """Everything derived from one spec, each stage computed at most once.
 
     The stages are lazy and memoized: the chain-engine bounds, the height
-    shortcut, the assembled complex (its relations checked once), its
-    cohomology and pages, the height, the report and the fullness verdict.
-    The `ss`, `height`, `report` and `fullness` commands read their answers
-    off one Analysis.
+    shortcut, the complex (its relations checked once), its cohomology and
+    pages, the height, the report and the fullness verdict.  The `ss`,
+    `height`, `report` and `fullness` commands read their answers off one
+    Analysis.  The complex builds and reduces each degree on first use, and
+    the height on exact data with complete higher products stops at the first
+    surviving cocycle: `fullness` reads no degree above the height.
     """
 
     def __init__(self, spec):
@@ -157,15 +159,15 @@ class Analysis:
                 return Height(self.shortcut, self.shortcut)
             return Height(self.bounds.lower + spec.dim_x, INF)
         page = None
-        if spec.higher_complete:
-            degrees = [t for t, d in self.cohomology.items() if d > 0]
+        if spec.higher_complete:  # walk t upward; no later degree is built
+            cx = self.complex
+            lo = next((t for t in sorted(cx.t_dims) if cx.reduction(t).cycles[t]), INF)
         else:
             # trusted through the page driven by the largest supplied arity
             page = self.pages.page(spec.max_arity)
-            degrees = [mp + q for (mp, q), d in page.items() if d > 0]
-        if not degrees:
+            lo = min((mp + q for (mp, q), d in page.items() if d > 0), default=INF)
+        if lo == INF:
             return Height(INF, INF, nhh_vanishes=True)
-        lo = min(degrees)
         if page is None or page.get((0, lo)) or self.shortcut == lo:
             return Height(lo, lo)
         return Height(lo, INF)

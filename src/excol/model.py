@@ -629,5 +629,5 @@ def validate(spec):
         report("associativity", [msg for short, msg in named if short], 5)
         if spec.higher and structure_ok:
             report("a_infinity", [msg for short, msg in named if not short], 5)
-    report("qualitative_consistency", _check_qualitative(spec))
+    report("qualitative_consistency", _check_qualitative(spec), 5)
     return ValidationReport(checks)

@@ -28,10 +28,10 @@ the reduction reads d_t as assembled.  Each pivot pairs a coordinate of T^t
 with one of T^{t+1} across a gap g = mp(row) - mp(col), the pair lives on
 the pages E_1 .. E_g, and the unpaired coordinates are the limit page and
 the cohomology (the persistence pairing of the filtration, as in
-Edelsbrunner-Harer, Computational Topology, ch. VII).  The d_t are reduced
-in increasing t, with clearing, keeping a cochain per column
-(`FilteredReduction`): the reduced columns span the image, and the cochains
-of the unpaired coordinates complete them to a basis of the kernel, which
+Edelsbrunner-Harer, Computational Topology, ch. VII).  Each d_t is built
+and reduced on first use, in increasing t, with clearing and a cochain per
+column (`FilteredReduction`): the reduced columns span the image, and the
+unpaired coordinates' cochains complete them to a kernel basis, which
 `survivors` returns filed by level.  `spectral_sequence` stops at the page
 r = width + 1, which is the limit page; `heights.Analysis.pages` holds it
 once per spec, and the `ss` command pads it out to `--max-page`.
@@ -123,7 +123,7 @@ def _block_entries(spec, block, placement, fld):
 
 
 class NormalComplex:
-    """The assembled total complex, graded by total degree.
+    """The total complex, graded by total degree, each d_t built on first use.
 
     Each T^t is laid out in filtration order: by_t[t] is sorted by
     (p, chain, degs) and the terms take consecutive coordinates in that
@@ -137,15 +137,31 @@ class NormalComplex:
         self.by_t = by_t
         self.offsets = offsets
         self.t_dims = t_dims
-        self.diffs = diffs  # t -> Matrix from T^t to T^{t+1}
+        self.diffs = diffs  # t -> Matrix from T^t to T^{t+1}, as built so far
         self._mp_cache = {}
-        self._reduction = None
+        self._reduction = FilteredReduction(self)
 
     def differential(self, t):
+        """d_t, summed from the blocks that leave the terms of T^t on first use."""
         got = self.diffs.get(t)
         if got is not None:
             return got
-        return Matrix.zero(self.t_dims.get(t + 1, 0), self.t_dims.get(t, 0), self.field)
+        spec, fld = self.spec, self.field
+        acc = {}  # (row, col) -> field element, summed as the blocks arrive
+        for tm in self.by_t.get(t, ()) if spec.products or spec.higher else ():
+            src_off = self.term_offset(tm)
+            for block, placement in _term_blocks(spec, tm, self.term_lookup):
+                tgt_off = self.term_offset(block.target)
+                for ti, si, coeff in _block_entries(spec, block, placement, fld):
+                    key = (tgt_off + ti, src_off + si)
+                    acc[key] = fld.add(acc[key], coeff) if key in acc else coeff
+        rows, cols = self.t_dims.get(t + 1, 0), self.t_dims.get(t, 0)
+        bad = next((k for k in acc if not (0 <= k[0] < rows and 0 <= k[1] < cols)), None)
+        if bad is not None:
+            raise ExactLinError(f"index {bad} out of bounds")
+        got = self.diffs[t] = Matrix.zero(rows, cols, fld)
+        got.entries = {k: v for k, v in acc.items() if not fld.is_zero(v)}
+        return got
 
     def term_offset(self, term):
         return self.offsets[(term.chain, term.degs)]
@@ -158,15 +174,21 @@ class NormalComplex:
             self._mp_cache[t] = got
         return got
 
-    def reduction(self):
-        """The filtered column reduction of every d_t, built on first use."""
-        if self._reduction is None:
-            self._reduction = FilteredReduction(self)
-        return self._reduction
+    def reduction(self, through=INF):
+        """The filtered column reduction, carried in increasing t through `through`."""
+        red = self._reduction
+        for t in sorted(t for t in self.t_dims if t <= through and t not in red.pairs):
+            red.pairs[t], red.image[t], red.cycles[t] = _reduce(
+                self, t, cleared=red.image.get(t - 1, {})
+            )
+            mp, mp_next = self.coordinate_mp(t), self.coordinate_mp(t + 1)
+            for c, r in red.pairs[t].items():
+                red.gaps[t][c] = red.gaps[t + 1][r] = mp_next[r] - mp[c]
+        return red
 
 
 def assemble_differential(spec, check=True):
-    """Build the full differential.
+    """Lay out the total complex; each d_t is assembled on first use.
 
     Unless check=False, every A-infinity relation of the products is
     verified first, which is d . d = 0 (see `products`); a failing relation
@@ -197,24 +219,7 @@ def assemble_differential(spec, check=True):
             offsets[(tm.chain, tm.degs)] = off
             off += tm.dim
         t_dims[t] = off
-    sums = {}  # t -> {(row, col): field element}, summed as the blocks arrive
-    for tm in terms if tables else ():
-        src_off = offsets[(tm.chain, tm.degs)]
-        for block, placement in _term_blocks(spec, tm, term_lookup):
-            acc = sums.setdefault(tm.t, {})
-            tgt_off = offsets[(block.target.chain, block.target.degs)]
-            for ti, si, coeff in _block_entries(spec, block, placement, fld):
-                key = (tgt_off + ti, src_off + si)
-                acc[key] = fld.add(acc[key], coeff) if key in acc else coeff
-    diffs = {}
-    for t, acc in sums.items():
-        rows, cols = t_dims.get(t + 1, 0), t_dims[t]
-        bad = next((k for k in acc if not (0 <= k[0] < rows and 0 <= k[1] < cols)), None)
-        if bad is not None:
-            raise ExactLinError(f"index {bad} out of bounds")
-        diffs[t] = Matrix.zero(rows, cols, fld)
-        diffs[t].entries = {k: v for k, v in acc.items() if not fld.is_zero(v)}
-    return NormalComplex(spec, fld, term_lookup, by_t, offsets, t_dims, diffs)
+    return NormalComplex(spec, fld, term_lookup, by_t, offsets, t_dims, {})
 
 
 def total_cohomology(cx):
@@ -279,23 +284,16 @@ class FilteredReduction:
     image[t-1] are a basis of ker d_t with one low per vector, and a vector
     lies in F^j exactly when its low's level is >= j.
 
-    Every T^t is reduced, in increasing t, with clearing (Chen and Kerber,
-    "Persistent homology computation with a twist", EuroCG 2011): the low
-    row of a reduced column of d_{t-1} is a coboundary, so as a column of
-    d_t it reduces to zero and is skipped; that reduced column is its
-    cocycle.
+    `NormalComplex.reduction` reduces T^t once a reader asks for it, after
+    every lower degree, with clearing (Chen and Kerber, "Persistent homology
+    computation with a twist", EuroCG 2011): the low row of a reduced column
+    of d_{t-1} is a coboundary, so as a column of d_t it reduces to zero and
+    is skipped; that reduced column is its cocycle.
     """
 
     def __init__(self, cx):
         self.pairs, self.image, self.cycles = {}, {}, {}
         self.gaps = {t: {} for t in cx.t_dims}
-        for t in sorted(cx.t_dims):
-            self.pairs[t], self.image[t], self.cycles[t] = _reduce(
-                cx, t, cleared=self.image.get(t - 1, {})
-            )
-            mp, mp_next = cx.coordinate_mp(t), cx.coordinate_mp(t + 1)
-            for c, r in self.pairs[t].items():
-                self.gaps[t][c] = self.gaps[t + 1][r] = mp_next[r] - mp[c]
 
 
 # -- spectral sequence -------------------------------------------------------
@@ -325,8 +323,8 @@ class SpectralSequencePages:
         """
         if (mp, q) not in self.pages[1]:
             return None
-        red = self._cx.reduction()
         t = mp + q
+        red = self._cx.reduction(t)
         mps = self._cx.coordinate_mp(t)
         cycles = red.cycles[t]
         border = [col for low, col in red.image.get(t - 1, {}).items() if mps[low] >= mp]

@@ -28,8 +28,8 @@ def _restricted_kernel(cx, t, j, bound):
     dim_t = cx.t_dims.get(t, 0)
     if not cols:
         return Subspace(dim_t, [], cx.field)
-    d = cx.diffs.get(t)
-    if d is None:
+    d = cx.differential(t)
+    if not d.entries:
         return Subspace(dim_t, [{c: cx.field.one} for c in cols], cx.field)
     rows = [i for i, mp in enumerate(cx.coordinate_mp(t + 1)) if mp < bound]
     row_pos = {r: i for i, r in enumerate(rows)}
@@ -44,10 +44,10 @@ def _restricted_kernel(cx, t, j, bound):
 
 
 def _apply_d(cx, t, sub):
-    d = cx.diffs.get(t)
     dim_next = cx.t_dims.get(t + 1, 0)
-    if d is None or sub.dim == 0:
+    if sub.dim == 0:  # T^t may be empty: build no d_t for it
         return Subspace(dim_next, [], cx.field)
+    d = cx.differential(t)
     return Subspace(dim_next, [d.apply(v) for v in sub.basis], cx.field)
 
 

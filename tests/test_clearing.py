@@ -70,7 +70,7 @@ def test_random_draws(field):
 def _over(cx, field):
     """The complex cx with its differential's entries read in another field."""
     fld = field_by_name(field)
-    for mat in cx.diffs.values():
+    for mat in map(cx.differential, cx.t_dims):
         mat.field = fld
         mat.entries = {k: v for k, v in ((k, fld.of(v)) for k, v in mat.entries.items()) if v}
     cx.field = fld

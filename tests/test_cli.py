@@ -274,6 +274,15 @@ def test_shipped_fixture_files_match_registry():
         assert on_disk == fixtures.serialize(fixtures.fixture_spec(name))
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_documents_are_built_canonical(capsys, name):
+    # `fixture <name>` prints the built document without a parse round trip
+    doc = fixtures.fixture_document(name)
+    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    assert fixtures.serialize(model.parse(doc)) == text
+    assert run(capsys, "fixture", name)[1] == text
+
+
 def test_ss_text_grid(capsys):
     code, out, _ = run(capsys, "ss", "beilinson_p1")
     assert code == 0

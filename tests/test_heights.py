@@ -51,6 +51,25 @@ def test_analysis_computes_each_stage_once():
     assert a.report().witness == a.bounds.witness_chain == (1, 2)
 
 
+def _built(cx):
+    """(the degrees whose d_t is assembled, the degrees reduced).
+
+    A reduction through -inf reduces nothing more: it only reads the state.
+    """
+    return set(cx.diffs), set(cx.reduction(-INF).pairs)
+
+
+def test_fullness_builds_only_the_degrees_it_reads():
+    # a full collection: the height is 0, so d_0 and T^0 are all it needs
+    a = Analysis(fixtures.fixture_spec("beilinson_p3"))
+    assert a.fullness.status == "FULL"
+    assert _built(a.complex) == ({0}, {0})
+    # the cohomology reads every degree, and extends the same reduction
+    assert a.cohomology == {0: 1, 1: 15, 2: 45, 3: 35}
+    degrees = set(a.complex.t_dims)
+    assert degrees == {0, 1, 2, 3} and _built(a.complex) == (degrees, degrees)
+
+
 def test_analysis_qualitative_has_no_complex_data():
     a = Analysis(fixtures.fixture_spec("burniat"))
     assert a.cohomology is None

@@ -8,11 +8,12 @@ shipped fixture files, and `data/sparse15.json`, an exact document without
 products, so that no product code is compiled for it.  The probe also
 reports `dataclasses`, `inspect`, `fractions`, `argparse`, `gettext` and
 `locale`; no command loads any of them but `fractions`, so every expected
-set below, which never names them, pins their absence as well.  Five jobs
+set below, which never names them, pins their absence as well.  Six jobs
 have a budget of source lines, since with bytecode writing off each job
-compiles every line it loads: `height` on an exact document with products
-loads the whole engine, so a faster engine cannot pay for itself in
-compile time unseen, and `e1` and `pseudoheight` load only the chain walk.
+compiles every line it loads: `height` and `fullness` on an exact document
+with products load the whole engine, so a faster engine cannot pay for
+itself in compile time unseen, and `e1` and `pseudoheight` load only the
+chain walk.
 The README's library imports and the `excol.pseudoheight` submodule are
 checked here too.
 """
@@ -118,9 +119,11 @@ def test_command_loads_only_its_modules(cmd, name, expected):
     (["validate", str(PATHS[SPARSE]), "--json"], 1150),
     (["fixture", "--list"], 280),
     (["height", str(PATHS[EXACT]), "--json"], 2722),
+    (["fullness", str(PATHS[EXACT]), "--json"], 2860),
     (["e1", str(PATHS[EXACT]), "--json"], 1909),
     (["pseudoheight", str(PATHS[EXACT]), "--json"], 1909),
-], ids=["validate-sparse15", "fixture-list", "height-p1", "e1-p1", "pseudoheight-p1"])
+], ids=["validate-sparse15", "fixture-list", "height-p1", "fullness-p1", "e1-p1",
+        "pseudoheight-p1"])
 def test_job_source_line_budget(argv, budget):
     # every line a job loads is compiled again when no bytecode is written
     assert probe(*argv)[1] <= budget
@@ -202,10 +205,11 @@ def test_fixture_list_loads_only_the_cli():
 
 @pytest.mark.parametrize("name", ["beilinson_p2", "beilinson_p3", QUALITATIVE, "point"])
 def test_fixture_document_loads_no_engine(name):
-    # the Beilinson builder emits ints, so not even fractions is loaded
-    expected = PARSE | {"fixtures"}
+    # the document is printed as built, so only the Beilinson builder, which
+    # builds a spec, loads the model; it emits ints, so not even fractions
+    expected = {"cli", "fixtures"}
     if name.startswith("beilinson"):
-        expected |= PRODUCTS
+        expected |= PARSE | PRODUCTS
     assert loaded_modules("fixture", name) == expected
 
 

@@ -534,6 +534,23 @@ def test_validate_reads_only_the_links_with_data():
         f"status NONZERO at (1, {10**9 + 1}, 0) but exact dim 0")]
 
 
+def test_validate_caps_the_surface_flag_detail():
+    # the flag deduces one NONZERO per object; a one-record exact document
+    # contradicts all n of them, and the report names five
+    n = 200_000
+    doc = {
+        "n": n, "dim_x": 2,
+        "ext": [{"src": 1, "dst": 2, "deg": 0, "dim": 1}],
+        "flags": {"is_surface": True, "line_bundles": True,
+                  "h2_anticanonical_nonzero": True},
+    }
+    [check] = validate(parse(doc)).failures()
+    assert check.name == "qualitative_consistency"
+    assert check.detail.startswith(f"status NONZERO at (1, {n + 1}, 2) but exact dim 0; ")
+    assert check.detail.count(";") == 4 and check.detail.endswith("...")
+    assert len(check.detail) < 1024
+
+
 def test_serialization_is_canonical_json():
     text = serialize(fixtures.fixture_spec("burniat"))
     tree = json.loads(text)

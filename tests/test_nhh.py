@@ -91,7 +91,7 @@ def test_projective_line_block_has_rank_three():
 
 def test_single_object_zero_differential():
     cx = assemble_differential(fixtures.fixture_spec("point"))
-    assert not cx.diffs
+    assert cx.t_dims == {0: 1} and not cx.differential(0).entries
 
 
 def test_beauville_block_targets():
@@ -383,8 +383,10 @@ def test_assembly_refuses_an_index_outside_the_matrix(index):
     spec = fixtures.fixture_spec("beilinson_p1")
     key = min(spec.products)
     spec.products[key] = {(0, 0): {index: 1}}
+    cx = assemble_differential(spec, check=False)
     with pytest.raises(ExactLinError, match="out of bounds"):
-        assemble_differential(spec, check=False)
+        for t in cx.t_dims:  # each d_t is checked as it is built
+            cx.differential(t)
 
 
 def test_a_coefficient_zero_in_the_field_leaves_no_entry():
@@ -396,12 +398,13 @@ def test_a_coefficient_zero_in_the_field_leaves_no_entry():
     over_q = assemble_differential(spec, check=False)
     spec.field_name = "F1009"
     over_p = assemble_differential(spec, check=False)
-    assert over_q.diffs.keys() == over_p.diffs.keys()
+    assert over_q.t_dims == over_p.t_dims
     dropped = 0
-    for t, mat in over_p.diffs.items():
-        kept = {k: v % 1009 for k, v in over_q.diffs[t].entries.items() if v % 1009}
-        assert mat.entries == kept
-        dropped += len(over_q.diffs[t].entries) - len(kept)
+    for t in over_p.t_dims:
+        entries = over_q.differential(t).entries
+        kept = {k: v % 1009 for k, v in entries.items() if v % 1009}
+        assert over_p.differential(t).entries == kept
+        dropped += len(entries) - len(kept)
     assert dropped > 0
 
 

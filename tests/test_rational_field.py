@@ -60,7 +60,7 @@ def _outcome(spec):
         dd = str(exc)
     out = {
         "t_dims": cx.t_dims,
-        "diffs": {t: m.entries for t, m in cx.diffs.items()},
+        "diffs": {t: cx.differential(t).entries for t in cx.t_dims},
         "dd": dd,
         "relations": relations,
     }
@@ -144,7 +144,7 @@ def test_beilinson_p3_runs_on_ints():
     """Integral data stays int from the tables through the reduction."""
     spec = beilinson_fixture(4)
     cx = nhh.assemble_differential(spec)
-    entries = [v for m in cx.diffs.values() for v in m.entries.values()]
+    entries = [v for t in cx.t_dims for v in cx.differential(t).entries.values()]
     assert entries and all(type(v) is int for v in entries)
     red = cx.reduction()
     columns = [

@@ -11,7 +11,7 @@ import _specgen
 import _ss_oracle
 from _matrices import from_rows
 from excol import fixtures
-from excol.exactlin import QQ, Subspace
+from excol.exactlin import QQ, Matrix, Subspace
 from excol.model import parse
 from excol.nhh import (
     ChainTerm,
@@ -138,9 +138,9 @@ def _planted_complex(rng):
             if t in dense:
                 for row in dense[t]:
                     row[k] -= c * row[i]
-    diffs = {
-        t: from_rows(rows, QQ) for t, rows in dense.items() if rows and rows[0]
-    }
+    # no spec to build a d_t from: every degree gets its matrix, zero if not planted
+    diffs = {t: Matrix.zero(t_dims.get(t + 1, 0), dim, QQ) for t, dim in t_dims.items()}
+    diffs.update({t: from_rows(rows, QQ) for t, rows in dense.items() if rows and rows[0]})
     lookup = {(tm.chain, tm.degs): tm for tm in terms}
     cx = NormalComplex(None, QQ, lookup, by_t, offsets, t_dims, diffs)
     return cx, planted
