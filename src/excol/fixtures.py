@@ -12,6 +12,10 @@ the known heights, and the assumptions list is the contract.
 
 Each builder emits its document in canonical form, and `fixture` prints it
 as built; the canonical writer (`to_document`, `serialize`) is here too.
+The Beilinson document is written with the record writers of
+`to_document`, and `beilinson_fixture` parses it.  Its product keys come
+from the window rule (`products.window_key`), which needs no parser, so
+`fixture <name>` loads neither `model` nor `fields`.
 """
 
 import itertools
@@ -316,43 +320,13 @@ def beilinson_fixture(n):
     degree n-1 with symmetric powers S^{i+n-j} V; every product is polynomial
     multiplication.  The certificate (`spec.fullness_data`) takes the
     antisymmetrizer on n-fold tensors of the linear forms as both the
-    candidate xi and the pairing against object 1.
+    candidate xi and the pairing against object 1.  The spec is the parse of
+    the one document `_beilinson_document` writes.
     """
-    from . import products as pr
-    from .model import Cochain, CollectionSpec, FullnessData, SpecError
+    from .model import SpecError, parse
     if not 2 <= n <= 6:
         raise SpecError(f"projective-space fixture needs 2 <= n <= 6, got {n}")
-    nvars = n
-    a_dims, n_dims = {}, {}
-    powers = {}  # letter -> the symmetric power of V it is
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if i < j:
-                a_dims[(i, j)] = {0: len(_monomials(nvars, j - i))}
-                powers[("A", i, j, 0)] = j - i
-            n_dims[(i, j)] = {n - 1: len(_monomials(nvars, i + n - j))}
-            powers[("N", i, j, n - 1)] = i + n - j
-    products = {}
-    for x, y in itertools.product(powers, repeat=2):
-        key = pr.window_key((x, y))
-        if key is not None:
-            products[key] = _multiply_table(nvars, powers[x], powers[y])
-
-    full_chain = tuple(range(1, n + 1))
-    degs = (0,) * (n - 1) + (n - 1,)
-    xi = Cochain([(full_chain, degs, antisymmetrizer_line(nvars))])
-    pairing = {1: Cochain([(full_chain, degs, antisymmetrizer_line(nvars))])}
-    return CollectionSpec(
-        n=n,
-        dim_x=n - 1,
-        field_name="Q",
-        a_dims=a_dims,
-        n_dims=n_dims,
-        products=products,
-        labels=[f"O({k})" for k in range(n)],
-        metadata={"name": f"beilinson_p{n - 1}"},
-        fullness_data=FullnessData(xi=xi, pairings=pairing),
-    )
+    return parse(_beilinson_document(n))
 
 
 def antisymmetrizer_line(nvars):
@@ -367,7 +341,41 @@ def antisymmetrizer_line(nvars):
 
 
 def _beilinson_document(n):
-    return to_document(beilinson_fixture(n))
+    """The canonical document of `beilinson_fixture(n)`, written without the parser.
+
+    Its product tables are keyed by the window rule (`products.window_key`).
+    """
+    from . import products as pr
+    a_dims, n_dims = {}, {}
+    powers = {}  # letter -> the symmetric power of V it is
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            if i < j:
+                a_dims[(i, j)] = {0: len(_monomials(n, j - i))}
+                powers[("A", i, j, 0)] = j - i
+            n_dims[(i, j)] = {n - 1: len(_monomials(n, i + n - j))}
+            powers[("N", i, j, n - 1)] = i + n - j
+    products = {}
+    for x, y in itertools.product(powers, repeat=2):
+        key = pr.window_key((x, y))
+        if key is not None:
+            products[key] = _multiply_table(n, powers[x], powers[y])
+    degs = (0,) * (n - 1) + (n - 1,)
+    terms = [(tuple(range(1, n + 1)), degs, antisymmetrizer_line(n))]
+    return {
+        "n": n,
+        "dim_x": n - 1,
+        "field": "Q",
+        "objects": [{"label": f"O({k})"} for k in range(n)],
+        "ext": _graded_records(a_dims, ("src", "dst")),
+        "serre_ext": _graded_records(n_dims, ("twist_src", "from")),
+        "products": _product_records(products, with_arity=False),
+        "metadata": {"name": f"beilinson_p{n - 1}"},
+        "fullness": {
+            "xi": _cochain_record(terms),
+            "pairings": [dict(_cochain_record(terms), obj=1)],
+        },
+    }
 
 
 _BUILDERS = {
@@ -423,8 +431,8 @@ def _product_records(tables, with_arity):
     return recs
 
 
-def _cochain_record(cochain):
-    terms = sorted(cochain.terms, key=lambda t: (tuple(t[0]), tuple(t[1])))
+def _cochain_record(terms):
+    terms = sorted(terms, key=lambda t: (tuple(t[0]), tuple(t[1])))
     return {"terms": [
         {
             "chain": list(chain),
@@ -470,10 +478,10 @@ def to_document(spec):
     if spec.fullness_data is not None:
         rec = {}
         if spec.fullness_data.xi is not None:
-            rec["xi"] = _cochain_record(spec.fullness_data.xi)
+            rec["xi"] = _cochain_record(spec.fullness_data.xi.terms)
         if spec.fullness_data.pairings:
             rec["pairings"] = [
-                dict(_cochain_record(c), obj=i)
+                dict(_cochain_record(c.terms), obj=i)
                 for i, c in sorted(spec.fullness_data.pairings.items())
             ]
         doc["fullness"] = rec

@@ -367,31 +367,27 @@ def parse(document):
     for key in ("qualitative", "flags", "metadata", "fullness"):
         _require(isinstance(document.get(key, {}), dict), "{} must be an object", key)
 
-    a_dims = _parse_graded(document.get("ext", ()), n, ("src", "dst"), False)
-    n_dims = _parse_graded(
+    # built first: the product records are checked against its dims
+    spec = CollectionSpec(n, dim_x, field_name)
+    spec.a_dims = _parse_graded(document.get("ext", ()), n, ("src", "dst"), False)
+    spec.n_dims = _parse_graded(
         document.get("serre_ext", ()), n, ("twist_src", "from"), True
     )
 
-    def space_dim(kind, i, j, deg):
-        return (a_dims if kind == "A" else n_dims).get((i, j), {}).get(deg, 0)
-
-    prods, higher = {}, {}
+    prods, higher = spec.products, spec.higher
     if document.get("products") or document.get("higher_products"):
         from . import products as pr  # compiled only for a document with products
         for name, tables in (("products", prods), ("higher_products", higher)):
             for rec in document.get(name, ()):
-                key, table = pr.parse_product(rec, n, space_dim, tables is prods)
+                key, table = pr.parse_product(rec, n, spec.space_dim, tables is prods)
                 what = "product" if tables is prods else "higher product"
                 _require(key not in tables, "duplicate {} {}", what, key)
                 if table:
                     tables[key] = table
 
-    qualitative = None
     if "qualitative" in document:
-        qualitative = _parse_qualitative(document["qualitative"], n)
+        spec.qualitative = _parse_qualitative(document["qualitative"], n)
 
-    labels = None
-    degrees = None
     if "objects" in document:
         objs = document["objects"]
         _require(len(objs) == n, "objects must list n items")
@@ -400,24 +396,24 @@ def parse(document):
             unknown = set(o) - {"label", "canonical_degree"}
             _require(not unknown, "unknown object keys {} in {!r}", sorted(unknown), o)
             _require(isinstance(o.get("label", ""), str), "label must be a string: {!r}", o)
-        labels = [o.get("label", f"E{i + 1}") for i, o in enumerate(objs)]
+        spec.labels = [o.get("label", f"E{i + 1}") for i, o in enumerate(objs)]
         if any("canonical_degree" in o for o in objs):
             _require(
                 all("canonical_degree" in o for o in objs),
                 "canonical_degree must be given for all objects or none",
             )
-            degrees = [o["canonical_degree"] for o in objs]
-            _require(all(map(is_int, degrees)), "bad canonical degrees")
+            spec.canonical_degrees = [o["canonical_degree"] for o in objs]
+            _require(all(map(is_int, spec.canonical_degrees)), "bad canonical degrees")
 
-    flags = dict(document.get("flags", {}))
+    flags = spec.flags = dict(document.get("flags", {}))
     unknown = set(flags) - KNOWN_FLAGS
     _require(not unknown, "unknown flags {}", sorted(unknown))
     for key, value in flags.items():
         kind = "an integer" if key == "k_squared" else "true or false"
         typed = is_int(value) if key == "k_squared" else isinstance(value, bool)
         _require(typed, "flag {} must be {}, got {!r}", key, kind, value)
+    spec.metadata = dict(document.get("metadata", {}))
 
-    fullness = None
     if "fullness" in document:
         rec = document["fullness"]
         fullness = FullnessData(_parse_cochain(rec["xi"]) if "xi" in rec else None)
@@ -426,22 +422,8 @@ def parse(document):
             _require(ok and prec["obj"] not in fullness.pairings, "{}: {!r}",
                      "duplicate pairing obj" if ok else "pairing needs obj", prec)
             fullness.pairings[prec["obj"]] = _parse_cochain(prec)
+        spec.fullness_data = fullness
 
-    spec = CollectionSpec(
-        n=n,
-        dim_x=dim_x,
-        field_name=field_name,
-        a_dims=a_dims,
-        n_dims=n_dims,
-        products=prods,
-        higher=higher,
-        qualitative=qualitative,
-        labels=labels,
-        canonical_degrees=degrees,
-        flags=flags,
-        metadata=dict(document.get("metadata", {})),
-        fullness_data=fullness,
-    )
     check_coefficients(spec)
     return spec
 

@@ -159,8 +159,10 @@ class NormalComplex:
         bad = next((k for k in acc if not (0 <= k[0] < rows and 0 <= k[1] < cols)), None)
         if bad is not None:
             raise ExactLinError(f"index {bad} out of bounds")
+        for k in [k for k, v in acc.items() if fld.is_zero(v)]:
+            del acc[k]  # in place: a filtered copy would double the peak
         got = self.diffs[t] = Matrix.zero(rows, cols, fld)
-        got.entries = {k: v for k, v in acc.items() if not fld.is_zero(v)}
+        got.entries = acc
         return got
 
     def term_offset(self, term):

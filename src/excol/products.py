@@ -1,8 +1,8 @@
 """Structure-constant tables, the signs of product blocks, the A-infinity relations.
 
-Only documents and specs that carry product tables load this module:
-`model.parse` reads their product records here, and `model.validate` and
-the assembly in `nhh` check their relations here.
+Only code that handles product tables loads this module: `model.parse`
+reads their records here, `model.validate` and `nhh` check their relations
+here, and `fixtures` keys Beilinson's tables by the parser-free `window_key`.
 
 A product block collapses consecutive tensor factors of a chain word.  Three
 kinds occur:
@@ -47,8 +47,6 @@ whose window occurs in no term.  `tests/test_products.py` checks facts 1 to
 
 from operator import contains
 
-from .model import SpecError, _frac, _int_tuple, _list, _require, is_int
-
 AA = "AA"
 AN = "AN"
 NA = "NA"
@@ -79,6 +77,7 @@ def check_key_shape(key, n):
     (an increasing chain, the twisted letter's place) is the window rule,
     checked as the round trip through `window_key`.
     """
+    from .model import is_int  # only the readers of records need the parser
     kind, aux, chain, degs = key
     if not (isinstance(chain, tuple) and isinstance(degs, tuple)):
         raise ValueError(f"product {key}: chain and degrees must be tuples")
@@ -202,6 +201,7 @@ def parse_product(rec, n, space_dim, arity_two):
 
     Each check builds its message only when it fails.
     """
+    from .model import SpecError, _frac, _int_tuple, _list, _require, is_int
     _require(isinstance(rec, dict), "bad product record {!r}", rec)
     kind = rec.get("kind")
     _require(kind in (AA, AN, NA), "bad product kind {!r}", kind)

@@ -212,6 +212,7 @@ def _links(spec, weigh):
     (`model.merged_table`, whose clash raises SpecError), filed under the
     link's `model.link_key`.
     """
+    _check_n(spec.n)  # before the flags' deductions, which are O(n^2)
     table = None if spec.is_exact else merged_table(spec)
 
     def link(kind, i, j):

@@ -8,12 +8,13 @@ shipped fixture files, and `data/sparse15.json`, an exact document without
 products, so that no product code is compiled for it.  The probe also
 reports `dataclasses`, `inspect`, `fractions`, `argparse`, `gettext` and
 `locale`; no command loads any of them but `fractions`, so every expected
-set below, which never names them, pins their absence as well.  Six jobs
+set below, which never names them, pins their absence as well.  Seven jobs
 have a budget of source lines, since with bytecode writing off each job
 compiles every line it loads: `height` and `fullness` on an exact document
 with products load the whole engine, so a faster engine cannot pay for
-itself in compile time unseen, and `e1` and `pseudoheight` load only the
-chain walk.
+itself in compile time unseen, `e1` and `pseudoheight` load only the
+chain walk, and `fixture beilinson_p3` writes its document without the
+parser.
 The README's library imports and the `excol.pseudoheight` submodule are
 checked here too.
 """
@@ -118,12 +119,13 @@ def test_command_loads_only_its_modules(cmd, name, expected):
 @pytest.mark.parametrize("argv, budget", [
     (["validate", str(PATHS[SPARSE]), "--json"], 1150),
     (["fixture", "--list"], 280),
-    (["height", str(PATHS[EXACT]), "--json"], 2722),
-    (["fullness", str(PATHS[EXACT]), "--json"], 2860),
-    (["e1", str(PATHS[EXACT]), "--json"], 1909),
-    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1909),
-], ids=["validate-sparse15", "fixture-list", "height-p1", "fullness-p1", "e1-p1",
-        "pseudoheight-p1"])
+    (["fixture", "beilinson_p3"], 1131),
+    (["height", str(PATHS[EXACT]), "--json"], 2707),
+    (["fullness", str(PATHS[EXACT]), "--json"], 2845),
+    (["e1", str(PATHS[EXACT]), "--json"], 1892),
+    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1892),
+], ids=["validate-sparse15", "fixture-list", "fixture-p3", "height-p1", "fullness-p1",
+        "e1-p1", "pseudoheight-p1"])
 def test_job_source_line_budget(argv, budget):
     # every line a job loads is compiled again when no bytecode is written
     assert probe(*argv)[1] <= budget
@@ -205,12 +207,26 @@ def test_fixture_list_loads_only_the_cli():
 
 @pytest.mark.parametrize("name", ["beilinson_p2", "beilinson_p3", QUALITATIVE, "point"])
 def test_fixture_document_loads_no_engine(name):
-    # the document is printed as built, so only the Beilinson builder, which
-    # builds a spec, loads the model; it emits ints, so not even fractions
+    # every document is written as built, without the parser: the Beilinson
+    # builder keys its tables by the window rule alone, and emits ints
     expected = {"cli", "fixtures"}
     if name.startswith("beilinson"):
-        expected |= PARSE | PRODUCTS
+        expected |= PRODUCTS
     assert loaded_modules("fixture", name) == expected
+
+
+def test_window_rule_loads_no_parser():
+    code = """
+import sys
+from excol import products
+key = products.window_key((("A", 1, 2, 0), ("A", 2, 3, 0)))
+print(key[0], "excol.model" in sys.modules, "excol.fields" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    ).stdout
+    assert out.split() == ["AA", "False", "False"]
 
 
 def test_fixture_name_as_input_loads_fixtures():

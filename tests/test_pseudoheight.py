@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from excol import fixtures, model
+from excol.cli import main
 from excol.model import INF, NONZERO, ZERO, CollectionSpec, QualitativeExtTable, SpecError
 from excol.pseudoheight import (
     cyclically_ext1_connected,
@@ -33,6 +36,36 @@ def test_chain_enumeration():
 def test_chain_enumeration_capped():
     with pytest.raises(SpecError):
         list(iter_chains(25))
+
+
+@pytest.mark.parametrize("statuses", [
+    [],
+    # clashes with the deduced ZERO at (1, 2, 0): the cap is still reported
+    [{"src": 1, "dst": 2, "deg": 0, "status": NONZERO}],
+], ids=["no-clash", "clash"])
+@pytest.mark.parametrize("command", ["pseudoheight", "height", "fullness"])
+def test_cap_is_checked_before_the_deductions(tmp_path, capsys, monkeypatch, command,
+                                              statuses):
+    # the degree criterion deduces O(n^2) statuses; past the cap on n the
+    # walk refuses the document before it deduces any
+    n = 1200
+    doc = {
+        "n": n,
+        "dim_x": 2,
+        "objects": [{"canonical_degree": -(i % 7)} for i in range(n)],
+        "flags": {"is_surface": True, "line_bundles": True,
+                  "ample_canonical": True, "k_squared": 1},
+        "qualitative": {"degree_window": [0, 2], "statuses": statuses},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls = []
+    real = model.hom_vanishing_updates
+    monkeypatch.setattr(model, "hom_vanishing_updates",
+                        lambda *args: calls.append(args) or real(*args))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: chain enumeration capped at n <= 24, got {n}\n"
+    assert calls == []
 
 
 def test_pseudoheight_projective_line():
