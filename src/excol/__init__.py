@@ -5,8 +5,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# the built-in fixtures (`fixtures.py` builds them); here so that
-# `excol fixture --list` can answer without compiling the builders
+# the built-in fixtures, here so that `fixture --list` compiles no builder
 FIXTURE_NAMES = (
     "beilinson_p1",
     "beilinson_p2",
@@ -25,9 +24,10 @@ _EXPORTS = {
     "fixtures": "beilinson_fixture serialize",
     "fullness": "full_check not_full_check",
     "heights": "Analysis HeightReport build_report height heph_shortcut",
-    "model": "CollectionSpec QualitativeExtTable parse validate",
+    "model": "CollectionSpec parse validate",
     "nhh": "assemble_differential spectral_sequence total_cohomology",
     "pseudoheight": "build_e1 cyclically_ext1_connected qualitative_ph_bounds rel_height",
+    "qualitative": "QualitativeExtTable",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

@@ -19,11 +19,12 @@ backwards Ext space are rejected.  Unspecified spaces are zero, unspecified
 products are zero maps.  The canonical writer is `fixtures.serialize`:
 sorted keys, sorted entry lists, rationals as "p/q" strings, so serialize .
 parse is the identity on canonical documents.  Product records are read by
-`products`, which only a document with products loads.
+`products`, which only a document with products loads, and the `qualitative`
+record by `qualitative`, which only a document with one loads; the checks
+that `validate` runs live in `validation`, which no other job loads.
 """
 
 import json
-from collections import namedtuple
 
 from .fields import QQ, ExactLinError, field_by_name
 
@@ -73,74 +74,6 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
         return f"{type(self).__name__}({fields})"
-
-
-class QualitativeExtTable(Record):
-    """Three-valued Ext knowledge on the anticanonically extended collection.
-
-    Keys are (src, dst, deg) with src in 1..n and dst in 1..2n; dst = n + i
-    stands for E_i (x) omega^{-1}.  Degrees outside degree_window (a pair
-    (lo, hi) or None) are ZERO when a window is declared, UNKNOWN otherwise.
-    """
-
-    def __init__(self, n, statuses=None, degree_window=None):
-        self.n = n
-        self.statuses = {} if statuses is None else statuses
-        self.degree_window = degree_window
-
-    def status(self, src, dst, deg):
-        got = self.statuses.get((src, dst, deg))
-        if got is not None:
-            return got
-        if self.degree_window is not None:
-            lo, hi = self.degree_window
-            if deg < lo or deg > hi:
-                return ZERO
-        return UNKNOWN
-
-    def se_interval(self, src, dst):
-        """Interval [lo, hi] for the minimal degree with nonzero Ext.
-
-        lo = first degree not known ZERO (or +inf when everything is ZERO),
-        hi = first degree known NONZERO (or +inf).  Without a degree window
-        the lower end is -inf: finitely many statuses cannot bound first
-        possible nonvanishing from below.
-        """
-        if self.degree_window is None:
-            declared = sorted(d for (s, t, d) in self.statuses if s == src and t == dst)
-            hi = INF
-            for d in declared:
-                if self.statuses[(src, dst, d)] == NONZERO:
-                    hi = d
-                    break
-            return (-INF, hi)
-        lo_deg, hi_deg = self.degree_window
-        lo = INF
-        hi = INF
-        for d in range(lo_deg, hi_deg + 1):
-            st = self.status(src, dst, d)
-            if st != ZERO and lo == INF:
-                lo = d
-            if st == NONZERO:
-                hi = d
-                break
-        return (lo, hi)
-
-    def merged_with(self, updates):
-        """New table with extra ZERO/NONZERO facts; conflicts raise SpecError."""
-        statuses = dict(self.statuses)
-        for key, st in updates.items():
-            old = statuses.get(key)
-            if old is not None and old != st:
-                raise SpecError(f"qualitative conflict at {key}: {old} vs {st}")
-            if self.degree_window is not None and st == NONZERO:
-                lo, hi = self.degree_window
-                if key[2] < lo or key[2] > hi:
-                    raise SpecError(
-                        f"NONZERO status at {key} outside degree window"
-                    )
-            statuses[key] = st
-        return QualitativeExtTable(self.n, statuses, self.degree_window)
 
 
 class Cochain(Record):
@@ -281,30 +214,6 @@ def _parse_graded(records, n, key_fields, lo_le_hi):
     return out
 
 
-def _parse_qualitative(rec, n):
-    window = rec.get("degree_window")
-    if window is not None:
-        ok = isinstance(window, list) and len(window) == 2 and all(map(is_int, window))
-        _require(ok and window[0] <= window[1], "bad degree_window {!r}", window)
-        window = tuple(window)
-    statuses = {}
-    for row in _list(rec.get("statuses", []), "statuses"):
-        try:
-            src, dst, deg, st = row["src"], row["dst"], row["deg"], row["status"]
-        except (KeyError, TypeError):
-            raise SpecError(f"bad qualitative row {row!r}") from None
-        _require(st in (ZERO, NONZERO), "bad status {!r}", st)
-        _require(all(map(is_int, (src, dst, deg))), "bad qualitative row {!r}", row)
-        _require(1 <= src <= n and 1 <= dst <= 2 * n, "bad pair in {!r}", row)
-        key = (src, dst, deg)
-        _require(statuses.get(key, st) == st, "conflicting statuses at {}", key)
-        if window is not None and st == NONZERO:
-            ok = window[0] <= deg <= window[1]
-            _require(ok, "NONZERO status at {} outside degree window", key)
-        statuses[key] = st
-    return QualitativeExtTable(n, statuses, window)
-
-
 def _parse_cochain(rec):
     _require(isinstance(rec, dict) and "terms" in rec, "bad cochain {!r}", rec)
     terms = []
@@ -386,7 +295,8 @@ def parse(document):
                     tables[key] = table
 
     if "qualitative" in document:
-        spec.qualitative = _parse_qualitative(document["qualitative"], n)
+        from .qualitative import parse_qualitative  # only a qualitative document
+        spec.qualitative = parse_qualitative(document["qualitative"], n)
 
     if "objects" in document:
         objs = document["objects"]
@@ -428,64 +338,10 @@ def parse(document):
     return spec
 
 
-# -- degree bookkeeping (surface lemmas) -------------------------------------
-
-
-def extend_degrees(degrees, k_squared):
-    """Canonical degrees of the anticanonically extended collection.
-
-    Twisting by omega^{-1} shifts the canonical degree down by K^2.
-    """
-    return list(degrees) + [d - k_squared for d in degrees]
-
-
-def hom_vanishing_updates(extended_degrees, n):
-    """ZERO deductions for degree-0 Ext from non-increasing canonical degree.
-
-    On a surface with ample canonical class, a nonzero map between
-    non-isomorphic line bundles forces the canonical degree to go up, so
-    deg(src) >= deg(dst) kills all Homs.  Only ZERO facts are produced.
-    """
-    if len(extended_degrees) != 2 * n:
-        raise SpecError("need one degree per object of the extended collection")
-    updates = {}
-    for src in range(1, n + 1):
-        for dst in range(1, 2 * n + 1):
-            if dst == src:
-                continue
-            if extended_degrees[src - 1] >= extended_degrees[dst - 1]:
-                updates[(src, dst, 0)] = ZERO
-    return updates
-
-
-def qualitative_deductions(spec):
-    """The statuses that the flags and canonical degrees deduce, or {}.
-
-    On a surface of line bundles: with ample canonical class, canonical
-    degrees and K^2, the degree criterion gives ZEROs; with a nonzero
-    H^2(omega^{-1}), NONZERO at (i, n + i, 2) caps the length-0 chains at 2.
-    Missing flags or degrees deduce nothing.
-    """
-    flags = spec.flags
-    if not (flags.get("is_surface") and flags.get("line_bundles")):
-        return {}
-    updates = {}
-    degrees, k_squared = spec.canonical_degrees, flags.get("k_squared")
-    if flags.get("ample_canonical") and degrees is not None and k_squared is not None:
-        updates = hom_vanishing_updates(extend_degrees(degrees, k_squared), spec.n)
-    if flags.get("h2_anticanonical_nonzero"):
-        updates.update({(i, spec.n + i, 2): NONZERO for i in range(1, spec.n + 1)})
-    return updates
-
-
-def merged_table(spec):
-    """The stated statuses merged with the flags' deductions.
-
-    A deduction clashing with a status raises SpecError; nothing is retracted.
-    """
-    return (spec.qualitative or QualitativeExtTable(spec.n)).merged_with(
-        qualitative_deductions(spec)
-    )
+def validate(spec):
+    """Run all consistency checks (`validation.validate`): a ValidationReport."""
+    from .validation import validate
+    return validate(spec)
 
 
 # -- chain links ---------------------------------------------------------------
@@ -498,118 +354,3 @@ def link_key(spec, kind, i, j):
     sit dim_x above the anticanonical degrees of the table.
     """
     return (i, j, 0) if kind == "A" else (j, spec.n + i, spec.dim_x)
-
-
-def is_link_key(spec, src, dst):
-    """Whether (src, dst) is the `link_key` of a link, not a backward pair."""
-    return src < dst <= spec.n or spec.n < dst <= spec.n + src
-
-
-# -- validation --------------------------------------------------------------
-
-
-CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
-
-
-class ValidationReport(Record):
-    def __init__(self, checks):
-        self.checks = checks  # list of CheckResult
-
-    @property
-    def ok(self):
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-
-def _check_structure(spec):
-    problems = []
-    for (i, j), space in spec.a_dims.items():
-        if not (1 <= i < j <= spec.n):
-            problems.append(f"bad Ext pair ({i},{j})")
-        if any(d < 1 for d in space.values()):
-            problems.append(f"non-positive dim in Ext({i},{j})")
-    for (i, j), space in spec.n_dims.items():
-        if not (1 <= i <= j <= spec.n):
-            problems.append(f"bad twisted pair ({i},{j})")
-        if any(d < 1 for d in space.values()):
-            problems.append(f"non-positive dim in twisted Ext({i},{j})")
-    return problems
-
-
-def _check_qualitative(spec):
-    """The statuses agree with the flags' deductions and with exact dims.
-
-    The statuses and the deductions are merged as the engine merges them
-    (`merged_table`), and a clash is reported with the engine's message.  On
-    exact data, where the engine reads the dims alone, every link's merged
-    status (stated, deduced or a window ZERO) must then match its dims at
-    each degree where the dims are nonzero or a status is stated.
-    """
-    try:
-        table = merged_table(spec)
-    except SpecError as exc:
-        return [str(exc)]
-    if not spec.is_exact:
-        return []
-    dims_at = {}  # (src, dst, deg) -> the exact dim of the link filed there
-    for kind, spaces in (("A", spec.a_dims), ("N", spec.n_dims)):
-        for (i, j), dims in spaces.items():
-            src, dst, shift = link_key(spec, kind, i, j)
-            dims_at.update(((src, dst, d - shift), m) for d, m in dims.items())
-    keys = dims_at.keys() | {k for k in table.statuses if is_link_key(spec, *k[:2])}
-    problems = []
-    for key in sorted(keys):
-        st, dim = table.status(*key), dims_at.get(key, 0)
-        if st == (ZERO if dim > 0 else NONZERO):
-            problems.append(f"status {st} at {key} but exact dim {dim}")
-    return problems
-
-
-def validate(spec):
-    """Run all consistency checks, returning a ValidationReport.
-
-    Never raises on bad algebra: failures are carried in the report.  The
-    A-infinity relations are checked over the spec's field, as the engine
-    checks them (`products.failing_relations`):
-    those of three letters are associativity, the longer ones involve a
-    higher product and are checked once the structure checks pass.
-    """
-    checks = []
-
-    def report(name, problems, limit=None):
-        detail = "; ".join(problems[:limit])
-        if limit and len(problems) > limit:
-            detail += "..."
-        checks.append(CheckResult(name, not problems, detail))
-        return not problems
-
-    structure_ok = report("exceptionality", _check_structure(spec))
-    tables = {**spec.products, **spec.higher}
-    messages, sound = [], {}
-    if tables:  # products.py is compiled only for a spec with product tables
-        from . import products as pr
-        checked = {
-            key: pr.product_problems(key, table, spec.space_dim, spec.n)
-            for key, table in tables.items()
-        }
-        messages = [msg for msgs, _ in checked.values() for msg in msgs]
-        # the relations of the well-shaped products, on the basis vectors only
-        sound = {key: ok for key, (_, ok) in checked.items() if ok is not None}
-    structure_ok = report("degree_additivity", messages) and structure_ok
-    try:
-        fld = field_by_name(spec.field_name)
-        failing = [w for w, _ in pr.failing_relations(sound, fld)] if sound else []
-    except ExactLinError as exc:  # a spec built in code: parse refuses these
-        report("associativity", [f"over field {spec.field_name!r}: {exc}"])
-    else:
-        # a window failing on two outputs is named once
-        named = dict.fromkeys(
-            (len(w) == 3, f"fails on {pr.describe(w)}") for w in failing
-        )
-        report("associativity", [msg for short, msg in named if short], 5)
-        if spec.higher and structure_ok:
-            report("a_infinity", [msg for short, msg in named if not short], 5)
-    report("qualitative_consistency", _check_qualitative(spec), 5)
-    return ValidationReport(checks)

@@ -15,7 +15,7 @@ adjacent factors, the composition of the trailing factor into the twisted
 one, the cyclic wrap through the inverse Serre functor, and one block per
 supplied higher product; an arity-k block moves column -p to -p + (k-1).
 d . d = 0 says that the products satisfy the A-infinity relations (see
-`products`); they are verified exactly at build time, before any matrix is
+`relations`); they are verified exactly at build time, before any matrix is
 built, and a failure names the relation's window.
 
 Total degree is t = q - p.  The decreasing column filtration by -p gives the
@@ -77,6 +77,7 @@ def _windows(p, max_arity):
 def _term_blocks(spec, term, term_lookup):
     """All differential blocks leaving a term, absent products skipped."""
     from . import products as pr
+    from .relations import block_sign
     p = term.p
     a_degs = term.degs[:p]
     n_deg = term.degs[p]
@@ -93,7 +94,7 @@ def _term_blocks(spec, term, term_lookup):
         target = term_lookup.get((chain, tuple(x[3] for x in word)))
         if target is None:
             continue
-        sign = pr.block_sign(key, a_degs, n_deg, out_pos)
+        sign = block_sign(key, a_degs, n_deg, out_pos)
         blocks.append((Block(term, target, key, sign), (consumed, out_pos)))
     return blocks
 
@@ -193,16 +194,16 @@ def assemble_differential(spec, check=True):
     """Lay out the total complex; each d_t is assembled on first use.
 
     Unless check=False, every A-infinity relation of the products is
-    verified first, which is d . d = 0 (see `products`); a failing relation
+    verified first, which is d . d = 0 (see `relations`); a failing relation
     raises DifferentialError naming its window.
     """
     fld = field_by_name(spec.field_name)
     tables = {**spec.products, **spec.higher}
-    if check and tables:  # products.py is compiled only for a spec with tables
-        from . import products as pr
-        failing = pr.failing_relations(tables, fld)
+    if check and tables:  # relations.py is compiled only for a spec with tables
+        from .relations import describe, failing_relations
+        failing = failing_relations(tables, fld)
         if failing:  # a window failing on two outputs is named once
-            named = dict.fromkeys(pr.describe(window) for window, _ in failing)
+            named = dict.fromkeys(describe(window) for window, _ in failing)
             raise DifferentialError(
                 "d.d != 0: the A-infinity relation fails on "
                 + "; ".join(list(named)[:4])

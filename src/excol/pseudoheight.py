@@ -29,7 +29,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .model import INF, NONZERO, ZERO, SpecError, link_key, merged_table
+from .model import INF, NONZERO, ZERO, SpecError, link_key
 
 MAX_N = 24  # every worked example has n <= 11
 
@@ -209,11 +209,14 @@ def _links(spec, weigh):
     for its anticanonical se-interval and its Ext^1 status.  Exact dims
     decide both, so an exact document without dims has every Ext zero;
     otherwise the statuses merged with the flags' deductions decide
-    (`model.merged_table`, whose clash raises SpecError), filed under the
-    link's `model.link_key`.
+    (`qualitative.merged_table`, whose clash raises SpecError), filed under
+    the link's `model.link_key`.
     """
     _check_n(spec.n)  # before the flags' deductions, which are O(n^2)
-    table = None if spec.is_exact else merged_table(spec)
+    table = None
+    if not spec.is_exact:  # only three-valued knowledge compiles its rules
+        from .qualitative import merged_table
+        table = merged_table(spec)
 
     def link(kind, i, j):
         src, dst, shift = link_key(spec, kind, i, j)

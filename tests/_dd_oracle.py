@@ -1,7 +1,7 @@
 """Reference d . d = 0 check on the assembled complex.
 
 The engine verifies d . d = 0 as the A-infinity relations of the product
-tables (`products.failing_relations`), before any matrix is built.  This is
+tables (`relations.failing_relations`), before any matrix is built.  This is
 the check it replaced: square each assembled d_t as a sparse matrix product
 and name the source terms of the nonzero columns.  It shares nothing with
 the relation checker except the assembled blocks, so the tests use it as

@@ -8,7 +8,8 @@ exactly the records whose objects are all kept.  A fullness certificate
 names the whole collection, so the restriction carries none.
 """
 
-from excol.model import CollectionSpec, QualitativeExtTable
+from excol.model import CollectionSpec
+from excol.qualitative import QualitativeExtTable
 
 
 def restrict(spec, keep):

@@ -20,14 +20,10 @@ from excol.exactlin import Subspace
 from excol.fixtures import antisymmetrizer_line, beilinson_fixture
 from excol.fullness import FULL, NOT_FULL
 from excol.heights import build_report, height
-from excol.model import (
-    NONZERO,
-    CollectionSpec,
-    QualitativeExtTable,
-    validate,
-)
+from excol.model import NONZERO, CollectionSpec, validate
 from excol.nhh import assemble_differential, spectral_sequence, total_cohomology
 from excol.pseudoheight import pseudoheight, qualitative_ph_bounds
+from excol.qualitative import QualitativeExtTable
 
 
 def _ok(label):

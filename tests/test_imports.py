@@ -14,11 +14,12 @@ compiles every line it loads: `height` and `fullness` on an exact document
 with products load the whole engine, so a faster engine cannot pay for
 itself in compile time unseen, `e1` and `pseudoheight` load only the
 chain walk, and `fixture beilinson_p3` writes its document without the
-parser.
-The README's library imports and the `excol.pseudoheight` submodule are
-checked here too.
+parser.  Each run is made once and read by every pin that names it.
+The README's load table and library imports, and the `excol.pseudoheight`
+submodule, are checked here too.
 """
 
+import functools
 import importlib
 import json
 import os
@@ -54,6 +55,7 @@ print(lines)
 """
 
 
+@functools.cache  # the pins below read the runs of the cases again
 def probe(*argv):
     """(excol submodules, their source lines) of a fresh `excol argv` run."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -61,7 +63,7 @@ def probe(*argv):
         [sys.executable, "-c", PROBE, *argv],
         capture_output=True, text=True, env=env, cwd=ROOT, check=True,
     ).stdout.splitlines()
-    return set(out[-2].split()), int(out[-1])
+    return frozenset(out[-2].split()), int(out[-1])
 
 
 def loaded_modules(*argv):
@@ -71,43 +73,55 @@ def loaded_modules(*argv):
 
 PARSE = {"cli", "model", "fields"}
 PRODUCTS = {"products"}
+# the relations of the products: checked by validate and by the assembly
+RELATIONS = PRODUCTS | {"relations"}
+# the statuses of a `qualitative` section, and the flags' deductions
+QUAL = {"qualitative"}
+VALIDATE = PARSE | {"validation"}
 # the pseudoheight and the first page need the chain walk and nothing more
 CHAINS = PARSE | {"pseudoheight", "views"}
 ANALYSIS = CHAINS | {"heights"}
 ENGINE = ANALYSIS | {"nhh", "exactlin"}
-EXACT, QUALITATIVE, SPARSE = "beilinson_p1", "burniat", "sparse15"
+EXACT, QUALITATIVE, SPARSE, FLAGGED = "beilinson_p1", "burniat", "sparse15", "godeaux"
 PATHS = {
     EXACT: DOCS / f"{EXACT}.json",
     QUALITATIVE: DOCS / f"{QUALITATIVE}.json",
     SPARSE: ROOT / "tests" / "data" / f"{SPARSE}.json",
+    FLAGGED: DOCS / f"{FLAGGED}.json",
 }
 # fractions loads only for a value that is not an integer, products only
-# for a document with products (of the three, only EXACT has them)
+# for a document with products (EXACT and FLAGGED have them), qualitative
+# only for a document with a `qualitative` section (QUALITATIVE), and for
+# validate on one with flags too (FLAGGED: exact, with surface flags)
 
 CASES = [
-    ("validate", EXACT, PARSE | PRODUCTS),
-    ("validate", QUALITATIVE, PARSE),
-    ("validate", SPARSE, PARSE),
+    ("validate", EXACT, VALIDATE | RELATIONS),
+    ("validate", QUALITATIVE, VALIDATE | QUAL),
+    ("validate", SPARSE, VALIDATE),
+    ("validate", FLAGGED, VALIDATE | RELATIONS | QUAL),
     ("pseudoheight", EXACT, CHAINS | PRODUCTS),
-    ("pseudoheight", QUALITATIVE, CHAINS),
+    ("pseudoheight", QUALITATIVE, CHAINS | QUAL),
     ("pseudoheight", SPARSE, CHAINS),
+    ("pseudoheight", FLAGGED, CHAINS | PRODUCTS),
     ("e1", EXACT, CHAINS | PRODUCTS),
-    ("e1", QUALITATIVE, CHAINS),
+    ("e1", QUALITATIVE, CHAINS | QUAL),
     ("e1", SPARSE, CHAINS),
-    ("ss", EXACT, ENGINE | PRODUCTS),
-    ("ss", QUALITATIVE, ENGINE),
+    ("ss", EXACT, ENGINE | RELATIONS),
+    ("ss", QUALITATIVE, ENGINE | QUAL),
     ("ss", SPARSE, ENGINE),
-    ("height", EXACT, ENGINE | PRODUCTS),
-    ("height", QUALITATIVE, ANALYSIS),
+    ("height", EXACT, ENGINE | RELATIONS),
+    ("height", QUALITATIVE, ANALYSIS | QUAL),
     ("height", SPARSE, ENGINE),
-    ("report", EXACT, ENGINE | PRODUCTS),
-    ("report", QUALITATIVE, ANALYSIS),
+    ("height", FLAGGED, ENGINE | RELATIONS),
+    ("report", EXACT, ENGINE | RELATIONS),
+    ("report", QUALITATIVE, ANALYSIS | QUAL),
     ("report", SPARSE, ENGINE),
-    ("fullness", EXACT, ENGINE | PRODUCTS | {"fullness"}),
+    ("fullness", EXACT, ENGINE | RELATIONS | {"fullness"}),
     # a qualitative verdict needs no complex: neither nhh nor exactlin
-    ("fullness", QUALITATIVE, ANALYSIS | {"fullness"}),
+    ("fullness", QUALITATIVE, ANALYSIS | QUAL | {"fullness"}),
     ("fullness", SPARSE, ENGINE | {"fullness"}),
 ]
+ENGINE_CASES = [(cmd, name) for cmd, name, _ in CASES if cmd != "validate"]
 
 
 @pytest.mark.parametrize("cmd, name, expected", CASES,
@@ -117,18 +131,84 @@ def test_command_loads_only_its_modules(cmd, name, expected):
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["validate", str(PATHS[SPARSE]), "--json"], 1150),
+    (["validate", str(PATHS[SPARSE]), "--json"], 934),
     (["fixture", "--list"], 280),
-    (["fixture", "beilinson_p3"], 1131),
-    (["height", str(PATHS[EXACT]), "--json"], 2707),
-    (["fullness", str(PATHS[EXACT]), "--json"], 2845),
-    (["e1", str(PATHS[EXACT]), "--json"], 1892),
-    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1892),
+    (["fixture", "beilinson_p3"], 985),
+    (["height", str(PATHS[EXACT]), "--json"], 2464),
+    (["fullness", str(PATHS[EXACT]), "--json"], 2602),
+    (["e1", str(PATHS[EXACT]), "--json"], 1490),
+    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1490),
 ], ids=["validate-sparse15", "fixture-list", "fixture-p3", "height-p1", "fullness-p1",
         "e1-p1", "pseudoheight-p1"])
 def test_job_source_line_budget(argv, budget):
     # every line a job loads is compiled again when no bytecode is written
     assert probe(*argv)[1] <= budget
+
+
+@pytest.mark.parametrize("argv", [
+    ["e1", str(PATHS[EXACT]), "--json"],
+    ["pseudoheight", str(PATHS[EXACT]), "--json"],
+    ["fixture", "beilinson_p2"],
+    ["fixture", "beilinson_p3"],
+], ids=["e1", "pseudoheight", "fixture-p2", "fixture-p3"])
+def test_beilinson_chain_jobs_load_no_checks(argv):
+    # the chain walk reads exact dims alone and the builder writes its tables
+    assert not probe(*argv)[0] & {"relations", "validation", "qualitative"}
+
+
+@pytest.mark.parametrize("cmd, name", ENGINE_CASES,
+                         ids=[f"{c}-{n}" for c, n in ENGINE_CASES])
+def test_engine_commands_load_no_validation(cmd, name):
+    assert "validation" not in loaded_modules(cmd, str(PATHS[name]), "--json")
+
+
+@pytest.mark.parametrize("cmd, name", [
+    (cmd, name) for cmd, name, _ in CASES
+    if name in (EXACT, SPARSE) or (name == FLAGGED and cmd != "validate")
+], ids=lambda x: x)
+def test_a_document_without_statuses_loads_no_qualitative(cmd, name):
+    # FLAGGED has flags but no `qualitative` section: only validate checks
+    # the flags' deductions against its dims
+    assert "qualitative" not in loaded_modules(cmd, str(PATHS[name]), "--json")
+
+
+# one job for each row of the README's load table: the exact rows on a
+# document without products or statuses, the qualitative ones on burniat
+README_JOBS = {
+    "`fixture --list`": ["fixture", "--list"],
+    "`fixture <name>`, surfaces and `point`": ["fixture", "burniat"],
+    "`fixture <name>`, Beilinson": ["fixture", "beilinson_p3"],
+    "`validate`": ["validate", str(PATHS[SPARSE]), "--json"],
+    "`pseudoheight`, `e1`": ["pseudoheight", str(PATHS[SPARSE]), "--json"],
+    "`ss`; exact `height`, `report`": ["ss", str(PATHS[SPARSE]), "--json"],
+    "exact `fullness`": ["fullness", str(PATHS[SPARSE]), "--json"],
+    "qualitative `height`, `report`": ["height", str(PATHS[QUALITATIVE]), "--json"],
+    "qualitative `fullness`": ["fullness", str(PATHS[QUALITATIVE]), "--json"],
+}
+
+
+def readme_load_table():
+    """{job: modules} of the README's load table, each `those of` row resolved."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = readme[readme.index("| job "):].splitlines()[2:]
+    rows = {}
+    for line in lines[:[ln.startswith("|") for ln in lines].index(False)]:
+        job, cell = (c.strip() for c in line.strip("|").split("|"))
+        rows[job] = set()
+        for part in cell.split(", "):
+            if part.startswith("those of "):  # an earlier row, named by its start
+                [ref] = [j for j in rows if j.startswith(part[len("those of "):])]
+                rows[job] |= rows[ref]
+            else:
+                rows[job].add(part.strip("`"))
+    return rows
+
+
+def test_readme_load_table_is_what_the_jobs_load():
+    table = readme_load_table()
+    assert table.keys() == README_JOBS.keys()
+    for job, argv in README_JOBS.items():
+        assert loaded_modules(*argv) == table[job], job
 
 
 def test_exact_lin_error_exits_one_without_exactlin():
@@ -176,7 +256,7 @@ def test_validate_loads_no_engine_module(tmp_path):
     # higher products are checked as relations of their tables, no complex
     path = tmp_path / "higher.json"
     path.write_text(json.dumps(HIGHER), encoding="utf-8")
-    assert loaded_modules("validate", str(path), "--json") == PARSE | PRODUCTS
+    assert loaded_modules("validate", str(path), "--json") == VALIDATE | RELATIONS
 
 
 def test_a_non_integral_coefficient_loads_fractions(tmp_path):
@@ -184,7 +264,7 @@ def test_a_non_integral_coefficient_loads_fractions(tmp_path):
     doc["higher_products"][0]["entries"] = [[0, 0, 0, 0, "1/2"]]
     path = tmp_path / "half.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    expected = PARSE | PRODUCTS | {"+fractions"}
+    expected = VALIDATE | RELATIONS | {"+fractions"}
     assert loaded_modules("validate", str(path), "--json") == expected
 
 
@@ -196,7 +276,7 @@ def test_validate_reports_beyond_the_chain_cap(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"]
     assert [c["name"] for c in report["checks"]][3] == "a_infinity"
-    assert loaded_modules("validate", str(path), "--json") == PARSE | PRODUCTS
+    assert loaded_modules("validate", str(path), "--json") == VALIDATE | RELATIONS
 
 
 def test_fixture_list_loads_only_the_cli():
@@ -230,7 +310,7 @@ print(key[0], "excol.model" in sys.modules, "excol.fields" in sys.modules)
 
 
 def test_fixture_name_as_input_loads_fixtures():
-    assert loaded_modules("validate", "point") == PARSE | {"fixtures"}
+    assert loaded_modules("validate", "point") == VALIDATE | {"fixtures"}
 
 
 def test_import_excol_loads_no_submodule():

@@ -20,9 +20,7 @@ from excol.model import (
     UNKNOWN,
     ZERO,
     CollectionSpec,
-    QualitativeExtTable,
     SpecError,
-    qualitative_deductions,
 )
 from excol.nhh import ChainTerm, enumerate_terms
 from excol.pseudoheight import (
@@ -33,6 +31,7 @@ from excol.pseudoheight import (
     qualitative_ph_bounds,
     rel_height,
 )
+from excol.qualitative import Deductions, QualitativeExtTable
 
 SURFACE_FLAGS = {
     "is_surface": True,
@@ -66,7 +65,7 @@ def merged_statuses(spec):
     """
     statuses = dict(spec.qualitative.statuses)
     window = spec.qualitative.degree_window
-    for key, st in qualitative_deductions(spec).items():
+    for key, st in Deductions(spec).updates().items():
         if statuses.get(key, st) != st:
             raise SpecError(f"qualitative conflict at {key}: {statuses[key]} vs {st}")
         if window is not None and st == NONZERO and not window[0] <= key[2] <= window[1]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from excol import FIXTURE_NAMES, fixtures, model
+from excol import FIXTURE_NAMES, fixtures, model, qualitative, validation
 from excol import products as pr
 from excol.heights import Height
 from excol.model import (
@@ -15,15 +15,13 @@ from excol.model import (
     Cochain,
     CollectionSpec,
     FullnessData,
-    QualitativeExtTable,
     SpecError,
-    extend_degrees,
-    hom_vanishing_updates,
     parse,
     validate,
 )
 from excol.fixtures import serialize
 from excol.nhh import ChainTerm
+from excol.qualitative import QualitativeExtTable, extend_degrees, hom_vanishing_updates
 
 
 def test_parse_minimal_point_like_document():
@@ -462,7 +460,7 @@ def test_hom_vanishing_godeaux_allows_degree_raising_pairs():
 
 def test_hom_vanishing_needs_flags():
     spec = fixtures.fixture_spec("beilinson_p1")
-    assert model.qualitative_deductions(spec) == {}
+    assert qualitative.Deductions(spec).updates() == {}
 
 
 def test_qualitative_window_semantics():
@@ -479,9 +477,12 @@ def test_qualitative_windowless_interval_unbounded_below():
 
 
 def test_qualitative_merge_conflict():
-    table = QualitativeExtTable(2, {(1, 2, 0): ZERO}, (0, 2))
-    with pytest.raises(SpecError):
-        table.merged_with({(1, 2, 0): NONZERO})
+    # the flag deduces NONZERO at (1, 3, 2), which the table states ZERO
+    table = QualitativeExtTable(2, {(1, 3, 2): ZERO}, (0, 2))
+    flags = {"is_surface": True, "line_bundles": True, "h2_anticanonical_nonzero": True}
+    spec = CollectionSpec(n=2, dim_x=2, qualitative=table, flags=flags)
+    with pytest.raises(SpecError, match=r"qualitative conflict at \(1, 3, 2\)"):
+        qualitative.merged_table(spec)
 
 
 def test_nonzero_status_outside_window_rejected():
@@ -513,7 +514,7 @@ def test_link_keys_are_the_forward_pairs(n, dim_x):
     keys = {model.link_key(spec, *link)[:2]: link for link in links}
     assert len(keys) == len(links)
     table_pairs = [(s, d) for s in range(1, n + 1) for d in range(1, 2 * n + 1)]
-    assert {p for p in table_pairs if model.is_link_key(spec, *p)} == set(keys)
+    assert {p for p in table_pairs if validation.is_link_key(spec, *p)} == set(keys)
     for kind, i, j in links:
         assert model.link_key(spec, kind, i, j)[2] == (0 if kind == "A" else dim_x)
 
@@ -529,7 +530,7 @@ def test_validate_reads_only_the_links_with_data():
     t0 = time.monotonic()
     report = validate(parse(doc))
     assert time.monotonic() - t0 < 1.0
-    assert report.failures() == [model.CheckResult(
+    assert report.failures() == [validation.CheckResult(
         "qualitative_consistency", False,
         f"status NONZERO at (1, {10**9 + 1}, 0) but exact dim 0")]
 

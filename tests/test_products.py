@@ -3,8 +3,8 @@
 Letters are ("A"|"N", i, j, deg) tuples as `source_spaces` returns them;
 `window_key` must invert `source_spaces` on every product key that occurs,
 and must refuse every run of letters that no product consumes.  The last
-test checks the sign facts that make `products.relations` equivalent to
-d . d = 0, with `products.block_sign` and `nhh._windows`.
+test checks the sign facts that make `relations.relations` equivalent to
+d . d = 0, with `relations.block_sign` and `nhh._windows`.
 """
 
 import itertools
@@ -16,6 +16,7 @@ import pytest
 import _specgen
 from excol import FIXTURE_NAMES, fixtures, model, nhh
 from excol import products as pr
+from excol import relations as rel
 
 ARITY3 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "arity3.json")
 
@@ -119,7 +120,7 @@ def _apply(word, consumed, out_pos):
     key = pr.window_key([letters[i] for i in consumed])
     assert key is not None
     p = len(word) - 1
-    sign = pr.block_sign(key, [x[3] for x in letters[:p]], letters[p][3], out_pos)
+    sign = rel.block_sign(key, [x[3] for x in letters[:p]], letters[p][3], out_pos)
     out = [w for i, w in enumerate(word) if i not in consumed]
     out.insert(out_pos, (pr.target_space(key), _covered(word, consumed)))
     return key, sign, out
@@ -161,7 +162,7 @@ def test_relation_signs_match_every_block_of_d_squared():
             keys = {k for pairs in by_target.values() for q in pairs for k in q[:2]}
             relations = {
                 (frozenset(window), out): {(i, o): s for s, i, o, _ in pairs}
-                for (window, out), pairs in pr.relations(dict.fromkeys(keys)).items()
+                for (window, out), pairs in rel.relations(dict.fromkeys(keys)).items()
             }
             for target, pairs in by_target.items():
                 disjoint = {}

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from excol import fixtures, model
+from excol import fixtures, model, qualitative
 from excol.cli import main
-from excol.model import INF, NONZERO, ZERO, CollectionSpec, QualitativeExtTable, SpecError
+from excol.model import INF, NONZERO, ZERO, CollectionSpec, SpecError
 from excol.pseudoheight import (
     cyclically_ext1_connected,
     iter_chains,
@@ -12,6 +12,7 @@ from excol.pseudoheight import (
     qualitative_ph_bounds,
     rel_height,
 )
+from excol.qualitative import QualitativeExtTable
 
 
 def test_rel_height_basic():
@@ -60,8 +61,8 @@ def test_cap_is_checked_before_the_deductions(tmp_path, capsys, monkeypatch, com
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     calls = []
-    real = model.hom_vanishing_updates
-    monkeypatch.setattr(model, "hom_vanishing_updates",
+    real = qualitative.hom_vanishing_updates
+    monkeypatch.setattr(qualitative, "hom_vanishing_updates",
                         lambda *args: calls.append(args) or real(*args))
     assert main([command, str(path)]) == 1
     assert capsys.readouterr().err == f"error: chain enumeration capped at n <= 24, got {n}\n"
@@ -235,7 +236,7 @@ def test_exact_dims_decide_over_clashing_statuses():
         {"src": 1, "dst": 2, "deg": 0, "status": "NONZERO"})
     spec = model.parse(doc)
     with pytest.raises(SpecError, match="qualitative conflict"):
-        model.merged_table(spec)
+        qualitative.merged_table(spec)
     assert not model.validate(spec).ok
     # no twisted dims, so every chain has a zero closing link
     assert cyclically_ext1_connected(spec) == (False, None)

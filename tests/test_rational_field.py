@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from excol import exactlin, heights, nhh
-from excol import products as pr
+from excol import relations as rel
 from excol.exactlin import QQ
 from excol.fixtures import FIXTURE_NAMES, beilinson_fixture, fixture_spec
 from excol.model import parse
@@ -51,7 +51,7 @@ def _corrupted(spec):
 def _outcome(spec):
     """Every stage the engine derives from spec, over the field in use."""
     tables = {**spec.products, **spec.higher}
-    relations = pr.failing_relations(tables, nhh.field_by_name(spec.field_name))
+    relations = rel.failing_relations(tables, nhh.field_by_name(spec.field_name))
     cx = nhh.assemble_differential(spec, check=False)
     try:
         check_square_zero(cx)

@@ -1,6 +1,6 @@
 """The A-infinity relation checker against the complex-level d . d oracle.
 
-`products.failing_relations` decides d . d = 0 from the product tables
+`relations.failing_relations` decides d . d = 0 from the product tables
 alone; `_dd_oracle.check_square_zero` squares the assembled differential.
 Both must refuse the same corrupted documents, every refusal must name the
 failing window, and on random documents with arity-3 products every
@@ -19,6 +19,7 @@ import _specgen
 from _dd_oracle import check_square_zero
 from excol import fixtures, model, nhh
 from excol import products as pr
+from excol import relations as rel
 from excol.exactlin import QQ
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -52,13 +53,13 @@ def _failing(spec, key, relations):
     """The checker's failing windows, evaluating the relations that involve key.
 
     The others keep the base document's tables, where every relation holds,
-    so the order is that of `products.failing_relations`.
+    so the order is that of `relations.failing_relations`.
     """
     tables = {**spec.products, **spec.higher}
     return [
         window for window, pairs in relations.items()
         if any(key in pair[1:3] for pair in pairs)
-        and pr.relation_map(tables, pairs, QQ)
+        and rel.relation_map(tables, pairs, QQ)
     ]
 
 
@@ -90,8 +91,8 @@ def _refusals(spec):
 def test_checker_and_oracle_refuse_every_doubled_entry(name, entries, sample):
     # the checker judges every entry; the assembly and the oracle a sample
     base = _spec(name)
-    assert pr.failing_relations({**base.products, **base.higher}, QQ) == []
-    relations = pr.relations({**base.products, **base.higher})
+    assert rel.failing_relations({**base.products, **base.higher}, QQ) == []
+    relations = rel.relations({**base.products, **base.higher})
     cases = _entries(base)
     assert len(cases) == entries
     sampled = set(random.Random(3).sample(range(entries), sample))
@@ -103,14 +104,14 @@ def test_checker_and_oracle_refuse_every_doubled_entry(name, entries, sample):
             message, oracle = _refusals(bad)
             assert oracle, (key, src, out)
             assert message.startswith("d.d != 0: the A-infinity relation fails on ")
-            assert pr.describe(failing[0][0]) in message
+            assert rel.describe(failing[0][0]) in message
 
 
 def test_neither_refuses_entries_that_act_on_no_relation():
     cases = 0
     for name in ["beilinson_p1", "beauville_I0", "arity3.json"]:
         base = _spec(name)
-        relations = pr.relations({**base.products, **base.higher})
+        relations = rel.relations({**base.products, **base.higher})
         for key, src, out in _entries(base):
             bad = _doubled(base, key, src, out)
             assert not _failing(bad, key, relations)
@@ -197,7 +198,7 @@ def test_each_block_of_d_squared_is_a_relation_map():
         tables = {**spec.products, **spec.higher}
         relations = {
             (frozenset(window), out): (window, pairs)
-            for (window, out), pairs in pr.relations(tables).items()
+            for (window, out), pairs in rel.relations(tables).items()
         }
         cx = nhh.assemble_differential(spec, check=False)
         oracle = _d_squared_blocks(cx)
@@ -213,11 +214,11 @@ def test_each_block_of_d_squared_is_a_relation_map():
                         continue  # disjoint pairs cancel
                     covered = set(consumed) | {kept[k] for k in consumed2} - {None}
                     window = frozenset(letters[i] for i in covered)
-                    rel = (window, pr.target_space(b2.key))
-                    assert expected.setdefault((s, b2.target), rel) == rel
+                    relation = (window, pr.target_space(b2.key))
+                    assert expected.setdefault((s, b2.target), relation) == relation
         for (s, t), (window, out) in expected.items():
             ordered, pairs = relations[(window, out)]
-            want = _tensored(s, t, ordered, pr.relation_map(tables, pairs, cx.field))
+            want = _tensored(s, t, ordered, rel.relation_map(tables, pairs, cx.field))
             got = oracle.pop((s, t), {})
             assert got == want or got == {k: -v for k, v in want.items()}, (s, t)
             checked += bool(want)
