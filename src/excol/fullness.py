@@ -47,8 +47,7 @@ def _cochain_vector(cx, cochain, expect_t=None):
     """Embed a cochain into total-complex coordinates, checking bidegree."""
     vec = {}
     fld = cx.field
-    seen_t = set()
-    seen_p = set()
+    seen_t, seen_p = set(), set()
     for chain, degs, values in cochain.terms:
         term = cx.term_lookup.get((tuple(chain), tuple(degs)))
         if term is None:
@@ -75,10 +74,8 @@ def _cochain_vector(cx, cochain, expect_t=None):
 def _dot(fld, u, v):
     """The sum of u[k] * v[k] over the coordinates of two sparse vectors."""
     total = fld.zero
-    for k, a in u.items():
-        b = v.get(k)
-        if b is not None:
-            total = fld.add(total, fld.mul(a, b))
+    for k in u.keys() & v.keys():
+        total = fld.add(total, fld.mul(u[k], v[k]))
     return total
 
 
@@ -112,9 +109,7 @@ def full_check(cx):
             f"at length {-deepest}"
         )
 
-    d0 = cx.differential(0)
-    image = d0.apply(vec)
-    if image:
+    if cx.apply(0, vec):
         return FullnessVerdict(
             INCONCLUSIVE, "candidate is not a cocycle of the assembled differential"
         )

@@ -36,15 +36,16 @@ unpaired coordinates' cochains complete them to a kernel basis, which
 r = width + 1, which is the limit page; `heights.Analysis.pages` holds it
 once per spec, and the `ss` command pads it out to `--max-page`.
 
-`perfbench/tracing.py` wraps functions here by name, the re-exported
-first-page ones too, and reads `diffs[t].entries`: the README lists what a
-change here keeps for it, the module-level `exactlin` import included.
+Each d_t is stored once, as columns {col: {row: value}} that only this module
+reads.  `perfbench/tracing.py` wraps functions here by name, the re-exported
+first-page ones too, and reads `diffs` only while it is empty: the README
+lists what a change here keeps for it, the module-level `exactlin` import too.
 """
 
 import itertools
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
-from .exactlin import Matrix, axpy
+from .exactlin import axpy
 from .fields import ExactLinError, field_by_name
 from .model import INF
 from .pseudoheight import ChainTerm, build_e1, enumerate_terms  # noqa: F401
@@ -79,8 +80,6 @@ def _term_blocks(spec, term, term_lookup):
     from . import products as pr
     from .relations import block_sign
     p = term.p
-    a_degs = term.degs[:p]
-    n_deg = term.degs[p]
     letters = term.letters()
     blocks = []
     for consumed, out_pos in _windows(p, spec.max_arity):
@@ -94,7 +93,7 @@ def _term_blocks(spec, term, term_lookup):
         target = term_lookup.get((chain, tuple(x[3] for x in word)))
         if target is None:
             continue
-        sign = block_sign(key, a_degs, n_deg, out_pos)
+        sign = block_sign(key, term.degs[:p], term.degs[p], out_pos)
         blocks.append((Block(term, target, key, sign), (consumed, out_pos)))
     return blocks
 
@@ -138,33 +137,42 @@ class NormalComplex:
         self.by_t = by_t
         self.offsets = offsets
         self.t_dims = t_dims
-        self.diffs = diffs  # t -> Matrix from T^t to T^{t+1}, as built so far
+        self.diffs = diffs  # t -> d_t as columns {col: {row: value}}, as built so far
         self._mp_cache = {}
         self._reduction = FilteredReduction(self)
 
     def differential(self, t):
-        """d_t, summed from the blocks that leave the terms of T^t on first use."""
+        """The columns of d_t, summed from the blocks leaving T^t's terms on first use."""
         got = self.diffs.get(t)
         if got is not None:
             return got
         spec, fld = self.spec, self.field
-        acc = {}  # (row, col) -> field element, summed as the blocks arrive
+        cols = defaultdict(dict)  # col -> {row: field element}, summed as the blocks arrive
         for tm in self.by_t.get(t, ()) if spec.products or spec.higher else ():
             src_off = self.term_offset(tm)
             for block, placement in _term_blocks(spec, tm, self.term_lookup):
                 tgt_off = self.term_offset(block.target)
                 for ti, si, coeff in _block_entries(spec, block, placement, fld):
-                    key = (tgt_off + ti, src_off + si)
-                    acc[key] = fld.add(acc[key], coeff) if key in acc else coeff
-        rows, cols = self.t_dims.get(t + 1, 0), self.t_dims.get(t, 0)
-        bad = next((k for k in acc if not (0 <= k[0] < rows and 0 <= k[1] < cols)), None)
-        if bad is not None:
+                    col, r = cols[src_off + si], tgt_off + ti
+                    col[r] = fld.add(col[r], coeff) if r in col else coeff
+        cols.default_factory = None  # from here a read never adds a column
+        rows, width = self.t_dims.get(t + 1, 0), self.t_dims.get(t, 0)
+        if bad := next(((r, c) for c, col in cols.items() for r in col
+                        if not (0 <= r < rows and 0 <= c < width)), None):
             raise ExactLinError(f"index {bad} out of bounds")
-        for k in [k for k, v in acc.items() if fld.is_zero(v)]:
-            del acc[k]  # in place: a filtered copy would double the peak
-        got = self.diffs[t] = Matrix.zero(rows, cols, fld)
-        got.entries = acc
-        return got
+        for c, r in [(c, r) for c, col in cols.items() for r, v in col.items() if fld.is_zero(v)]:
+            del cols[c][r]  # in place: a filtered copy would double the peak
+            if not cols[c]:
+                del cols[c]
+        self.diffs[t] = cols
+        return cols
+
+    def apply(self, t, vec):
+        """d_t vec for a sparse vector {col: value} on T^t, one pass over its columns."""
+        d, out = self.differential(t), {}
+        for c, v in vec.items():
+            axpy(self.field, out, v, d.get(c, {}))
+        return out
 
     def term_offset(self, term):
         return self.offsets[(term.chain, term.degs)]
@@ -248,16 +256,13 @@ def _reduce(cx, t, cleared=()):
     and are not visited.
     """
     f = cx.field
-    work = {}
-    for (r, c), v in cx.differential(t).entries.items():
-        if c not in cleared:
-            work.setdefault(c, {})[r] = v
+    d = cx.differential(t)
     pairs, image, cycles = {}, {}, {}
     chains = {}  # low row -> the cochain of its reduced column
     for c in range(cx.t_dims.get(t, 0)):
         if c in cleared:
             continue
-        col = work.get(c, {})
+        col = dict(d.get(c, {}))  # the cached d_t is never edited
         chain = {c: f.one}
         low = max(col, default=None)
         while low in image:
@@ -312,8 +317,7 @@ class SpectralSequencePages:
         self._cx = cx
 
     def page(self, r):
-        top = max(self.pages)
-        return self.pages[min(r, top)]
+        return self.pages[min(r, max(self.pages))]
 
     def survivors(self, mp, q):
         """Bases (Z, B) of the cocycles and boundaries presenting E_inf at (mp, q).

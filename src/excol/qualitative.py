@@ -8,9 +8,10 @@ such knowledge compile this module: `model.parse` for a document with a
 `qualitative` section, `pseudoheight` for a spec without exact dims, and
 `validate` for a spec with statuses or flags.
 
-The degree criterion can deduce up to 2n^2 ZERO Homs, but a deduction can
-clash only with a stated status, so `Deductions` reads the criterion one key
-at a time; only the chain walks, which cap n, list every deduction.
+The degree criterion can deduce up to 2n^2 ZERO Homs and the h2 flag n
+NONZEROs, but a deduction can clash only with a stated status, so
+`Deductions` reads both one key at a time; only the chain walks, which cap
+n, list every deduction.
 """
 
 from .model import INF, NONZERO, UNKNOWN, ZERO, Record, SpecError, _list, _require, is_int
@@ -147,15 +148,14 @@ class Deductions:
             self.degrees = extend_degrees(degrees, k_squared)
             _require(len(self.degrees) == 2 * n,
                      "need one degree per object of the extended collection")
-        h2 = surface and flags.get("h2_anticanonical_nonzero")
-        self.nonzero = [(i, n + i, 2) for i in range(1, n + 1)] if h2 else []
+        self.h2 = bool(surface and flags.get("h2_anticanonical_nonzero") and n > 0)
 
     def status(self, key):
         """The deduced status at key, or None."""
         src, dst, deg = key
         if deg == 0 and self.degrees is not None and hom_vanishes(self.degrees, src, dst):
             return ZERO
-        if deg == 2 and self.nonzero and 1 <= src == dst - self.n <= self.n:
+        if deg == 2 and self.h2 and 1 <= src == dst - self.n <= self.n:
             return NONZERO
         return None
 
@@ -170,8 +170,8 @@ class Deductions:
         clashes = [(new == NONZERO, key) for key, old in table.statuses.items()
                    if (new := self.status(key)) not in (None, old)]
         lo, hi = table.degree_window or (2, 2)
-        if self.nonzero and not lo <= 2 <= hi:
-            clashes.append((True, self.nonzero[0]))
+        if self.h2 and not lo <= 2 <= hi:
+            clashes.append((True, (1, self.n + 1, 2)))
         if not clashes:
             return None
         key = min(clashes)[1]
@@ -180,10 +180,14 @@ class Deductions:
             return f"NONZERO status at {key} outside degree window"
         return f"qualitative conflict at {key}: {old} vs {new}"
 
+    def nonzeros(self):
+        """The deduced NONZERO keys (i, n + i, 2), in key order, one at a time."""
+        return ((i, self.n + i, 2) for i in range(1, self.n + 1)) if self.h2 else iter(())
+
     def updates(self):
         """Every deduced status: the ZEROs, then the NONZEROs, each in key order."""
         zeros = {} if self.degrees is None else hom_vanishing_updates(self.degrees, self.n)
-        return zeros | dict.fromkeys(self.nonzero, NONZERO)
+        return zeros | dict.fromkeys(self.nonzeros(), NONZERO)
 
 
 def merged_table(spec):

@@ -6,6 +6,7 @@ tables and the three-valued rules (`qualitative`) only for a spec with
 statuses or flags.  Each check reports its problems instead of raising.
 """
 
+import itertools
 from collections import namedtuple
 
 from .fields import ExactLinError, field_by_name
@@ -53,34 +54,37 @@ def _check_qualitative(spec):
     (`qualitative.Deductions.clash`).  On exact data, where the engine reads
     the dims alone, every link's merged status (stated, deduced or a window
     ZERO) must then match its dims at each degree where the dims are nonzero,
-    a status is stated or a NONZERO is deduced; the degree criterion's ZEROs
-    are read at those keys alone.
+    a status is stated or a NONZERO is deduced; the deductions are read at
+    those keys alone.  The problems are yielded in key order, so a report
+    that keeps the first few reads only as many deduced NONZEROs as it needs.
     """
     if spec.qualitative is None and not spec.flags:
-        return []  # nothing stated and nothing deduced
+        return  # nothing stated and nothing deduced
     from .qualitative import Deductions, QualitativeExtTable
     table = spec.qualitative or QualitativeExtTable(spec.n)
     try:
         deduced = Deductions(spec)
     except SpecError as exc:
-        return [str(exc)]
+        yield str(exc)
+        return
     message = deduced.clash(table)
     if message is not None:
-        return [message]
+        yield message
+        return
     if not spec.is_exact:
-        return []
+        return
+    import heapq  # loaded only on exact data, where the walk merges in the NONZEROs
     dims_at = {}  # (src, dst, deg) -> the exact dim of the link filed there
     for kind, spaces in (("A", spec.a_dims), ("N", spec.n_dims)):
         for (i, j), dims in spaces.items():
             src, dst, shift = link_key(spec, kind, i, j)
             dims_at.update(((src, dst, d - shift), m) for d, m in dims.items())
     keys = dims_at.keys() | {k for k in table.statuses if is_link_key(spec, *k[:2])}
-    problems = []
-    for key in sorted(keys.union(deduced.nonzero)):
+    walk = heapq.merge(sorted(keys), deduced.nonzeros())
+    for key, _ in itertools.groupby(walk):
         st, dim = deduced.status(key) or table.status(*key), dims_at.get(key, 0)
         if st == (ZERO if dim > 0 else NONZERO):
-            problems.append(f"status {st} at {key} but exact dim {dim}")
-    return problems
+            yield f"status {st} at {key} but exact dim {dim}"
 
 
 def validate(spec):
@@ -95,6 +99,7 @@ def validate(spec):
     checks = []
 
     def report(name, problems, limit=None):
+        problems = list(itertools.islice(problems, limit and limit + 1))
         detail = "; ".join(problems[:limit])
         if limit and len(problems) > limit:
             detail += "..."

@@ -5,10 +5,11 @@ tables (`relations.failing_relations`), before any matrix is built.  This is
 the check it replaced: square each assembled d_t as a sparse matrix product
 and name the source terms of the nonzero columns.  It shares nothing with
 the relation checker except the assembled blocks, so the tests use it as
-an oracle.  It reads `cx.differential(t)` for every degree, so it assembles
-whatever the engine has not read yet.
+an oracle.  It reads `cx.differential(t)` for every degree, as a matrix
+(`d_matrix`), so it assembles whatever the engine has not read yet.
 """
 
+from _matrices import d_matrix
 from excol.nhh import DifferentialError
 
 
@@ -20,7 +21,7 @@ def check_square_zero(cx):
     """
     composed = 0
     for t in sorted(cx.t_dims):
-        first, second = cx.differential(t), cx.differential(t + 1)
+        first, second = d_matrix(cx, t), d_matrix(cx, t + 1)
         composed += bool(first.entries and second.entries)
         sq = second.compose(first)
         if sq.is_zero():

@@ -13,6 +13,7 @@ inputs.
 
 from types import SimpleNamespace
 
+from _matrices import d_matrix
 from excol.exactlin import Matrix, Subspace, kernel_basis, subquotient_dim
 
 
@@ -28,7 +29,7 @@ def _restricted_kernel(cx, t, j, bound):
     dim_t = cx.t_dims.get(t, 0)
     if not cols:
         return Subspace(dim_t, [], cx.field)
-    d = cx.differential(t)
+    d = d_matrix(cx, t)
     if not d.entries:
         return Subspace(dim_t, [{c: cx.field.one} for c in cols], cx.field)
     rows = [i for i, mp in enumerate(cx.coordinate_mp(t + 1)) if mp < bound]
@@ -47,7 +48,7 @@ def _apply_d(cx, t, sub):
     dim_next = cx.t_dims.get(t + 1, 0)
     if sub.dim == 0:  # T^t may be empty: build no d_t for it
         return Subspace(dim_next, [], cx.field)
-    d = cx.differential(t)
+    d = d_matrix(cx, t)
     return Subspace(dim_next, [d.apply(v) for v in sub.basis], cx.field)
 
 

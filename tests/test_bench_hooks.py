@@ -4,9 +4,9 @@
 its own process, then again with `perfbench/tracing.py` installed.
 `tracing.install` looks up every module it wraps in `sys.modules` and every
 function it wraps by name, and its hooks read the fields of the results
-(`NormalComplex.t_dims`, `Matrix.entries`); a name that moves, or a `main`
-that ends the process, ends that run.  Each case here runs a small version
-of one workload the same way, in a fresh interpreter, with `tracing.py`
+(`NormalComplex.t_dims` and `.diffs`); a name that moves, or a `main` that
+ends the process, ends that run.  Each case here runs a small version of
+one workload the same way, in a fresh interpreter, with `tracing.py`
 loaded by path and left as it is.
 """
 

@@ -14,6 +14,7 @@ import random
 import pytest
 
 import _specgen
+from _matrices import columns, d_matrix
 from excol import nhh
 from excol.fields import field_by_name
 from excol.fixtures import FIXTURE_NAMES, fixture_spec
@@ -70,9 +71,11 @@ def test_random_draws(field):
 def _over(cx, field):
     """The complex cx with its differential's entries read in another field."""
     fld = field_by_name(field)
-    for mat in map(cx.differential, cx.t_dims):
+    for t in cx.t_dims:
+        mat = d_matrix(cx, t)
         mat.field = fld
         mat.entries = {k: v for k, v in ((k, fld.of(v)) for k, v in mat.entries.items()) if v}
+        cx.diffs[t] = columns(mat)
     cx.field = fld
     return cx
 
@@ -100,3 +103,26 @@ def test_beilinson_p3_clears_columns(monkeypatch):
     assert skipped
     # exactly the low rows of the reduced columns one degree down
     assert len(skipped) == sum(len(pairs[t]) for t in pairs if t + 1 in pairs)
+
+
+def _columns_after_reduction(make):
+    """({t: d_t} read after a full reduction, {t: d_t} of a fresh complex)."""
+    reduced, fresh = make(), make()
+    reduced.reduction()
+    return ({t: reduced.differential(t) for t in reduced.t_dims},
+            {t: fresh.differential(t) for t in fresh.t_dims})
+
+
+@pytest.mark.parametrize("name", ["beilinson_p3", "arity3.json"])
+def test_the_reduction_leaves_each_d_t_as_built(name):
+    # the reduction reads the cached columns and copies one before editing it
+    spec = _data_spec(name) if name.endswith(".json") else fixture_spec(name)
+    after, built = _columns_after_reduction(lambda: nhh.assemble_differential(spec))
+    assert any(after.values()) and after == built
+
+
+def test_the_reduction_leaves_planted_columns_as_built():
+    for k in range(PLANTED):
+        after, built = _columns_after_reduction(
+            lambda: _planted_complex(random.Random(k))[0])
+        assert after == built, f"planted {k}"

@@ -7,6 +7,7 @@ from math import comb, factorial
 import pytest
 
 import _specgen
+from _matrices import d_matrix
 from excol import FIXTURE_NAMES, fixtures
 from excol.cli import main as cli_main
 from excol.exactlin import Matrix, Subspace, kernel_basis
@@ -237,7 +238,7 @@ def test_full_check_rejects_pairing_that_sees_coboundaries():
     spec = parse(COBOUNDARY_DOCUMENT)
     assert validate(spec).ok
     cx = assemble_differential(spec)
-    dg = cx.differential(-1).apply({0: Fraction(1)})
+    dg = d_matrix(cx, -1).apply({0: Fraction(1)})
     xi = Cochain([
         (tm.chain, tm.degs, {0: dg[cx.term_offset(tm)]})
         for tm in cx.by_t[0] if cx.term_offset(tm) in dg
@@ -298,7 +299,7 @@ def _functionals(cx, i):
         for tm in cx.by_t[0] if tm.chain[0] == i for k in range(tm.dim)
     ]
     pos = {r: j for j, r in enumerate(coords)}
-    d_in = cx.differential(-1)
+    d_in = d_matrix(cx, -1)
     transpose = Matrix(d_in.cols, len(coords), {
         (c, pos[r]): v for (r, c), v in d_in.entries.items() if r in pos
     }, cx.field)
@@ -320,7 +321,7 @@ def test_coboundary_check_matches_composition_with_d():
         if not (red.image.get(-1) and red.cycles.get(0)):
             continue
         xi = _as_cochain(cx, 0, next(iter(red.cycles[0].values())))
-        d_in = cx.differential(-1)
+        d_in = d_matrix(cx, -1)
         for i in sorted({tm.chain[0] for tm in cx.by_t[0]}):
             for fvec in _functionals(cx, i):
                 pairing = {i: _as_cochain(cx, 0, fvec)}

@@ -89,7 +89,7 @@ SPECS = [random_spec(random.Random(seed)) for seed in range(400)]
 @pytest.mark.parametrize("seed", range(len(SPECS)))
 def test_checks_match_the_merge_of_every_deduction(seed):
     spec = SPECS[seed]
-    assert validation._check_qualitative(spec) == reference_check(spec)
+    assert list(validation._check_qualitative(spec)) == reference_check(spec)
     try:
         want = reference_merge(spec)
     except SpecError as exc:
@@ -147,6 +147,27 @@ def test_validate_reads_the_degree_criterion_per_key(tmp_path, capsys, monkeypat
     assert check["name"] == "qualitative_consistency"
     assert check["detail"].startswith(
         "status ZERO at (1, 2, 0) but exact dim 1; status NONZERO at (1, 1201, 2)")
+
+
+@pytest.mark.parametrize("n", [8, 2_000_000])
+def test_validate_stops_once_the_report_is_decided(tmp_path, capsys, monkeypatch, n):
+    # the h2 flag deduces NONZERO at (i, n + i, 2) for every i and no dims
+    # back them: validate reads the first six, names five, whatever n is
+    doc = {"n": n, "dim_x": 2, "ext": [{"src": 1, "dst": 2, "deg": 0, "dim": 1}],
+           "flags": dict(SURFACE, h2_anticanonical_nonzero=True)}
+    path = tmp_path / "h2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    calls, real = [], Deductions.status
+    monkeypatch.setattr(Deductions, "status",
+                        lambda self, key: calls.append(key) or real(self, key))
+    monkeypatch.setattr(Deductions, "updates", None)  # never listed
+    assert main(["validate", str(path), "--json"]) == 1
+    [check] = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert check["name"] == "qualitative_consistency"
+    assert check["detail"] == "; ".join(
+        f"status NONZERO at ({i}, {n + i}, 2) but exact dim 0" for i in range(1, 6)) + "..."
+    # the one exact key, then the deduced NONZEROs up to the sixth problem
+    assert calls == [(1, 2, 0)] + [(i, n + i, 2) for i in range(1, 7)]
 
 
 # three objects of one canonical degree, K^2 = 1: the criterion kills every

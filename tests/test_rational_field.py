@@ -23,6 +23,7 @@ from excol.fixtures import FIXTURE_NAMES, beilinson_fixture, fixture_spec
 from excol.model import parse
 
 from _dd_oracle import check_square_zero
+from _matrices import d_matrix
 from _fraction_field import FRACTIONS
 from _specgen import random_spec
 
@@ -60,7 +61,7 @@ def _outcome(spec):
         dd = str(exc)
     out = {
         "t_dims": cx.t_dims,
-        "diffs": {t: cx.differential(t).entries for t in cx.t_dims},
+        "diffs": {t: d_matrix(cx, t).entries for t in cx.t_dims},
         "dd": dd,
         "relations": relations,
     }
@@ -144,7 +145,7 @@ def test_beilinson_p3_runs_on_ints():
     """Integral data stays int from the tables through the reduction."""
     spec = beilinson_fixture(4)
     cx = nhh.assemble_differential(spec)
-    entries = [v for t in cx.t_dims for v in cx.differential(t).entries.values()]
+    entries = [v for t in cx.t_dims for v in d_matrix(cx, t).entries.values()]
     assert entries and all(type(v) is int for v in entries)
     red = cx.reduction()
     columns = [

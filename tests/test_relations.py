@@ -17,6 +17,7 @@ import pytest
 
 import _specgen
 from _dd_oracle import check_square_zero
+from _matrices import d_matrix
 from excol import fixtures, model, nhh
 from excol import products as pr
 from excol import relations as rel
@@ -151,7 +152,7 @@ def _d_squared_blocks(cx):
     """The oracle: d_{t+1} . d_t cut into (source term, target term) blocks."""
     blocks = {}
     for t in cx.t_dims:
-        first, second = cx.differential(t), cx.differential(t + 1)
+        first, second = d_matrix(cx, t), d_matrix(cx, t + 1)
         cols = [(cx.term_offset(tm), tm) for tm in cx.by_t[t]]
         rows = [(cx.term_offset(tm), tm) for tm in cx.by_t.get(t + 2, ())]
         for (r, c), v in second.compose(first).entries.items():

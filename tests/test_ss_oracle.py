@@ -9,9 +9,9 @@ import pytest
 
 import _specgen
 import _ss_oracle
-from _matrices import from_rows
+from _matrices import columns, from_rows
 from excol import fixtures
-from excol.exactlin import QQ, Matrix, Subspace
+from excol.exactlin import QQ, Subspace
 from excol.model import parse
 from excol.nhh import (
     ChainTerm,
@@ -138,9 +138,10 @@ def _planted_complex(rng):
             if t in dense:
                 for row in dense[t]:
                     row[k] -= c * row[i]
-    # no spec to build a d_t from: every degree gets its matrix, zero if not planted
-    diffs = {t: Matrix.zero(t_dims.get(t + 1, 0), dim, QQ) for t, dim in t_dims.items()}
-    diffs.update({t: from_rows(rows, QQ) for t, rows in dense.items() if rows and rows[0]})
+    # no spec to build a d_t from: every degree gets its columns, none if not planted
+    diffs = {t: {} for t in t_dims}
+    diffs.update(
+        {t: columns(from_rows(rows, QQ)) for t, rows in dense.items() if rows and rows[0]})
     lookup = {(tm.chain, tm.degs): tm for tm in terms}
     cx = NormalComplex(None, QQ, lookup, by_t, offsets, t_dims, diffs)
     return cx, planted
