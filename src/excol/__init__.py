@@ -26,7 +26,7 @@ _EXPORTS = {
     "heights": "Analysis HeightReport build_report height heph_shortcut",
     "model": "CollectionSpec parse validate",
     "nhh": "assemble_differential spectral_sequence total_cohomology",
-    "pseudoheight": "build_e1 cyclically_ext1_connected qualitative_ph_bounds rel_height",
+    "pseudoheight": "build_e1 qualitative_ph_bounds rel_height",
     "qualitative": "QualitativeExtTable",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

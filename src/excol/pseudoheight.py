@@ -10,9 +10,9 @@ chains rather than all 2^n - 1 of them.  The anticanonical variants
 subtract dim_x.
 
 One walk computes the minimum over se-intervals.  Every link is read once
-(`_links`): exact dims pin its interval and decide its Ext^1 status, and
-only without them do the statuses, merged with the flags' deductions,
-answer.  Partial (three-valued) knowledge leaves the intervals open, which
+(`_links`): exact dims pin its interval, and only without them do the
+statuses and the flags' deductions (`qualitative.Deductions`) bound it.
+Partial (three-valued) knowledge leaves the intervals open, which
 reproduces the standard lower-bound lemmas: a Hom-free extended collection
 forces every link >= 1, hence value >= 1; if on top of that no chain is
 cyclically Ext^1-connected some link is >= 2, hence value >= 2.  A nonzero
@@ -29,7 +29,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .model import INF, NONZERO, ZERO, SpecError, link_key
+from .model import INF, SpecError, link_key
 
 MAX_N = 24  # every worked example has n <= 11
 
@@ -202,29 +202,33 @@ class PhBounds(namedtuple("PhBounds", "lower upper witness_chain", defaults=(Non
         return None if self.ph_ac is None else self.ph_ac + dim_x
 
 
-def _links(spec, weigh):
-    """The chain walks' link reader: link(kind, i, j) = weigh(interval, status).
+def _links(spec):
+    """The chain walks' link reader: link(kind, i, j) = the se-interval, or None.
 
     Each link ("A", i, j), i < j, or twisted ("N", i, j), i <= j, is read
-    for its anticanonical se-interval and its Ext^1 status.  Exact dims
-    decide both, so an exact document without dims has every Ext zero;
-    otherwise the statuses merged with the flags' deductions decide
-    (`qualitative.merged_table`, whose clash raises SpecError), filed under
-    the link's `model.link_key`.
+    for its anticanonical se-interval, and is dead (None) when that starts
+    at +inf.  Exact dims pin the interval, so an exact document without
+    dims has every Ext zero; otherwise the statuses and the flags'
+    deductions bound it (`qualitative.Deductions.se_interval`, after a
+    clash has raised SpecError), filed under the link's `model.link_key`.
     """
-    _check_n(spec.n)  # before the flags' deductions, which are O(n^2)
-    table = None
+    _check_n(spec.n)  # the cap is reported before any clash
+    reader = None
     if not spec.is_exact:  # only three-valued knowledge compiles its rules
-        from .qualitative import merged_table
-        table = merged_table(spec)
+        from .qualitative import Deductions
+        reader = Deductions(spec)
+        message = reader.clash()
+        if message is not None:
+            raise SpecError(message)
 
     def link(kind, i, j):
         src, dst, shift = link_key(spec, kind, i, j)
-        if table is None:
-            dims = spec.space(kind, i, j)
-            se = rel_height(dims) - shift
-            return weigh((se, se), NONZERO if dims.get(1 + shift) else ZERO)
-        return weigh(table.se_interval(src, dst), table.status(src, dst, 1))
+        if reader is None:
+            se = rel_height(spec.space(kind, i, j)) - shift
+            iv = (se, se)
+        else:
+            iv = reader.se_interval(src, dst)
+        return None if iv[0] == INF else iv
 
     return link
 
@@ -243,8 +247,7 @@ def qualitative_ph_bounds(spec):
     lower = INF
     upper = INF
     witness = None
-    live = _links(spec, lambda iv, st: None if iv[0] == INF else iv)
-    for chain, (lo, hi) in live_chains(spec.n, live, (0, 0), _add_intervals):
+    for chain, (lo, hi) in live_chains(spec.n, _links(spec), (0, 0), _add_intervals):
         p = len(chain) - 1
         lower = min(lower, lo - p)
         if hi - p < upper:
@@ -273,20 +276,3 @@ def pseudoheight(spec):
         raise SpecError("pseudoheight needs exact Ext dimensions")
     bounds = qualitative_ph_bounds(spec)
     return PseudoheightResult(bounds.ph(spec.dim_x), bounds.witness_chain, spec.dim_x)
-
-
-def cyclically_ext1_connected(spec):
-    """Three-valued: is some chain linked by nonzero Ext^1 all around?
-
-    Returns (True, witness) when a chain has every link NONZERO in degree 1,
-    (False, None) when every chain has a link ZERO in degree 1, and
-    (None, None) otherwise.
-    """
-    # a link is None if ZERO in degree 1, else whether surely NONZERO there
-    live = _links(spec, lambda iv, st: None if st == ZERO else st == NONZERO)
-    found_unknown = False
-    for chain, nonzero in live_chains(spec.n, live, True, operator.and_):
-        if nonzero:
-            return (True, chain)
-        found_unknown = True
-    return (None, None) if found_unknown else (False, None)

@@ -1,17 +1,18 @@
-"""Three-valued Ext knowledge: the `qualitative` record and the flags' deductions.
+"""Three-valued Ext knowledge: the `qualitative` record and its one reader.
 
 A document may state, per (src, dst, deg) of the anticanonically extended
 collection, that an Ext space is ZERO or NONZERO (`QualitativeExtTable`); on
-a surface of line bundles its flags deduce more (`Deductions`), and the
-chain walks read the two merged (`merged_table`).  Only the jobs that read
-such knowledge compile this module: `model.parse` for a document with a
-`qualitative` section, `pseudoheight` for a spec without exact dims, and
+a surface of line bundles its flags deduce more.  `Deductions` holds both
+and is the one place a status is read: the chain walks read each link's
+se-interval from it (`pseudoheight._links`), and `validate` the status at
+each key it checks (`validation._check_qualitative`).  Only the jobs that
+read such knowledge compile this module: `model.parse` for a document with
+a `qualitative` section, `pseudoheight` for a spec without exact dims, and
 `validate` for a spec with statuses or flags.
 
 The degree criterion can deduce up to 2n^2 ZERO Homs and the h2 flag n
-NONZEROs, but a deduction can clash only with a stated status, so
-`Deductions` reads both one key at a time; only the chain walks, which cap
-n, list every deduction.
+NONZEROs, but a deduction can clash only with a stated status, so no
+reader lists the deductions: `Deductions` reads them one key at a time.
 """
 
 from .model import INF, NONZERO, UNKNOWN, ZERO, Record, SpecError, _list, _require, is_int
@@ -39,34 +40,6 @@ class QualitativeExtTable(Record):
             if deg < lo or deg > hi:
                 return ZERO
         return UNKNOWN
-
-    def se_interval(self, src, dst):
-        """Interval [lo, hi] for the minimal degree with nonzero Ext.
-
-        lo = first degree not known ZERO (or +inf when everything is ZERO),
-        hi = first degree known NONZERO (or +inf).  Without a degree window
-        the lower end is -inf: finitely many statuses cannot bound first
-        possible nonvanishing from below.
-        """
-        if self.degree_window is None:
-            declared = sorted(d for (s, t, d) in self.statuses if s == src and t == dst)
-            hi = INF
-            for d in declared:
-                if self.statuses[(src, dst, d)] == NONZERO:
-                    hi = d
-                    break
-            return (-INF, hi)
-        lo_deg, hi_deg = self.degree_window
-        lo = INF
-        hi = INF
-        for d in range(lo_deg, hi_deg + 1):
-            st = self.status(src, dst, d)
-            if st != ZERO and lo == INF:
-                lo = d
-            if st == NONZERO:
-                hi = d
-                break
-        return (lo, hi)
 
 
 def parse_qualitative(rec, n):
@@ -97,14 +70,6 @@ def parse_qualitative(rec, n):
 # -- degree bookkeeping (surface lemmas) -------------------------------------
 
 
-def extend_degrees(degrees, k_squared):
-    """Canonical degrees of the anticanonically extended collection.
-
-    Twisting by omega^{-1} shifts the canonical degree down by K^2.
-    """
-    return list(degrees) + [d - k_squared for d in degrees]
-
-
 def hom_vanishes(extended_degrees, src, dst):
     """The degree criterion: whether Hom(E_src, E_dst) = 0 is deduced.
 
@@ -118,25 +83,15 @@ def hom_vanishes(extended_degrees, src, dst):
             and extended_degrees[src - 1] >= extended_degrees[dst - 1])
 
 
-def hom_vanishing_updates(extended_degrees, n):
-    """The degree criterion's ZERO deductions for degree-0 Ext, in key order."""
-    if len(extended_degrees) != 2 * n:
-        raise SpecError("need one degree per object of the extended collection")
-    return {
-        (src, dst, 0): ZERO
-        for src in range(1, n + 1)
-        for dst in range(1, 2 * n + 1)
-        if hom_vanishes(extended_degrees, src, dst)
-    }
-
-
 class Deductions:
-    """The statuses that the flags and canonical degrees deduce, read per key.
+    """Three-valued Ext knowledge read per key: the stated table and the deductions.
 
-    On a surface of line bundles: with ample canonical class, canonical
-    degrees and K^2, the degree criterion (`hom_vanishes`) gives ZERO Homs;
-    with a nonzero H^2(omega^{-1}), NONZERO at (i, n + i, 2) caps the
-    length-0 chains at 2.  Missing flags or degrees deduce nothing.
+    On a surface of line bundles the flags deduce more: with ample
+    canonical class, canonical degrees and K^2, the degree criterion
+    (`hom_vanishes`) gives ZERO Homs; with a nonzero H^2(omega^{-1}),
+    NONZERO at (i, n + i, 2) caps the length-0 chains at 2.  Missing flags
+    or degrees deduce nothing.  Where a deduction and a stated status
+    differ, `status` gives the deduction and `clash` reports the difference.
     """
 
     def __init__(self, spec):
@@ -144,31 +99,55 @@ class Deductions:
         surface = flags.get("is_surface") and flags.get("line_bundles")
         degrees, k_squared = spec.canonical_degrees, flags.get("k_squared")
         self.n, self.degrees = n, None  # degrees: of the extended collection
+        self.table = spec.qualitative or QualitativeExtTable(n)
         if surface and flags.get("ample_canonical") and None not in (degrees, k_squared):
-            self.degrees = extend_degrees(degrees, k_squared)
+            # twisting by omega^{-1} shifts the canonical degree down by K^2
+            self.degrees = list(degrees) + [d - k_squared for d in degrees]
             _require(len(self.degrees) == 2 * n,
                      "need one degree per object of the extended collection")
         self.h2 = bool(surface and flags.get("h2_anticanonical_nonzero") and n > 0)
+        self.stated_nonzero = {}  # (src, dst) -> the degrees stated NONZERO
+        for (src, dst, deg), st in self.table.statuses.items():
+            if st == NONZERO:
+                self.stated_nonzero.setdefault((src, dst), []).append(deg)
 
     def status(self, key):
-        """The deduced status at key, or None."""
+        """The status at key: deduced, else stated, else the degree window's."""
         src, dst, deg = key
         if deg == 0 and self.degrees is not None and hom_vanishes(self.degrees, src, dst):
             return ZERO
         if deg == 2 and self.h2 and 1 <= src == dst - self.n <= self.n:
             return NONZERO
-        return None
+        return self.table.status(src, dst, deg)
 
-    def clash(self, table):
+    def se_interval(self, src, dst):
+        """Interval [lo, hi] for the minimal degree with nonzero Ext(src, dst).
+
+        hi is the first degree of the window known NONZERO (+inf if none):
+        stated, or deduced at degree 2.  lo is the first degree of the window
+        not known ZERO (+inf when every degree is ZERO), found by stepping
+        over the known ZEROs only, so a wide window costs no more than a
+        narrow one.  Without a window lo is -inf: finitely many statuses
+        cannot bound the first possible nonvanishing from below.
+        """
+        lo, top = self.table.degree_window or (-INF, INF)
+        known = [d for d in self.stated_nonzero.get((src, dst), []) + [2]
+                 if lo <= d <= top and self.status((src, dst, d)) == NONZERO]
+        while lo <= top and self.status((src, dst, lo)) == ZERO:  # no window: -inf is UNKNOWN
+            lo += 1
+        return (lo if lo <= top else INF, min(known, default=INF))
+
+    def clash(self):
         """The message of the first deduction clashing with the table, or None.
 
-        The deductions merge in the order of `updates`, ZEROs before
-        NONZEROs.  A deduction clashes only with a stated status, or as a
-        NONZERO outside the degree window, first at (1, n + 1, 2), so only
-        the stated keys are read.
+        The deductions are taken ZEROs before NONZEROs, each in key order.
+        A deduction clashes only with a stated status, or as a NONZERO
+        outside the degree window, first at (1, n + 1, 2), so only the
+        stated keys are read.
         """
+        table = self.table
         clashes = [(new == NONZERO, key) for key, old in table.statuses.items()
-                   if (new := self.status(key)) not in (None, old)]
+                   if (new := self.status(key)) != old]
         lo, hi = table.degree_window or (2, 2)
         if self.h2 and not lo <= 2 <= hi:
             clashes.append((True, (1, self.n + 1, 2)))
@@ -183,20 +162,3 @@ class Deductions:
     def nonzeros(self):
         """The deduced NONZERO keys (i, n + i, 2), in key order, one at a time."""
         return ((i, self.n + i, 2) for i in range(1, self.n + 1)) if self.h2 else iter(())
-
-    def updates(self):
-        """Every deduced status: the ZEROs, then the NONZEROs, each in key order."""
-        zeros = {} if self.degrees is None else hom_vanishing_updates(self.degrees, self.n)
-        return zeros | dict.fromkeys(self.nonzeros(), NONZERO)
-
-
-def merged_table(spec):
-    """The stated statuses merged with the flags' deductions.
-
-    A deduction clashing with a status raises SpecError; nothing is retracted.
-    """
-    table, deduced = spec.qualitative or QualitativeExtTable(spec.n), Deductions(spec)
-    message = deduced.clash(table)
-    if message is not None:
-        raise SpecError(message)
-    return QualitativeExtTable(table.n, table.statuses | deduced.updates(), table.degree_window)

@@ -52,22 +52,22 @@ def _check_qualitative(spec):
 
     A status clashing with a deduction is reported with the engine's message
     (`qualitative.Deductions.clash`).  On exact data, where the engine reads
-    the dims alone, every link's merged status (stated, deduced or a window
-    ZERO) must then match its dims at each degree where the dims are nonzero,
-    a status is stated or a NONZERO is deduced; the deductions are read at
-    those keys alone.  The problems are yielded in key order, so a report
-    that keeps the first few reads only as many deduced NONZEROs as it needs.
+    the dims alone, every link's status as the engine's reader gives it
+    (`Deductions.status`: deduced, stated or a window ZERO) must then match
+    its dims at each degree where the dims are nonzero, a status is stated
+    or a NONZERO is deduced; the deductions are read at those keys alone.
+    The problems are yielded in key order, so a report that keeps the first
+    few reads only as many deduced NONZEROs as it needs.
     """
     if spec.qualitative is None and not spec.flags:
         return  # nothing stated and nothing deduced
-    from .qualitative import Deductions, QualitativeExtTable
-    table = spec.qualitative or QualitativeExtTable(spec.n)
+    from .qualitative import Deductions
     try:
-        deduced = Deductions(spec)
+        reader = Deductions(spec)
     except SpecError as exc:
         yield str(exc)
         return
-    message = deduced.clash(table)
+    message = reader.clash()
     if message is not None:
         yield message
         return
@@ -79,10 +79,10 @@ def _check_qualitative(spec):
         for (i, j), dims in spaces.items():
             src, dst, shift = link_key(spec, kind, i, j)
             dims_at.update(((src, dst, d - shift), m) for d, m in dims.items())
-    keys = dims_at.keys() | {k for k in table.statuses if is_link_key(spec, *k[:2])}
-    walk = heapq.merge(sorted(keys), deduced.nonzeros())
+    keys = dims_at.keys() | {k for k in reader.table.statuses if is_link_key(spec, *k[:2])}
+    walk = heapq.merge(sorted(keys), reader.nonzeros())
     for key, _ in itertools.groupby(walk):
-        st, dim = deduced.status(key) or table.status(*key), dims_at.get(key, 0)
+        st, dim = reader.status(key), dims_at.get(key, 0)
         if st == (ZERO if dim > 0 else NONZERO):
             yield f"status {st} at {key} but exact dim {dim}"
 

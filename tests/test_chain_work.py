@@ -13,11 +13,7 @@ import pytest
 from excol import nhh
 from excol.model import CollectionSpec
 from excol.nhh import enumerate_terms
-from excol.pseudoheight import (
-    cyclically_ext1_connected,
-    pseudoheight,
-    qualitative_ph_bounds,
-)
+from excol.pseudoheight import pseudoheight, qualitative_ph_bounds
 
 N = 20
 
@@ -64,14 +60,13 @@ def _lines_run(fn, budget):
 
 
 @pytest.mark.parametrize("walk", ["enumerate_terms", "qualitative_ph_bounds",
-                                  "pseudoheight", "cyclically_ext1_connected"])
+                                  "pseudoheight"])
 def test_sparse_walk_work_is_quadratic_not_exponential(walk):
     spec = _sparse_20()
     fn = {
         "enumerate_terms": enumerate_terms,
         "qualitative_ph_bounds": qualitative_ph_bounds,
         "pseudoheight": pseudoheight,
-        "cyclically_ext1_connected": cyclically_ext1_connected,
     }[walk]
     live = N
     budget = 25 * (N * N + live)  # the 2^n walk needs millions of lines
@@ -96,7 +91,7 @@ def test_sparse_space_lookups_are_quadratic():
         setattr(spec, name, counted)
     try:
         terms = enumerate_terms(spec)
-        cyclically_ext1_connected(spec)
+        qualitative_ph_bounds(spec)
     except _Budget:
         pytest.fail(f"more than {10 * N * N} Ext-space lookups: {calls}")
     assert [t.chain for t in terms] == [(i,) for i in range(1, N + 1)]

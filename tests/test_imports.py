@@ -8,14 +8,15 @@ shipped fixture files, and `data/sparse15.json`, an exact document without
 products, so that no product code is compiled for it.  The probe also
 reports `dataclasses`, `inspect`, `fractions`, `argparse`, `gettext` and
 `locale`; no command loads any of them but `fractions`, so every expected
-set below, which never names them, pins their absence as well.  Seven jobs
+set below, which never names them, pins their absence as well.  Nine jobs
 have a budget of lines of code (blank and comment-only lines are not
 counted, docstrings are), since with bytecode writing off each job
 compiles every line it loads: `height` and `fullness` on an exact document
 with products load the whole engine, so a faster engine cannot pay for
 itself in compile time unseen, `e1` and `pseudoheight` load only the
-chain walk, and `fixture beilinson_p3` writes its document without the
-parser.  Each run is made once and read by every pin that names it.
+chain walk, `validate` and `pseudoheight` on a qualitative surface load the
+three-valued reader as well, and `fixture beilinson_p3` writes its document
+without the parser.  Each run is made once and read by every pin that names it.
 The README's load table and library imports, and the `excol.pseudoheight`
 submodule, are checked here too.
 """
@@ -136,12 +137,14 @@ def test_command_loads_only_its_modules(cmd, name, expected):
     (["validate", str(PATHS[SPARSE]), "--json"], 754),
     (["fixture", "--list"], 231),
     (["fixture", "beilinson_p3"], 849),
-    (["height", str(PATHS[EXACT]), "--json"], 1996),
-    (["fullness", str(PATHS[EXACT]), "--json"], 2109),
-    (["e1", str(PATHS[EXACT]), "--json"], 1196),
-    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1196),
+    (["height", str(PATHS[EXACT]), "--json"], 1986),
+    (["fullness", str(PATHS[EXACT]), "--json"], 2099),
+    (["e1", str(PATHS[EXACT]), "--json"], 1186),
+    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1186),
+    (["validate", str(PATHS[QUALITATIVE]), "--json"], 891),
+    (["pseudoheight", str(PATHS[QUALITATIVE]), "--json"], 1145),
 ], ids=["validate-sparse15", "fixture-list", "fixture-p3", "height-p1", "fullness-p1",
-        "e1-p1", "pseudoheight-p1"])
+        "e1-p1", "pseudoheight-p1", "validate-burniat", "pseudoheight-burniat"])
 def test_job_source_line_budget(argv, budget):
     # every line of code a job loads is compiled again when no bytecode is written
     assert probe(*argv)[1] <= budget

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from excol import FIXTURE_NAMES, fixtures, model, qualitative, validation
+from _three_valued import listed_deductions
+from excol import FIXTURE_NAMES, fixtures, model, validation
 from excol import products as pr
 from excol.heights import Height
 from excol.model import (
@@ -21,7 +22,8 @@ from excol.model import (
 )
 from excol.fixtures import serialize
 from excol.nhh import ChainTerm
-from excol.qualitative import QualitativeExtTable, extend_degrees, hom_vanishing_updates
+from excol.pseudoheight import qualitative_ph_bounds
+from excol.qualitative import Deductions, QualitativeExtTable
 
 
 def test_parse_minimal_point_like_document():
@@ -420,23 +422,34 @@ def test_asymmetric_constants_are_fine():
 
 
 def test_extend_degrees_burniat():
-    assert extend_degrees([3, 3, 2, 2, 2, 0], 6) == [
+    assert Deductions(fixtures.fixture_spec("burniat")).degrees == [
         3, 3, 2, 2, 2, 0, -3, -3, -4, -4, -4, -6]
 
 
 def test_extend_degrees_beauville():
-    assert extend_degrees([0, -2, -2, -4], 8) == [
+    assert Deductions(fixtures.fixture_spec("beauville_I1")).degrees == [
         0, -2, -2, -4, -8, -10, -10, -12]
 
 
 def test_extend_degrees_godeaux():
-    got = extend_degrees([0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0], 1)
+    got = Deductions(fixtures.fixture_spec("godeaux")).degrees
     assert got[11:] == [-1, -1, 0, -1, -1, -1, 0, -1, -1, -1, -1]
 
 
+def criterion_zeros(degrees, k_squared):
+    """The degree criterion's ZEROs, listed from its rule; the engine's reader agrees."""
+    flags = {"is_surface": True, "line_bundles": True, "ample_canonical": True,
+             "k_squared": k_squared}
+    n = len(degrees)
+    spec = CollectionSpec(n=n, dim_x=2, canonical_degrees=degrees, flags=flags)
+    listed, reader = listed_deductions(spec), Deductions(spec)
+    keys = [(src, dst, 0) for src in range(1, n + 1) for dst in range(1, 2 * n + 1)]
+    assert {key: ZERO for key in keys if reader.status(key) == ZERO} == listed
+    return listed
+
+
 def test_hom_vanishing_non_increasing_kills_everything():
-    ext = extend_degrees([3, 3, 2, 2, 2, 0], 6)
-    updates = hom_vanishing_updates(ext, 6)
+    updates = criterion_zeros([3, 3, 2, 2, 2, 0], 6)
     for i in range(1, 7):
         for j in range(i + 1, 7):
             assert updates[(i, j, 0)] == ZERO
@@ -445,13 +458,12 @@ def test_hom_vanishing_non_increasing_kills_everything():
 
 
 def test_hom_vanishing_increasing_degrees_deduce_nothing():
-    updates = hom_vanishing_updates([0, 1, 2, 3], 2)
+    updates = criterion_zeros([0, 1], -2)  # extended degrees [0, 1, 2, 3]
     assert all((i, j, 0) not in updates for i in (1, 2) for j in (1, 2) if i < j)
 
 
 def test_hom_vanishing_godeaux_allows_degree_raising_pairs():
-    ext = extend_degrees([0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0], 1)
-    updates = hom_vanishing_updates(ext, 11)
+    updates = criterion_zeros([0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0], 1)
     assert (2, 3, 0) not in updates  # degree goes 0 -> 1
     assert (1, 7, 0) not in updates
     assert updates[(1, 2, 0)] == ZERO
@@ -460,19 +472,23 @@ def test_hom_vanishing_godeaux_allows_degree_raising_pairs():
 
 def test_hom_vanishing_needs_flags():
     spec = fixtures.fixture_spec("beilinson_p1")
-    assert qualitative.Deductions(spec).updates() == {}
+    assert listed_deductions(spec) == {}
+    reader = Deductions(spec)
+    assert all(reader.status((src, dst, deg)) == UNKNOWN
+               for src in (1, 2) for dst in range(1, 5) for deg in range(-1, 4))
 
 
 def test_qualitative_window_semantics():
     table = QualitativeExtTable(2, {(1, 2, 1): NONZERO}, (0, 2))
     assert table.status(1, 2, 5) == ZERO  # outside the window
     assert table.status(1, 2, 0) == UNKNOWN
-    assert table.se_interval(1, 2) == (0, 1)
+    reader = Deductions(CollectionSpec(n=2, dim_x=2, qualitative=table))
+    assert reader.se_interval(1, 2) == (0, 1)
 
 
 def test_qualitative_windowless_interval_unbounded_below():
     table = QualitativeExtTable(2, {(1, 2, 1): NONZERO}, None)
-    lo, hi = table.se_interval(1, 2)
+    lo, hi = Deductions(CollectionSpec(n=2, dim_x=2, qualitative=table)).se_interval(1, 2)
     assert lo == -model.INF and hi == 1
 
 
@@ -482,7 +498,7 @@ def test_qualitative_merge_conflict():
     flags = {"is_surface": True, "line_bundles": True, "h2_anticanonical_nonzero": True}
     spec = CollectionSpec(n=2, dim_x=2, qualitative=table, flags=flags)
     with pytest.raises(SpecError, match=r"qualitative conflict at \(1, 3, 2\)"):
-        qualitative.merged_table(spec)
+        qualitative_ph_bounds(spec)
 
 
 def test_nonzero_status_outside_window_rejected():

@@ -2,11 +2,11 @@ import json
 
 import pytest
 
+from _three_valued import brute_cyclic
 from excol import fixtures, model, qualitative
 from excol.cli import main
 from excol.model import INF, NONZERO, ZERO, CollectionSpec, SpecError
 from excol.pseudoheight import (
-    cyclically_ext1_connected,
     iter_chains,
     pseudoheight,
     qualitative_ph_bounds,
@@ -48,7 +48,7 @@ def test_chain_enumeration_capped():
 def test_cap_is_checked_before_the_deductions(tmp_path, capsys, monkeypatch, command,
                                               statuses):
     # the degree criterion deduces O(n^2) statuses; past the cap on n the
-    # walk refuses the document before it deduces any
+    # walk refuses the document before it builds the three-valued reader
     n = 1200
     doc = {
         "n": n,
@@ -61,9 +61,9 @@ def test_cap_is_checked_before_the_deductions(tmp_path, capsys, monkeypatch, com
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     calls = []
-    real = qualitative.hom_vanishing_updates
-    monkeypatch.setattr(qualitative, "hom_vanishing_updates",
-                        lambda *args: calls.append(args) or real(*args))
+    real = qualitative.Deductions.__init__
+    monkeypatch.setattr(qualitative.Deductions, "__init__",
+                        lambda self, spec: calls.append(spec) or real(self, spec))
     assert main([command, str(path)]) == 1
     assert capsys.readouterr().err == f"error: chain enumeration capped at n <= 24, got {n}\n"
     assert calls == []
@@ -182,21 +182,23 @@ def test_qualitative_bounds_contain_exact_value():
         assert bounds.lower <= ph.value_ac <= bounds.upper
 
 
+# cyclic Ext^1-connectivity, the hypothesis of the lower-bound lemma, read
+# by the tests' reference (the engine reads only the se-intervals)
 def test_cyclic_connectivity_beauville_i0():
-    verdict, witness = cyclically_ext1_connected(_beauville_i0_qualitative_only())
+    verdict, witness = brute_cyclic(_beauville_i0_qualitative_only())
     assert verdict is True
     assert witness == (1, 2, 3, 4)
 
 
 def test_cyclic_connectivity_beauville_i1_false():
     spec = fixtures.fixture_spec("beauville_I1")
-    verdict, witness = cyclically_ext1_connected(spec)
+    verdict, witness = brute_cyclic(spec)
     assert verdict is False and witness is None
 
 
 def test_cyclic_connectivity_burniat_false():
     spec = fixtures.fixture_spec("burniat")
-    assert cyclically_ext1_connected(spec)[0] is False
+    assert brute_cyclic(spec)[0] is False
 
 
 def test_cyclic_connectivity_single_object():
@@ -204,27 +206,27 @@ def test_cyclic_connectivity_single_object():
         n=1, dim_x=2,
         qualitative=QualitativeExtTable(1, {(1, 2, 1): ZERO}, (0, 2)),
     )
-    assert cyclically_ext1_connected(spec) == (False, None)
+    assert brute_cyclic(spec) == (False, None)
 
 
 def test_cyclic_connectivity_unknown():
     spec = CollectionSpec(n=1, dim_x=2,
                           qualitative=QualitativeExtTable(1, {}, (0, 2)))
-    assert cyclically_ext1_connected(spec) == (None, None)
+    assert brute_cyclic(spec) == (None, None)
 
 
 def test_cyclic_connectivity_exact_route():
     # exact dims pin every degree-1 status without an explicit table
-    verdict, witness = cyclically_ext1_connected(
+    verdict, witness = brute_cyclic(
         fixtures.fixture_spec("beauville_I0"))
     assert verdict is True and witness == (1, 2, 3, 4)
-    verdict, witness = cyclically_ext1_connected(fixtures.fixture_spec("godeaux"))
+    verdict, witness = brute_cyclic(fixtures.fixture_spec("godeaux"))
     assert verdict is False and witness is None
 
 
 def test_cyclic_connectivity_exact_without_dims():
     # exact data without dims: every Ext is zero, so no chain is connected
-    assert cyclically_ext1_connected(CollectionSpec(n=1, dim_x=2)) == (False, None)
+    assert brute_cyclic(CollectionSpec(n=1, dim_x=2)) == (False, None)
 
 
 def test_exact_dims_decide_over_clashing_statuses():
@@ -235,9 +237,8 @@ def test_exact_dims_decide_over_clashing_statuses():
     doc["qualitative"]["statuses"].append(
         {"src": 1, "dst": 2, "deg": 0, "status": "NONZERO"})
     spec = model.parse(doc)
-    with pytest.raises(SpecError, match="qualitative conflict"):
-        qualitative.merged_table(spec)
+    assert qualitative.Deductions(spec).clash().startswith("qualitative conflict")
     assert not model.validate(spec).ok
     # no twisted dims, so every chain has a zero closing link
-    assert cyclically_ext1_connected(spec) == (False, None)
+    assert brute_cyclic(spec) == (False, None)
     assert qualitative_ph_bounds(spec) == (INF, INF, None)

@@ -1,10 +1,11 @@
 """The flags' deductions read per key, against the merge of every deduction.
 
 `qualitative.Deductions` reads the degree criterion at the keys a check
-visits; the references here list every deduction (`Deductions.updates`),
-merge them into the statuses one at a time, and check every merged key, as
-the merge did before the criterion was read per key.  The first clash and
-every `qualitative_consistency` problem must come out the same.
+visits; the references here list every deduction from the rules
+(`_three_valued.listed_deductions`), merge them into the statuses one at a
+time, and check every merged key.  The first clash, every status the
+engine's reader gives and every `qualitative_consistency` problem must
+come out the same.
 """
 
 import json
@@ -12,9 +13,11 @@ import random
 
 import pytest
 
+from _three_valued import merged_statuses
 from excol import qualitative, validation
 from excol.cli import main
-from excol.model import NONZERO, ZERO, CollectionSpec, SpecError, link_key, parse
+from excol.model import INF, NONZERO, ZERO, CollectionSpec, SpecError, link_key, parse
+from excol.pseudoheight import PhBounds, qualitative_ph_bounds
 from excol.qualitative import Deductions, QualitativeExtTable
 
 SURFACE = {"is_surface": True, "line_bundles": True}
@@ -22,15 +25,7 @@ SURFACE = {"is_surface": True, "line_bundles": True}
 
 def reference_merge(spec):
     """Every deduction merged into the statuses in turn; a clash raises."""
-    table = spec.qualitative or QualitativeExtTable(spec.n)
-    statuses, window = dict(table.statuses), table.degree_window
-    for key, st in Deductions(spec).updates().items():
-        if statuses.get(key, st) != st:
-            raise SpecError(f"qualitative conflict at {key}: {statuses[key]} vs {st}")
-        if window is not None and st == NONZERO and not window[0] <= key[2] <= window[1]:
-            raise SpecError(f"NONZERO status at {key} outside degree window")
-        statuses[key] = st
-    return QualitativeExtTable(table.n, statuses, window)
+    return QualitativeExtTable(spec.n, *merged_statuses(spec))
 
 
 def reference_check(spec):
@@ -86,6 +81,20 @@ def random_spec(rng):
 SPECS = [random_spec(random.Random(seed)) for seed in range(400)]
 
 
+def engine_reading(spec):
+    """The reader's first clash, or its status at every key near the statuses."""
+    try:
+        reader = Deductions(spec)
+    except SpecError as exc:
+        return str(exc)
+    return reader.clash() or [reader.status(key) for key in _keys(spec.n)]
+
+
+def _keys(n):
+    return [(src, dst, deg) for src in range(1, n + 1) for dst in range(1, 2 * n + 1)
+            for deg in range(-2, 5)]
+
+
 @pytest.mark.parametrize("seed", range(len(SPECS)))
 def test_checks_match_the_merge_of_every_deduction(seed):
     spec = SPECS[seed]
@@ -93,11 +102,9 @@ def test_checks_match_the_merge_of_every_deduction(seed):
     try:
         want = reference_merge(spec)
     except SpecError as exc:
-        with pytest.raises(SpecError) as got:
-            qualitative.merged_table(spec)
-        assert str(got.value) == str(exc)
+        assert engine_reading(spec) == str(exc)
     else:
-        assert qualitative.merged_table(spec) == want
+        assert engine_reading(spec) == [want.status(*key) for key in _keys(spec.n)]
 
 
 def test_random_specs_clash_every_way():
@@ -134,7 +141,6 @@ def test_validate_reads_the_degree_criterion_per_key(tmp_path, capsys, monkeypat
     calls, real = [], qualitative.hom_vanishes
     monkeypatch.setattr(qualitative, "hom_vanishes",
                         lambda *args: calls.append(args[1:]) or real(*args))
-    monkeypatch.setattr(qualitative, "hom_vanishing_updates", None)  # never listed
     code = main(["validate", str(path), "--json"])
     report = json.loads(capsys.readouterr().out)
     checked = {(s["src"], s["dst"]) for s in statuses} | ({(1, 2)} if exact else set())
@@ -160,7 +166,6 @@ def test_validate_stops_once_the_report_is_decided(tmp_path, capsys, monkeypatch
     calls, real = [], Deductions.status
     monkeypatch.setattr(Deductions, "status",
                         lambda self, key: calls.append(key) or real(self, key))
-    monkeypatch.setattr(Deductions, "updates", None)  # never listed
     assert main(["validate", str(path), "--json"]) == 1
     [check] = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
     assert check["name"] == "qualitative_consistency"
@@ -209,3 +214,33 @@ def test_the_first_clash_is_reported(tmp_path, capsys, window, statuses, message
     assert check == {"name": "qualitative_consistency", "passed": False, "detail": message}
     assert main(["pseudoheight", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("window, statuses, bounds", [
+    # nothing stated: every link may start at the window's first degree
+    ([0, 10**7], [], PhBounds(-1, INF)),
+    ([0, 10**12], [], PhBounds(-1, INF)),
+    # Ext(E_1, E_2) is ZERO at the window's first two degrees and NONZERO at
+    # 10^6; Ext(E_2, E_1 (x) omega^{-1}) ZERO at the first, NONZERO at 10^9
+    ([-10**12, 10**12],
+     [{"src": 1, "dst": 2, "deg": d, "status": ZERO} for d in (-10**12, 1 - 10**12)]
+     + [{"src": 1, "dst": 2, "deg": 10**6, "status": NONZERO},
+        {"src": 2, "dst": 3, "deg": -10**12, "status": ZERO},
+        {"src": 2, "dst": 3, "deg": 10**9, "status": NONZERO}],
+     PhBounds(2 - 2 * 10**12, 10**9 + 10**6 - 1, (1, 2))),
+], ids=["1e7", "1e12", "stated"])
+def test_a_wide_degree_window_reads_few_statuses(monkeypatch, window, statuses, bounds):
+    # each se-interval steps over the known ZEROs only, never over the
+    # window's degrees; a reader that did would hang here
+    reads, real = [], QualitativeExtTable.status
+
+    def counted(self, *key):
+        reads.append(key)
+        if len(reads) > 300:
+            raise AssertionError("more than 300 status reads")
+        return real(self, *key)
+
+    monkeypatch.setattr(QualitativeExtTable, "status", counted)
+    spec = parse({"n": 2, "dim_x": 2,
+                  "qualitative": {"degree_window": window, "statuses": statuses}})
+    assert qualitative_ph_bounds(spec) == bounds
