@@ -23,7 +23,7 @@ _EXPORTS = {
     "exactlin": "Matrix Subspace kernel_basis rref subquotient_dim",
     "fixtures": "beilinson_fixture serialize",
     "fullness": "full_check not_full_check",
-    "heights": "Analysis HeightReport build_report height heph_shortcut",
+    "heights": "Analysis build_report height heph_shortcut",
     "model": "CollectionSpec parse validate",
     "nhh": "assemble_differential spectral_sequence total_cohomology",
     "pseudoheight": "build_e1 qualitative_ph_bounds rel_height",

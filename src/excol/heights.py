@@ -14,22 +14,21 @@ out of that column and nothing of smaller degree can hit it).  Qualitative
 data goes through the pseudoheight interval; a pinned interval attained on a
 length-0 chain is again exact.
 
-`Analysis` computes each of these stages at most once per spec; the module
-functions below are projections of it.
+`Analysis` computes each of these stages at most once per spec, and every
+answer a command prints is one of its attributes; the comparison
+(`comparison_report`) is the only thing computed from the height alone.  The
+module functions below are projections of it.
 """
 
 from collections import namedtuple
 from functools import cached_property
 
-from .model import INF, Record
+from .model import INF
 from .pseudoheight import qualitative_ph_bounds
 
 
-class Height(namedtuple("Height", "lo hi nhh_vanishes", defaults=(False,))):
-    """A height value: a point when lo == hi, else the interval [lo, hi].
-
-    nhh_vanishes: all cohomology is zero, so the collection may be full.
-    """
+class Height(namedtuple("Height", "lo hi")):
+    """A height value: a point when lo == hi, else the interval [lo, hi]."""
 
     __slots__ = ()
 
@@ -38,7 +37,7 @@ class Height(namedtuple("Height", "lo hi nhh_vanishes", defaults=(False,))):
         return self.lo == self.hi
 
     def shifted(self, amount):
-        return Height(self.lo - amount, self.hi - amount, self.nhh_vanishes)
+        return Height(self.lo - amount, self.hi - amount)
 
     def __str__(self):
         def fmt(v):
@@ -49,48 +48,21 @@ class Height(namedtuple("Height", "lo hi nhh_vanishes", defaults=(False,))):
         return f"[{fmt(self.lo)}, {fmt(self.hi)}]"
 
 
-class HeightReport(Record):
-    def __init__(
-        self, ph, ph_ac, height, height_ac, used_shortcut, iso_range, mono_degree,
-        deformation_equivalent, nhh_dims=None, hoh_x_dims=None, hoh_a_dims=None,
-        witness=None,
-    ):
-        self.ph = ph  # None unless pinned
-        self.ph_ac = ph_ac
-        self.height = height  # Height
-        self.height_ac = height_ac  # Height
-        self.used_shortcut = used_shortcut  # none | heph | qualitative
-        # the restriction map is an isomorphism for k <= iso_range
-        self.iso_range = iso_range
-        self.mono_degree = mono_degree  # and a monomorphism at k = mono_degree
-        self.deformation_equivalent = deformation_equivalent
-        self.nhh_dims = nhh_dims
-        self.hoh_x_dims = hoh_x_dims
-        self.hoh_a_dims = hoh_a_dims
-        self.witness = witness
+Comparison = namedtuple("Comparison", "iso_range mono_degree deformation_equivalent hoh_a_dims")
 
 
-def comparison_report(spec, h, hoh_x_dims=None, nhh_dims=None, **extra):
-    """Assemble the full report from a computed height.
+def comparison_report(h, hoh_x_dims=None):
+    """The theorem's comparison at the proven lower bound h.lo of a height h.
 
-    Only the proven lower bound drives the comparison: iso range h.lo - 2,
-    monomorphism at h.lo - 1, deformation equivalence at h.lo >= 4.
+    HH^k(X) -> HH^k(A) is an isomorphism for k <= iso_range = h.lo - 2 and a
+    monomorphism at mono_degree = h.lo - 1; h.lo >= 4 makes the deformation
+    spaces agree.  The ambient dims hoh_x_dims carry over up to iso_range.
     """
     iso = h.lo - 2
     hoh_a = None
     if hoh_x_dims is not None:
         hoh_a = [d if k <= iso else None for k, d in enumerate(hoh_x_dims)]
-    return HeightReport(
-        height=h,
-        height_ac=h.shifted(spec.dim_x),
-        iso_range=iso,
-        mono_degree=h.lo - 1,
-        deformation_equivalent=h.lo >= 4,
-        hoh_x_dims=hoh_x_dims,
-        hoh_a_dims=hoh_a,
-        nhh_dims=nhh_dims,
-        **extra,
-    )
+    return Comparison(iso, h.lo - 1, h.lo >= 4, hoh_a)
 
 
 class Analysis:
@@ -98,11 +70,11 @@ class Analysis:
 
     The stages are lazy and memoized: the chain-engine bounds, the height
     shortcut, the complex (its relations checked once), its cohomology and
-    pages, the height, the report and the fullness verdict.  The `ss`,
-    `height`, `report` and `fullness` commands read their answers off one
-    Analysis.  The complex builds and reduces each degree on first use, and
-    the height on exact data with complete higher products stops at the first
-    surviving cocycle: `fullness` reads no degree above the height.
+    pages, the height and the fullness verdict.  The `ss`, `height`, `report`
+    and `fullness` commands read their answers off one Analysis.  The complex
+    builds and reduces each degree on first use, and the height on exact data
+    with complete higher products stops at the first surviving cocycle:
+    `fullness` reads no degree above the height.
     """
 
     def __init__(self, spec):
@@ -133,6 +105,13 @@ class Analysis:
         if witness is not None and len(witness) == 1 and self.bounds.pinned:
             return self.ph
         return None
+
+    @property
+    def used_shortcut(self):
+        """How the height was found: "heph", "none", or "qualitative" data."""
+        if not self.spec.is_exact:
+            return "qualitative"
+        return "heph" if self.shortcut is not None else "none"
 
     @cached_property
     def complex(self):
@@ -166,25 +145,9 @@ class Analysis:
             # trusted through the page driven by the largest supplied arity
             page = self.pages.page(spec.max_arity)
             lo = min((mp + q for (mp, q), d in page.items() if d > 0), default=INF)
-        if lo == INF:
-            return Height(INF, INF, nhh_vanishes=True)
         if page is None or page.get((0, lo)) or self.shortcut == lo:
             return Height(lo, lo)
         return Height(lo, INF)
-
-    def report(self, hoh_x_dims=None):
-        """The comparison report; hoh_x_dims are the ambient HOH dims."""
-        shortcut = "heph" if self.shortcut is not None else "none"
-        return comparison_report(
-            self.spec,
-            self.height,
-            hoh_x_dims,
-            nhh_dims=self.cohomology,
-            ph=self.ph,
-            ph_ac=self.ph_ac,
-            used_shortcut=shortcut if self.spec.is_exact else "qualitative",
-            witness=self.bounds.witness_chain,
-        )
 
     @cached_property
     def fullness(self):
@@ -212,5 +175,5 @@ def height(spec):
 
 
 def build_report(spec, hoh_x_dims=None):
-    """End-to-end report: pseudoheight, height, comparison ranges."""
-    return Analysis(spec).report(hoh_x_dims)
+    """The comparison (`comparison_report`) at the collection's height."""
+    return comparison_report(Analysis(spec).height, hoh_x_dims)

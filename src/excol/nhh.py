@@ -198,16 +198,16 @@ class NormalComplex:
         return red
 
 
-def assemble_differential(spec, check=True):
+def assemble_differential(spec):
     """Lay out the total complex; each d_t is assembled on first use.
 
-    Unless check=False, every A-infinity relation of the products is
-    verified first, which is d . d = 0 (see `relations`); a failing relation
-    raises DifferentialError naming its window.
+    Every A-infinity relation of the products is verified first, which is
+    d . d = 0 (see `relations`); a failing relation raises DifferentialError
+    naming its window.
     """
     fld = field_by_name(spec.field_name)
     tables = {**spec.products, **spec.higher}
-    if check and tables:  # relations.py is compiled only for a spec with tables
+    if tables:  # relations.py is compiled only for a spec with tables
         from .relations import describe, failing_relations
         failing = failing_relations(tables, fld)
         if failing:  # a window failing on two outputs is named once

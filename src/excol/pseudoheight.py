@@ -9,8 +9,9 @@ walks depth first over the live links only, and its cost follows the live
 chains rather than all 2^n - 1 of them.  The anticanonical variants
 subtract dim_x.
 
-One walk computes the minimum over se-intervals.  Every link is read once
-(`_links`): exact dims pin its interval, and only without them do the
+One walk computes the minimum over se-intervals, as `PhBounds`; exact data
+pins the interval, and `pseudoheight` returns the pinned one.  Every link is read
+once (`_links`): exact dims pin its interval, and only without them do the
 statuses and the flags' deductions (`qualitative.Deductions`) bound it.
 Partial (three-valued) knowledge leaves the intervals open, which
 reproduces the standard lower-bound lemmas: a Hom-free extended collection
@@ -256,23 +257,14 @@ def qualitative_ph_bounds(spec):
     return PhBounds(lower, upper, witness)
 
 
-class PseudoheightResult(namedtuple("PseudoheightResult", "value witness dim_x")):
-    """value is an int or +inf; witness is a chain or None."""
-
-    __slots__ = ()
-
-    @property
-    def value_ac(self):
-        return self.value - self.dim_x
-
-
 def pseudoheight(spec):
-    """Exact pseudoheight with a witness chain: the pinned chain-engine bounds.
+    """Exact pseudoheight bounds: the pinned chain-engine interval.
 
-    Requires exact dims.  Ties prefer shorter witnesses (a length-0 witness
-    makes the height shortcut fire), then lexicographic order.
+    Requires exact dims.  `.ph(spec.dim_x)` is the pseudoheight, `.ph_ac` the
+    anticanonical one and `.witness_chain` a chain attaining it; ties prefer
+    shorter witnesses (a length-0 witness makes the height shortcut fire),
+    then lexicographic order.
     """
     if not spec.is_exact:
         raise SpecError("pseudoheight needs exact Ext dimensions")
-    bounds = qualitative_ph_bounds(spec)
-    return PseudoheightResult(bounds.ph(spec.dim_x), bounds.witness_chain, spec.dim_x)
+    return qualitative_ph_bounds(spec)

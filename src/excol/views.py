@@ -123,7 +123,7 @@ def cmd_height(spec, args):
             "normal cohomology dims: "
             + ", ".join(f"{t}: {d}" for t, d in payload["nhh"].items()),
         ]
-        if h.nhh_vanishes:
+        if h.lo == float("inf"):
             lines.append(
                 "warning: normal cohomology vanishes entirely; "
                 "see the fullness command"
@@ -136,42 +136,45 @@ def cmd_height(spec, args):
 
 
 def cmd_report(spec, args):
+    from .heights import comparison_report
     a = _analysis(spec)
-    rep = a.report(args.hoh or None)  # `--hoh=` gives no dims
+    used_shortcut = a.used_shortcut  # the chain walk's SpecError comes first
+    h, h_ac = a.height, a.height.shifted(spec.dim_x)
+    cmp = comparison_report(h, args.hoh or None)  # `--hoh=` gives no dims
     payload = {
-        "ph": _jval(rep.ph),
-        "ph_ac": _jval(rep.ph_ac),
-        "he_lo": _jval(rep.height.lo),
-        "he_hi": _jval(rep.height.hi),
-        "he_ac_lo": _jval(rep.height_ac.lo),
-        "he_ac_hi": _jval(rep.height_ac.hi),
-        "used_shortcut": rep.used_shortcut,
-        "iso_range": _jval(rep.iso_range),
-        "mono_degree": _jval(rep.mono_degree),
-        "deformation_equivalent": rep.deformation_equivalent,
+        "ph": _jval(a.ph),
+        "ph_ac": _jval(a.ph_ac),
+        "he_lo": _jval(h.lo),
+        "he_hi": _jval(h.hi),
+        "he_ac_lo": _jval(h_ac.lo),
+        "he_ac_hi": _jval(h_ac.hi),
+        "used_shortcut": used_shortcut,
+        "iso_range": _jval(cmp.iso_range),
+        "mono_degree": _jval(cmp.mono_degree),
+        "deformation_equivalent": cmp.deformation_equivalent,
         "witness": _witness(a.bounds),
     }
-    if rep.nhh_dims is not None:
-        payload["nhh"] = _nhh_json(rep.nhh_dims)
-    if rep.hoh_x_dims is not None:
-        payload["hoh_x"] = rep.hoh_x_dims
-        payload["hoh_a"] = rep.hoh_a_dims
-    if rep.ph is None:
+    if a.cohomology is not None:
+        payload["nhh"] = _nhh_json(a.cohomology)
+    if cmp.hoh_a_dims is not None:
+        payload["hoh_x"] = args.hoh
+        payload["hoh_a"] = cmp.hoh_a_dims
+    if a.ph is None:
         ph_line = _interval(a.bounds)[1]
     else:
-        ph_line = f"pseudoheight: {_jval(rep.ph)} (anticanonical {_jval(rep.ph_ac)})"
+        ph_line = f"pseudoheight: {_jval(a.ph)} (anticanonical {_jval(a.ph_ac)})"
     lines = [
         ph_line,
-        f"height: {rep.height} (anticanonical {rep.height_ac})",
-        f"shortcut used: {rep.used_shortcut}",
-        f"restriction map: isomorphism for k <= {_jval(rep.iso_range)}, "
-        f"monomorphism at k = {_jval(rep.mono_degree)}",
-        f"deformation spaces agree: {rep.deformation_equivalent}",
+        f"height: {h} (anticanonical {h_ac})",
+        f"shortcut used: {used_shortcut}",
+        f"restriction map: isomorphism for k <= {_jval(cmp.iso_range)}, "
+        f"monomorphism at k = {_jval(cmp.mono_degree)}",
+        f"deformation spaces agree: {cmp.deformation_equivalent}",
     ]
-    if rep.hoh_a_dims is not None:
+    if cmp.hoh_a_dims is not None:
         shown = [
             f"HOH^{k}(complement) = {d}"
-            for k, d in enumerate(rep.hoh_a_dims)
+            for k, d in enumerate(cmp.hoh_a_dims)
             if d is not None
         ]
         lines.append("; ".join(shown) if shown else "no complement dims implied")

@@ -9,8 +9,11 @@ an oracle.  It reads `cx.differential(t)` for every degree, as a matrix
 (`d_matrix`), so it assembles whatever the engine has not read yet.
 """
 
+from unittest import mock
+
 from _matrices import d_matrix
-from excol.nhh import DifferentialError
+from excol import relations
+from excol.nhh import DifferentialError, assemble_differential
 
 
 def check_square_zero(cx):
@@ -39,3 +42,14 @@ def check_square_zero(cx):
             f"{t}; inconsistent structure constants on: " + "; ".join(offenders)
         )
     return composed
+
+
+def assemble_unchecked(spec):
+    """The complex of spec laid out without the engine's relation check.
+
+    The assembly always runs `relations.failing_relations` first; here it
+    finds nothing, so a spec whose relations fail still gets its complex,
+    for the oracle (or an entry check of the assembly) to judge.
+    """
+    with mock.patch.object(relations, "failing_relations", lambda tables, fld: []):
+        return assemble_differential(spec)

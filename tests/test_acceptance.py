@@ -19,7 +19,7 @@ from excol.cli import main as cli_main
 from excol.exactlin import Subspace
 from excol.fixtures import antisymmetrizer_line, beilinson_fixture
 from excol.fullness import FULL, NOT_FULL
-from excol.heights import build_report, height
+from excol.heights import Analysis, build_report, height
 from excol.model import NONZERO, CollectionSpec, validate
 from excol.nhh import assemble_differential, spectral_sequence, total_cohomology
 from excol.pseudoheight import pseudoheight, qualitative_ph_bounds
@@ -159,8 +159,9 @@ def test_criterion_6_burniat():
     bounds = qualitative_ph_bounds(spec)
     assert (bounds.lower, bounds.upper) == (2, 2)
     rep = build_report(spec)
-    assert rep.height_ac.lo == rep.height_ac.hi == 2
-    assert rep.height.lo == rep.height.hi == 4
+    h = Analysis(spec).height
+    assert h.shifted(spec.dim_x) == (2, 2)
+    assert h == (4, 4)
     assert rep.deformation_equivalent
     assert rep.iso_range == 2
     _ok("6 burniat pipeline")
@@ -169,8 +170,8 @@ def test_criterion_6_burniat():
 def test_criterion_7_godeaux():
     spec = fixtures.fixture_spec("godeaux")
     ph = pseudoheight(spec)
-    assert ph.value == 3 and ph.witness == (2, 3)
-    assert ph.value_ac == 1
+    assert ph.ph(spec.dim_x) == 3 and ph.witness_chain == (2, 3)
+    assert ph.ph_ac == 1
     h, _ = height(spec)
     assert (h.lo, h.hi) == (4, 4)
     _ok("7 godeaux pipeline (given the encoded vanishing assumptions)")
@@ -204,7 +205,7 @@ def test_criterion_8_property_suite():
             ), (name, t)
         # (c) pseudoheight bounds the height from below
         h, _ = height(spec)
-        assert pseudoheight(spec).value <= h.lo, name
+        assert pseudoheight(spec).ph(spec.dim_x) <= h.lo, name
         # (d) page dims never increase with r
         pages = sorted(ss.pages)
         for r_prev, r_next in zip(pages, pages[1:]):

@@ -182,8 +182,8 @@ def test_projective_fixture_dimensions(n):
 def test_projective_fixture_pseudoheight_zero_on_full_chain(n):
     spec = beilinson_fixture(n)
     res = pseudoheight(spec)
-    assert res.value == 0
-    assert res.witness == tuple(range(1, n + 1))
+    assert res.ph(spec.dim_x) == 0
+    assert res.witness_chain == tuple(range(1, n + 1))
 
 
 def test_projective_fixture_range_checked():

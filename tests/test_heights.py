@@ -1,5 +1,9 @@
+import random
+from collections import Counter
+
 import pytest
 
+import _specgen
 from excol import fixtures
 from excol.heights import (
     Analysis,
@@ -26,6 +30,7 @@ def _length_zero_toy():
 def test_shortcut_fires_on_length_zero_witness():
     spec = _length_zero_toy()
     assert heph_shortcut(spec) == 2
+    assert Analysis(spec).used_shortcut == "heph"
 
 
 def test_shortcut_agrees_with_full_computation():
@@ -48,7 +53,29 @@ def test_analysis_computes_each_stage_once():
     assert a.height is a.height and a.fullness is a.fullness
     assert (a.height.lo, a.cohomology) == (0, {0: 1, 1: 3})
     assert a.fullness.status == "FULL"
-    assert a.report().witness == a.bounds.witness_chain == (1, 2)
+    assert a.bounds.witness_chain == (1, 2)
+    assert a.used_shortcut == "none"
+
+
+@pytest.mark.parametrize("field", ["Q", "F1009"])
+def test_height_walk_matches_the_full_reduction(field):
+    # the walk stops at the first surviving cocycle; a fresh complex reduces
+    # every degree, and its least nonzero degree m must be the height
+    rng = random.Random(2028)
+    seen = Counter()
+    for _ in range(300):
+        spec = _specgen.random_spec(rng)
+        spec.field_name = field
+        dims = total_cohomology(assemble_differential(spec))
+        m = min((t for t, d in dims.items() if d), default=INF)
+        a = Analysis(spec)
+        assert a.height == Height(m, m), spec
+        assert (a.fullness.status == "NOT_FULL") == (0 < m < INF), spec
+        seen[a.fullness.status, m == INF] += 1
+    # the draws reach no cohomology, a positive height and a height <= 0
+    assert set(seen) == {
+        ("INCONCLUSIVE", True), ("NOT_FULL", False), ("INCONCLUSIVE", False)
+    }
 
 
 def _built(cx):
@@ -73,7 +100,7 @@ def test_fullness_builds_only_the_degrees_it_reads():
 def test_analysis_qualitative_has_no_complex_data():
     a = Analysis(fixtures.fixture_spec("burniat"))
     assert a.cohomology is None
-    assert a.report().used_shortcut == "qualitative"
+    assert a.used_shortcut == "qualitative"
     assert a.fullness.status == "NOT_FULL"
 
 
@@ -105,7 +132,7 @@ def test_height_burniat_qualitative():
 def test_height_degenerate_vanishing():
     spec = CollectionSpec(n=2, dim_x=0, a_dims={(1, 2): {0: 1}}, n_dims={})
     h, nhh = height(spec)
-    assert h.lo == INF and h.nhh_vanishes
+    assert h == Height(INF, INF)
     assert nhh == {}
 
 
@@ -148,7 +175,7 @@ def test_hkr_total_connected_unit():
 def test_comparison_report_beauville():
     spec = fixtures.fixture_spec("beauville_I0")
     rep = build_report(spec, hoh_x_dims=[1, 0, 0, 6, 9])
-    assert rep.height.lo == 4
+    assert Analysis(spec).height.lo == 4
     assert rep.iso_range == 2
     assert rep.mono_degree == 3
     assert rep.hoh_a_dims == [1, 0, 0, None, None]
@@ -165,32 +192,29 @@ def test_comparison_report_height_zero_is_vacuous():
 
 
 def test_comparison_report_monotone_in_height():
-    spec = fixtures.fixture_spec("beilinson_p1")
     ranges = []
     for lo in range(0, 6):
-        rep = comparison_report(
-            spec, Height(lo, lo), [1, 1, 1, 1, 1, 1],
-            ph=0, ph_ac=0, used_shortcut="none",
-        )
+        rep = comparison_report(Height(lo, lo), [1, 1, 1, 1, 1, 1])
         ranges.append(rep.iso_range)
     assert ranges == sorted(ranges)
 
 
 def test_burniat_report_flags():
-    rep = build_report(fixtures.fixture_spec("burniat"))
-    assert rep.used_shortcut == "qualitative"
-    assert rep.ph_ac == 2 and rep.ph == 4
-    assert rep.height.lo == 4 and rep.height_ac.lo == 2
+    spec = fixtures.fixture_spec("burniat")
+    a, rep = Analysis(spec), build_report(spec)
+    assert a.used_shortcut == "qualitative"
+    assert a.ph_ac == 2 and a.ph == 4
+    assert a.height.lo == 4 and a.height.shifted(spec.dim_x).lo == 2
     assert rep.deformation_equivalent
     assert rep.iso_range == 2 and rep.mono_degree == 3
 
 
 def test_godeaux_report_uses_exact_route():
-    rep = build_report(fixtures.fixture_spec("godeaux"))
-    assert rep.ph == 3 and rep.ph_ac == 1
-    assert rep.height.lo == 4
-    assert rep.witness == (2, 3)
-    assert rep.used_shortcut == "none"
+    a = Analysis(fixtures.fixture_spec("godeaux"))
+    assert a.ph == 3 and a.ph_ac == 1
+    assert a.height.lo == 4
+    assert a.bounds.witness_chain == (2, 3)
+    assert a.used_shortcut == "none"
 
 
 def test_pseudoheight_bounds_height_on_fixtures():
@@ -200,4 +224,4 @@ def test_pseudoheight_bounds_height_on_fixtures():
                  "beauville_I0"]:
         spec = fixtures.fixture_spec(name)
         h, _ = height(spec)
-        assert pseudoheight(spec).value <= h.lo
+        assert pseudoheight(spec).ph(spec.dim_x) <= h.lo

@@ -182,7 +182,7 @@ def test_walker_keeps_the_cap():
 def test_exact_walks_match_brute_force(kind, i, spec):
     assert enumerate_terms(spec) == brute_terms(spec)
     ph = pseudoheight(spec)
-    assert (ph.value, ph.witness) == brute_pseudoheight(spec)
+    assert (ph.ph(spec.dim_x), ph.witness_chain) == brute_pseudoheight(spec)
     bounds = qualitative_ph_bounds(spec)
     assert (bounds.lower, bounds.upper, bounds.witness_chain) == brute_bounds(spec)
 

@@ -8,7 +8,7 @@ import pytest
 from _three_valued import listed_deductions
 from excol import FIXTURE_NAMES, fixtures, model, validation
 from excol import products as pr
-from excol.heights import Height
+from excol.heights import Comparison, Height
 from excol.model import (
     NONZERO,
     UNKNOWN,
@@ -194,7 +194,7 @@ def test_specs_differing_in_one_field_are_unequal(name):
 @pytest.mark.parametrize("record, name", [
     (Height(0, 2), "lo"),
     (Height(0, 2), "hi"),
-    (Height(0, 2), "nhh_vanishes"),
+    (Comparison(2, 3, True, None), "iso_range"),  # what `report` adds to Analysis
     (ChainTerm((1, 2), (0, 1), (1, 1)), "chain"),
     (ChainTerm((1, 2), (0, 1), (1, 1)), "degs"),
     (ChainTerm((1, 2), (0, 1), (1, 1)), "factor_dims"),

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 import _specgen
+from _dd_oracle import assemble_unchecked
 from _matrices import d_matrix, rank
 from excol import FIXTURE_NAMES, fixtures
 from excol import products as pr
@@ -128,7 +129,7 @@ def test_minimal_nonzero_degree_is_pseudoheight():
         spec = fixtures.fixture_spec(name)
         table = build_e1(spec)
         min_t = min(mp + q for (mp, q), d in table.items() if d)
-        assert min_t == pseudoheight(spec).value
+        assert min_t == pseudoheight(spec).ph(spec.dim_x)
 
 
 def test_spectral_sequence_projective_line():
@@ -383,7 +384,7 @@ def test_assembly_refuses_an_index_outside_the_matrix(index):
     spec = fixtures.fixture_spec("beilinson_p1")
     key = min(spec.products)
     spec.products[key] = {(0, 0): {index: 1}}
-    cx = assemble_differential(spec, check=False)
+    cx = assemble_unchecked(spec)
     with pytest.raises(ExactLinError, match="out of bounds"):
         for t in cx.t_dims:  # each d_t is checked as it is built
             cx.differential(t)
@@ -395,9 +396,9 @@ def test_a_coefficient_zero_in_the_field_leaves_no_entry():
     key = min(spec.products)
     src = min(spec.products[key])
     spec.products[key][src] = {out: 1009 * c for out, c in spec.products[key][src].items()}
-    over_q = assemble_differential(spec, check=False)
+    over_q = assemble_unchecked(spec)
     spec.field_name = "F1009"
-    over_p = assemble_differential(spec, check=False)
+    over_p = assemble_unchecked(spec)
     assert over_q.t_dims == over_p.t_dims
     dropped = 0
     for t in over_p.t_dims:

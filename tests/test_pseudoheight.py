@@ -73,22 +73,22 @@ def test_pseudoheight_projective_line():
     # length-0 chains give 1, the full chain gives 0 + 1 - 1 = 0
     spec = fixtures.fixture_spec("beilinson_p1")
     res = pseudoheight(spec)
-    assert res.value == 0
-    assert res.witness == (1, 2)
+    assert res.ph(spec.dim_x) == 0
+    assert res.witness_chain == (1, 2)
 
 
 def test_pseudoheight_single_object():
     spec = fixtures.fixture_spec("point")
     res = pseudoheight(spec)
-    assert res.value == 0 and res.witness == (1,)
+    assert res.ph(spec.dim_x) == 0 and res.witness_chain == (1,)
 
 
 def test_pseudoheight_godeaux():
     spec = fixtures.fixture_spec("godeaux")
     res = pseudoheight(spec)
-    assert res.value == 3
-    assert res.value_ac == 1
-    assert res.witness == (2, 3)
+    assert res.ph(spec.dim_x) == 3
+    assert res.ph_ac == 1
+    assert res.witness_chain == (2, 3)
 
 
 def test_pseudoheight_prefers_short_witness_on_ties():
@@ -98,8 +98,8 @@ def test_pseudoheight_prefers_short_witness_on_ties():
         n_dims={(1, 1): {2: 1}, (2, 2): {2: 1}, (1, 2): {2: 1}},
     )
     res = pseudoheight(spec)
-    assert res.value == 2
-    assert res.witness == (1,)  # ties go to length-0 chains
+    assert res.ph(spec.dim_x) == 2
+    assert res.witness_chain == (1,)  # ties go to length-0 chains
 
 
 def test_pseudoheight_skips_dead_chains():
@@ -107,13 +107,13 @@ def test_pseudoheight_skips_dead_chains():
     spec = CollectionSpec(n=2, dim_x=0, a_dims={(1, 2): {0: 1}},
                           n_dims={(1, 1): {3: 1}})
     res = pseudoheight(spec)
-    assert res.value == 3 and res.witness == (1,)
+    assert res.ph(spec.dim_x) == 3 and res.witness_chain == (1,)
 
 
 def test_pseudoheight_all_chains_dead():
     spec = CollectionSpec(n=2, dim_x=0, a_dims={(1, 2): {0: 1}}, n_dims={})
     res = pseudoheight(spec)
-    assert res.value == INF and res.witness is None
+    assert res.ph(spec.dim_x) == INF and res.witness_chain is None
 
 
 def test_exact_spec_without_dims_pins_infinity():
@@ -121,7 +121,7 @@ def test_exact_spec_without_dims_pins_infinity():
     spec = CollectionSpec(n=2, dim_x=1)
     bounds = qualitative_ph_bounds(spec)
     assert (bounds.lower, bounds.upper, bounds.witness_chain) == (INF, INF, None)
-    assert pseudoheight(spec).value == INF
+    assert pseudoheight(spec).ph(spec.dim_x) == INF
 
 
 def test_pseudoheight_requires_exact_data():
@@ -179,7 +179,7 @@ def test_qualitative_bounds_contain_exact_value():
         spec = fixtures.fixture_spec(name)
         ph = pseudoheight(spec)
         bounds = qualitative_ph_bounds(spec)
-        assert bounds.lower <= ph.value_ac <= bounds.upper
+        assert bounds.lower <= ph.ph_ac <= bounds.upper
 
 
 # cyclic Ext^1-connectivity, the hypothesis of the lower-bound lemma, read
