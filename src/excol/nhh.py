@@ -201,11 +201,12 @@ class NormalComplex:
 def assemble_differential(spec):
     """Lay out the total complex; each d_t is assembled on first use.
 
-    Every A-infinity relation of the products is verified first, which is
-    d . d = 0 (see `relations`); a failing relation raises DifferentialError
-    naming its window.
+    The terms are listed first, so the n <= 24 cap is named before any
+    failing A-infinity relation of the products, which is d . d != 0 (see
+    `relations`) and raises DifferentialError naming its window.
     """
     fld = field_by_name(spec.field_name)
+    terms = enumerate_terms(spec)
     tables = {**spec.products, **spec.higher}
     if tables:  # relations.py is compiled only for a spec with tables
         from .relations import describe, failing_relations
@@ -216,7 +217,6 @@ def assemble_differential(spec):
                 "d.d != 0: the A-infinity relation fails on "
                 + "; ".join(list(named)[:4])
             )
-    terms = enumerate_terms(spec)
     term_lookup = {(tm.chain, tm.degs): tm for tm in terms}
     by_t = {}
     for tm in terms:

@@ -3,31 +3,30 @@
 A chain is a strictly increasing tuple of object indices a_0 < ... < a_p.
 Its value is se(E_a0, E_a1) + ... + se(E_ap, S^{-1} E_a0) - p, where
 se(F, F') is the minimal degree with Ext(F, F') nonzero; the pseudoheight is
-the minimum over the chains whose every link is nonzero.  A chain with an
-everywhere-zero link contributes +inf, so `live_chains` never visits it: it
-walks depth first over the live links only, and its cost follows the live
-chains rather than all 2^n - 1 of them.  The anticanonical variants
+the minimum over the chains whose every link is nonzero (a chain with an
+everywhere-zero link contributes +inf).  The anticanonical variants
 subtract dim_x.
 
-One walk computes the minimum over se-intervals, as `PhBounds`; exact data
-pins the interval, and `pseudoheight` returns the pinned one.  Every link is read
-once (`_links`): exact dims pin its interval, and only without them do the
-statuses and the flags' deductions (`qualitative.Deductions`) bound it.
-Partial (three-valued) knowledge leaves the intervals open, which
-reproduces the standard lower-bound lemmas: a Hom-free extended collection
-forces every link >= 1, hence value >= 1; if on top of that no chain is
-cyclically Ext^1-connected some link is >= 2, hence value >= 2.  A nonzero
-H^2(omega^{-1}) on a surface of line bundles caps the length-0 chains at 2.
+That minimum is a shortest path over the live links, so one min-plus pass
+computes it over se-intervals without listing chains, as `PhBounds`; exact
+data pins the interval, and `pseudoheight` returns the pinned one.  Every
+link is read once (`_links`): exact dims pin its interval, and only
+without them do the statuses and the flags' deductions
+(`qualitative.Deductions`) bound it.  Partial (three-valued) knowledge
+leaves the intervals open, which reproduces the standard lower-bound
+lemmas: a Hom-free extended collection forces every link >= 1, hence value
+>= 1; if on top of that no chain is cyclically Ext^1-connected some link
+is >= 2, hence value >= 2.  A nonzero H^2(omega^{-1}) on a surface of line
+bundles caps the length-0 chains at 2.
 
-The first page E_1 of the normal complex is a sum over the live chains too,
-so its terms and table (`ChainTerm`, `enumerate_terms`, `build_e1`) live
-here: `e1` walks the chains without compiling the complex (`nhh`), which
-imports them from here.
+The first page E_1 of the normal complex is a sum over the live chains,
+which `live_chains` lists depth first along the live links only, so its
+terms and table (`ChainTerm`, `enumerate_terms`, `build_e1`) live here:
+`e1` walks the chains without compiling the complex (`nhh`).
 """
 
 import itertools
 import math
-import operator
 from collections import namedtuple
 
 from .model import INF, SpecError, link_key
@@ -53,54 +52,45 @@ def iter_chains(n):
         yield from itertools.combinations(range(1, n + 1), length)
 
 
-def live_chains(n, link, zero, plus):
-    """The chains whose every link is live, in the order of `iter_chains`.
-
-    link("A", i, j) weighs the link Ext(E_i, E_j) and link("N", a_0, a_p)
-    the closing twisted link; it returns None for a dead link.  Yields
-    (chain, weight) with weight = plus(...plus(zero, w_1)..., w_closing),
-    the A links in order and the closing link last.
-
-    Each link is tested once.  For each length, a depth-first walk from
-    each a_0 then follows a live link only if a live closing link lies the
-    right number of live links beyond it, so every path it visits is the
-    prefix of a live chain: the cost is O(n^3) for the tests and the
-    reachability bits plus O(n) per prefix, and the memory is O(n^2).
-    """
+def _live_links(n, link):
+    """Each link read once: succ[i] = the live A links (j, weight) in order of j."""
     _check_n(n)
     objects = range(1, n + 1)
     succ = {i: [] for i in objects}
-    close = {}
+    close = {}  # (a_0, a_p) -> the weight of the live closing link
     for i, j in itertools.combinations_with_replacement(objects, 2):
         if i < j and (w := link("A", i, j)) is not None:
             succ[i].append((j, w))
         if (w := link("N", i, j)) is not None:
             close[i, j] = w
-    # ends[a0][j] has bit r set iff r more live links lead from j to some
-    # a_p whose closing link N(a0, a_p) is live
-    ends = {}
-    for a0 in objects:
-        bits = {}
+    return succ, close
+
+
+def live_chains(n, link):
+    """The chains whose every link is live, in lexicographic order.
+
+    link("A", i, j) weighs the link Ext(E_i, E_j) and link("N", a_0, a_p)
+    the closing twisted link; it returns None for a dead link.  Yields
+    (chain, weights), the A links' weights in order and the closing one last.
+
+    Each link is tested once.  From each a_0 a depth-first walk follows a
+    live link only to an object that still reaches, along live links, some
+    a_p with N(a_0, a_p) live, so every path it visits is the prefix of a
+    live chain: the cost is O(n^3) plus O(n) per prefix, not 2^n.
+    """
+    succ, close = _live_links(n, link)
+    for a0 in range(1, n + 1):
+        reach = set()
         for j in range(n, a0 - 1, -1):
-            b = 1 if (a0, j) in close else 0
-            for k, _ in succ[j]:
-                b |= bits[k] << 1
-            bits[j] = b
-        ends[a0] = bits
-    for p in range(n):
-        for a0 in objects:
-            bits = ends[a0]
-            if not bits[a0] >> p & 1:
-                continue
-            stack = [((a0,), zero, p)]
-            while stack:
-                chain, acc, left = stack.pop()
-                if not left:
-                    yield chain, plus(acc, close[a0, chain[-1]])
-                    continue
-                for j, w in reversed(succ[chain[-1]]):
-                    if bits[j] >> (left - 1) & 1:
-                        stack.append((chain + (j,), plus(acc, w), left - 1))
+            if (a0, j) in close or any(k in reach for k, _ in succ[j]):
+                reach.add(j)
+        stack = [((a0,), ())] if a0 in reach else []
+        while stack:
+            chain, ws = stack.pop()
+            if (a0, chain[-1]) in close:
+                yield chain, ws + (close[a0, chain[-1]],)
+            stack += [(chain + (k,), ws + (w,))
+                      for k, w in reversed(succ[chain[-1]]) if k in reach]
 
 
 # -- the first page ------------------------------------------------------------
@@ -145,21 +135,15 @@ class ChainTerm(namedtuple("ChainTerm", "chain degs factor_dims")):
         return [("A", c[r], c[r + 1], d[r]) for r in range(p)] + [twisted]
 
 
-def _nonempty(space):
-    return (space,) if space else None
-
-
 def enumerate_terms(spec):
     """All nonzero chain terms of the bigraded space.
 
     Only chains whose every Ext space is nonempty are visited (see
-    `live_chains`); terms come shortest chain first, then by chain in lex
-    order, then by degree split.
+    `live_chains`); terms come by chain in lexicographic order, then by
+    degree split.
     """
     terms = []
-    for chain, spaces in live_chains(
-        spec.n, lambda *link: _nonempty(spec.space(*link)), (), operator.add
-    ):
+    for chain, spaces in live_chains(spec.n, lambda *link: spec.space(*link) or None):
         for degs in itertools.product(*[sorted(sp) for sp in spaces]):
             dims = tuple(sp[d] for sp, d in zip(spaces, degs))
             terms.append(ChainTerm(chain, tuple(degs), dims))
@@ -234,27 +218,37 @@ def _links(spec):
     return link
 
 
-def _add_intervals(u, v):
-    return (u[0] + v[0], u[1] + v[1])
+_NO_PATH = (INF, INF, None)  # above the key of every live path
 
 
 def qualitative_ph_bounds(spec):
-    """Anticanonical pseudoheight interval: the one walk over the chains.
+    """Anticanonical pseudoheight interval: one min-plus pass over the links.
 
-    The witness chain attains the upper bound; length-0 witnesses are
-    preferred so the height shortcut can fire on a pinned interval.  Exact
-    data gives a pinned interval (or [inf, inf] when every chain is dead).
+    A chain's ends are the sums of its links' ends, each A link less 1.  For
+    each a_0, going down from object n, each object j keeps the least lower
+    end and the least key (upper end, p, chain) over the live paths from j
+    that close with a live N(a_0, a_p).  The witness attains the upper
+    bound; ties prefer shorter chains (a length-0 witness lets the height
+    shortcut fire), then lexicographic order, and it is None when the upper
+    bound is +inf.  Exact data pins the interval ([inf, inf] if every chain
+    is dead).
     """
-    lower = INF
-    upper = INF
-    witness = None
-    for chain, (lo, hi) in live_chains(spec.n, _links(spec), (0, 0), _add_intervals):
-        p = len(chain) - 1
-        lower = min(lower, lo - p)
-        if hi - p < upper:
-            upper = hi - p
-            witness = chain
-    return PhBounds(lower, upper, witness)
+    succ, close = _live_links(spec.n, _links(spec))
+    lower, best = INF, _NO_PATH
+    for a0 in range(1, spec.n + 1):
+        low, key = {}, {}
+        for j in range(spec.n, a0 - 1, -1):
+            if (a0, j) in close:
+                lo, hi = close[a0, j]
+                low[j], key[j] = lo, (hi, 0, (j,))
+            for k, (lo, hi) in succ[j]:
+                if k in low:
+                    up, p, chain = key[k]
+                    low[j] = min(low.get(j, INF), low[k] + lo - 1)
+                    key[j] = min(key.get(j, _NO_PATH), (up + hi - 1, p + 1, (j,) + chain))
+        lower, best = min(lower, low.get(a0, INF)), min(best, key.get(a0, _NO_PATH))
+    upper, _, witness = best
+    return PhBounds(lower, upper, witness if upper < INF else None)
 
 
 def pseudoheight(spec):

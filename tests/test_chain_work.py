@@ -1,8 +1,10 @@
-"""Chain walks on a sparse spec cost O(n^2 + live chains), not 2^n.
+"""Chain walks cost O(n^2 + live chains), and the bounds O(n^3), not 2^n.
 
-The spec has n = 20, one Ext(1, 2) and the diagonal twisted spaces: 20 live
-chains out of 2^20 - 1.  Work is counted, not timed: the lines executed
-inside the package, and the Ext-space lookups.
+The sparse spec has n = 20, one Ext(1, 2) and the diagonal twisted spaces:
+20 live chains out of 2^20 - 1.  On a dense qualitative surface every chain
+is live, and the bounds still take one min-plus pass over the links.  Work
+is counted, not timed: the lines executed inside the package, and the
+Ext-space lookups.
 """
 
 import os
@@ -14,6 +16,7 @@ from excol import nhh
 from excol.model import CollectionSpec
 from excol.nhh import enumerate_terms
 from excol.pseudoheight import pseudoheight, qualitative_ph_bounds
+from excol.qualitative import QualitativeExtTable
 
 N = 20
 
@@ -29,6 +32,18 @@ def _sparse_20():
         dim_x=1,
         a_dims={(1, 2): {0: 1}},
         n_dims={(i, i): {1: 1} for i in range(1, N + 1)},
+    )
+
+
+def _dense_surface(n):
+    """An ample-canonical surface of line bundles, no statuses: 2^n - 1 live chains."""
+    return CollectionSpec(
+        n=n,
+        dim_x=2,
+        canonical_degrees=[8 - i // 3 for i in range(n)],
+        qualitative=QualitativeExtTable(n, {}, (0, 2)),
+        flags={"is_surface": True, "ample_canonical": True, "line_bundles": True,
+               "h2_anticanonical_nonzero": True, "k_squared": 3},
     )
 
 
@@ -74,6 +89,16 @@ def test_sparse_walk_work_is_quadratic_not_exponential(walk):
         _lines_run(lambda: fn(spec), budget)
     except _Budget:
         pytest.fail(f"{walk} ran more than {budget} lines on a sparse n = {N} spec")
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_dense_bounds_work_is_cubic_not_exponential(n):
+    spec = _dense_surface(n)
+    budget = 5 * n ** 3  # the 2^n walk needs millions of lines
+    try:
+        _lines_run(lambda: qualitative_ph_bounds(spec), budget)
+    except _Budget:
+        pytest.fail(f"qualitative_ph_bounds ran more than {budget} lines on a dense n = {n} spec")
 
 
 def test_sparse_space_lookups_are_quadratic():

@@ -137,12 +137,12 @@ def test_command_loads_only_its_modules(cmd, name, expected):
     (["validate", str(PATHS[SPARSE]), "--json"], 754),
     (["fixture", "--list"], 231),
     (["fixture", "beilinson_p3"], 849),
-    (["height", str(PATHS[EXACT]), "--json"], 1950),
-    (["fullness", str(PATHS[EXACT]), "--json"], 2063),
-    (["e1", str(PATHS[EXACT]), "--json"], 1185),
-    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1185),
+    (["height", str(PATHS[EXACT]), "--json"], 1946),
+    (["fullness", str(PATHS[EXACT]), "--json"], 2059),
+    (["e1", str(PATHS[EXACT]), "--json"], 1181),
+    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1181),
     (["validate", str(PATHS[QUALITATIVE]), "--json"], 891),
-    (["pseudoheight", str(PATHS[QUALITATIVE]), "--json"], 1144),
+    (["pseudoheight", str(PATHS[QUALITATIVE]), "--json"], 1140),
 ], ids=["validate-sparse15", "fixture-list", "fixture-p3", "height-p1", "fullness-p1",
         "e1-p1", "pseudoheight-p1", "validate-burniat", "pseudoheight-burniat"])
 def test_job_source_line_budget(argv, budget):

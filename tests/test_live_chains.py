@@ -1,9 +1,11 @@
 """The live-chain walker against a brute-force filter of `iter_chains`.
 
-`live_chains` visits only the chains whose every link is live.  Each
-chain-walk entry point is recomputed here from its definition over all
-2^n - 1 chains of `iter_chains`, and must agree exactly: the same terms in
-the same order, the same bounds and the same witness.  The references read
+`live_chains` visits only the chains whose every link is live, in
+lexicographic order, and `qualitative_ph_bounds` takes its minima in one
+min-plus pass without listing chains.  Each is recomputed here from its
+definition over all 2^n - 1 chains of `iter_chains`, and must agree
+exactly: the same terms in lexicographic order, the same bounds and the
+same witness (shortest first, then lexicographic).  The references read
 each link from its definition (`_three_valued.link_reading`), not through
 the engine's link reader: exact dims, or else the statuses with the flags'
 deductions.  The lower-bound lemma is checked on the three-valued draws,
@@ -127,6 +129,30 @@ def three_valued_spec(rng):
     return spec
 
 
+def dense_surface_spec(rng, n):
+    """No ZERO statuses in the window [0, 2]: all 2^n - 1 chains are live.
+
+    The canonical degrees do not increase, so the degree criterion kills
+    Hom on the links it reaches and the H^2 flag caps the length-0 chains at
+    2.  A few other links are stated NONZERO in degree 1 or 2, so the
+    witness is a longer chain where those caps line up.
+    """
+    degrees = [rng.randint(0, 6)]
+    for _ in range(n - 1):
+        degrees.append(degrees[-1] - rng.randint(0, 1))
+    links = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    links += [(j, n + i) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    statuses = {(src, dst, rng.randint(1, 2)): NONZERO
+                for src, dst in links if rng.random() < 0.25}
+    return CollectionSpec(
+        n=n,
+        dim_x=2,
+        canonical_degrees=degrees,
+        qualitative=QualitativeExtTable(n, statuses, (0, 2)),
+        flags=dict(SURFACE_FLAGS, k_squared=rng.randint(1, 4)),
+    )
+
+
 def specs():
     rng = random.Random(4)
     out = [("specgen", i, random_spec(rng, rng.randint(1, 11))) for i in range(200)]
@@ -156,23 +182,18 @@ def test_walker_is_the_filtered_brute_force(seed):
     pairs = list(itertools.combinations_with_replacement(range(1, n + 1), 2))
     a_w = {(i, j): rng.randint(0, 3) for i, j in pairs if i < j and rng.random() < density}
     n_w = {(i, j): rng.randint(0, 3) for i, j in pairs if rng.random() < density}
-    got = list(live_chains(
-        n,
-        lambda kind, i, j: (a_w if kind == "A" else n_w).get((i, j)),
-        (),
-        lambda acc, w: acc + (w,),
-    ))
-    want = [
+    got = list(live_chains(n, lambda kind, i, j: (a_w if kind == "A" else n_w).get((i, j))))
+    want = sorted(
         (c, tuple(a_w[pair] for pair in zip(c, c[1:])) + (n_w[c[0], c[-1]],))
         for c in iter_chains(n)
         if all(pair in a_w for pair in zip(c, c[1:])) and (c[0], c[-1]) in n_w
-    ]
+    )
     assert got == want
 
 
 def test_walker_keeps_the_cap():
     with pytest.raises(SpecError):
-        list(live_chains(25, lambda kind, i, j: 0, 0, int.__add__))
+        list(live_chains(25, lambda kind, i, j: 0))
 
 
 @pytest.mark.parametrize("kind, i, spec", [
@@ -180,7 +201,7 @@ def test_walker_keeps_the_cap():
     if spec.is_exact
 ])
 def test_exact_walks_match_brute_force(kind, i, spec):
-    assert enumerate_terms(spec) == brute_terms(spec)
+    assert enumerate_terms(spec) == sorted(brute_terms(spec))
     ph = pseudoheight(spec)
     assert (ph.ph(spec.dim_x), ph.witness_chain) == brute_pseudoheight(spec)
     bounds = qualitative_ph_bounds(spec)
@@ -197,6 +218,39 @@ def test_three_valued_walks_match_brute_force(kind, i, spec):
         return (b.lower, b.upper, b.witness_chain)
 
     assert _outcome(bounds, spec) == _outcome(brute_bounds, spec)
+
+
+@pytest.mark.parametrize("n, seed", [(12, 0), (12, 1), (13, 2), (14, 3)])
+def test_dense_surface_bounds_match_brute_force(n, seed):
+    spec = dense_surface_spec(random.Random(seed), n)
+    b = qualitative_ph_bounds(spec)
+    assert (b.lower, b.upper, b.witness_chain) == brute_bounds(spec)
+
+
+def _window_spec(n, statuses):
+    return CollectionSpec(n=n, dim_x=2, qualitative=QualitativeExtTable(n, statuses, (0, 2)))
+
+
+@pytest.mark.parametrize("spec, want", [
+    # every link is UNKNOWN in [0, 2]: no upper end is finite, the lower end
+    # is the longest chain's 0 - (n - 1)
+    pytest.param(_window_spec(3, {}), (-2, INF, None), id="no-finite-upper"),
+    # (2,) and (1, 2, 3) both have the value 1: the shorter chain wins,
+    # though (1, 2, 3) comes first in lexicographic order
+    pytest.param(CollectionSpec(
+        n=3, dim_x=0, a_dims={(1, 2): {1: 1}, (2, 3): {1: 1}},
+        n_dims={(2, 2): {1: 1}, (1, 3): {1: 1}},
+    ), (1, 1, (2,)), id="length-0-wins-a-tie"),
+    # N(1, 1) is pinned at 2, N(2, 2) is [0, inf] and N(1, 2) is dead: the
+    # lower end comes from (2,), the upper end from (1,)
+    pytest.param(_window_spec(2, {
+        (1, 3, 0): ZERO, (1, 3, 1): ZERO, (1, 3, 2): NONZERO,
+        (2, 3, 0): ZERO, (2, 3, 1): ZERO, (2, 3, 2): ZERO,
+    }), (0, 2, (1,)), id="ends-on-different-chains"),
+])
+def test_bounds_witness_edge_cases(spec, want):
+    b = qualitative_ph_bounds(spec)
+    assert (b.lower, b.upper, b.witness_chain) == want == brute_bounds(spec)
 
 
 def test_three_valued_draws_cover_every_verdict():

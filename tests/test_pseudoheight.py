@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from excol.pseudoheight import (
     rel_height,
 )
 from excol.qualitative import QualitativeExtTable
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_rel_height_basic():
@@ -67,6 +70,21 @@ def test_cap_is_checked_before_the_deductions(tmp_path, capsys, monkeypatch, com
     assert main([command, str(path)]) == 1
     assert capsys.readouterr().err == f"error: chain enumeration capped at n <= 24, got {n}\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["pseudoheight", "e1", "ss", "height", "report",
+                                     "fullness"])
+def test_cap_is_reported_before_a_failing_relation(tmp_path, capsys, command):
+    # a doubled product coefficient breaks d.d = 0, and n is past the cap:
+    # every engine command names the cap, whichever stage it reaches first
+    doc = json.loads((ROOT / "fixtures" / "beilinson_p2.json").read_text())
+    doc["products"][0]["entries"][0][3] = "2"
+    doc["n"] = 25
+    del doc["objects"]
+    path = tmp_path / "two-faults.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == "error: chain enumeration capped at n <= 24, got 25\n"
 
 
 def test_pseudoheight_projective_line():
