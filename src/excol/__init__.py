@@ -21,12 +21,13 @@ FIXTURE_NAMES = (
 # so `import excol` loads no submodule, and no public name is a submodule's name
 _EXPORTS = {
     "exactlin": "Matrix Subspace kernel_basis rref subquotient_dim",
+    "firstpage": "build_e1",
     "fixtures": "beilinson_fixture serialize",
     "fullness": "full_check not_full_check",
     "heights": "Analysis build_report height heph_shortcut",
     "model": "CollectionSpec parse validate",
     "nhh": "assemble_differential spectral_sequence total_cohomology",
-    "pseudoheight": "build_e1 qualitative_ph_bounds rel_height",
+    "pseudoheight": "qualitative_ph_bounds rel_height",
     "qualitative": "QualitativeExtTable",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

@@ -1,7 +1,4 @@
-"""Command-line driver.
-
-    excol <command> [<input>] [--json] [--list] [--max-page R] [--anticanonical]
-          [--hoh d0,d1,...] [--field Q|Fp]
+"""Command-line driver: `excol <command> [<input>] [options]`, as `USAGE` spells out.
 
 An input is a document on disk, a file under EXCOL_FIXTURES or a built-in
 fixture; `fixture` without one (or with `--list`) lists the fixtures.  The

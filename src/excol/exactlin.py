@@ -9,7 +9,7 @@ field names its callers use are re-exported here.
 
 from collections import namedtuple
 
-from .fields import QQ, ExactLinError, PrimeField, field_by_name  # noqa: F401
+from .fields import QQ, ExactLinError, field_by_name  # noqa: F401
 
 
 class ContainmentError(ExactLinError):

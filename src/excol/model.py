@@ -19,9 +19,10 @@ backwards Ext space are rejected.  Unspecified spaces are zero, unspecified
 products are zero maps.  The canonical writer is `fixtures.serialize`:
 sorted keys, sorted entry lists, rationals as "p/q" strings, so serialize .
 parse is the identity on canonical documents.  Product records are read by
-`products`, which only a document with products loads, and the `qualitative`
-record by `qualitative`, which only a document with one loads; the checks
-that `validate` runs live in `validation`, which no other job loads.
+`products`, which only a document with products loads, the `qualitative`
+record by `qualitative` and the `fullness` record by `certificate`, each
+only for a document with one; the checks that `validate` runs live in
+`validation`, which no other job loads.
 """
 
 import json
@@ -214,24 +215,6 @@ def _parse_graded(records, n, key_fields, lo_le_hi):
     return out
 
 
-def _parse_cochain(rec):
-    _require(isinstance(rec, dict) and "terms" in rec, "bad cochain {!r}", rec)
-    terms = []
-    for t in _list(rec["terms"], "cochain terms"):
-        try:
-            chain, degs, values = t["chain"], t["degs"], t["values"]
-        except (KeyError, TypeError):
-            raise SpecError(f"bad cochain term {t!r}") from None
-        vals = {}
-        for pair in _list(values, "cochain values"):
-            ok = isinstance(pair, list) and len(pair) == 2 and is_int(pair[0])
-            _require(ok and pair[0] not in vals, "{} cochain value {!r}",
-                     "duplicate index in" if ok else "bad", pair)
-            vals[pair[0]] = _frac(pair[1])
-        terms.append((_int_tuple(chain, "chain"), _int_tuple(degs, "degs"), vals))
-    return Cochain(terms)
-
-
 TOP_KEYS = {
     "n",
     "dim_x",
@@ -325,14 +308,8 @@ def parse(document):
     spec.metadata = dict(document.get("metadata", {}))
 
     if "fullness" in document:
-        rec = document["fullness"]
-        fullness = FullnessData(_parse_cochain(rec["xi"]) if "xi" in rec else None)
-        for prec in _list(rec.get("pairings", []), "pairings"):
-            ok = isinstance(prec, dict) and is_int(prec.get("obj"))
-            _require(ok and prec["obj"] not in fullness.pairings, "{}: {!r}",
-                     "duplicate pairing obj" if ok else "pairing needs obj", prec)
-            fullness.pairings[prec["obj"]] = _parse_cochain(prec)
-        spec.fullness_data = fullness
+        from .certificate import parse_fullness  # only a document with a certificate
+        spec.fullness_data = parse_fullness(document["fullness"], spec)
 
     check_coefficients(spec)
     return spec

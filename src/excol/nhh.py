@@ -9,7 +9,7 @@ k_0 + ... + k_p = q, of
 with the twisted factor always last.  Since the input is a minimal model the
 internal differential vanishes, so this bigraded space is already the first
 page; its terms and table (`ChainTerm`, `enumerate_terms`, `build_e1`) live
-in `pseudoheight`, beside the chain walk, and are re-exported here.  The
+in `firstpage`, which `e1` reads alone, and are re-exported here.  The
 differential is the signed sum of product blocks: compositions of
 adjacent factors, the composition of the trailing factor into the twisted
 one, the cyclic wrap through the inverse Serre functor, and one block per
@@ -48,7 +48,7 @@ from collections import defaultdict, namedtuple
 from .exactlin import axpy
 from .fields import ExactLinError, field_by_name
 from .model import INF
-from .pseudoheight import ChainTerm, build_e1, enumerate_terms  # noqa: F401
+from .firstpage import ChainTerm, build_e1, enumerate_terms  # noqa: F401
 
 
 class DifferentialError(ValueError):

@@ -1,4 +1,4 @@
-"""Chain combinatorics: relative heights, the first page, pseudoheight, bounds.
+"""Chain combinatorics: relative heights, the live links, pseudoheight, bounds.
 
 A chain is a strictly increasing tuple of object indices a_0 < ... < a_p.
 Its value is se(E_a0, E_a1) + ... + se(E_ap, S^{-1} E_a0) - p, where
@@ -11,22 +11,19 @@ That minimum is a shortest path over the live links, so one min-plus pass
 computes it over se-intervals without listing chains, as `PhBounds`; exact
 data pins the interval, and `pseudoheight` returns the pinned one.  Every
 link is read once (`_links`): exact dims pin its interval, and only
-without them do the statuses and the flags' deductions
-(`qualitative.Deductions`) bound it.  Partial (three-valued) knowledge
-leaves the intervals open, which reproduces the standard lower-bound
+without them do the statuses and the flags' deductions bound it
+(`qualitative.Deductions`, read by `intervals`).  Partial (three-valued)
+knowledge leaves the intervals open, which reproduces the standard lower-bound
 lemmas: a Hom-free extended collection forces every link >= 1, hence value
 >= 1; if on top of that no chain is cyclically Ext^1-connected some link
 is >= 2, hence value >= 2.  A nonzero H^2(omega^{-1}) on a surface of line
 bundles caps the length-0 chains at 2.
 
-The first page E_1 of the normal complex is a sum over the live chains,
-which `live_chains` lists depth first along the live links only, so its
-terms and table (`ChainTerm`, `enumerate_terms`, `build_e1`) live here:
-`e1` walks the chains without compiling the complex (`nhh`).
+The first page, a sum over the live chains, is `firstpage`'s: it lists
+them along `_live_links`, and a `pseudoheight` job compiles none of it.
 """
 
 import itertools
-import math
 from collections import namedtuple
 
 from .model import INF, SpecError, link_key
@@ -66,108 +63,6 @@ def _live_links(n, link):
     return succ, close
 
 
-def live_chains(n, link):
-    """The chains whose every link is live, in lexicographic order.
-
-    link("A", i, j) weighs the link Ext(E_i, E_j) and link("N", a_0, a_p)
-    the closing twisted link; it returns None for a dead link.  Yields
-    (chain, weights), the A links' weights in order and the closing one last.
-
-    Each link is tested once.  From each a_0 a depth-first walk follows a
-    live link only to an object that still reaches, along live links, some
-    a_p with N(a_0, a_p) live, so every path it visits is the prefix of a
-    live chain: the cost is O(n^3) plus O(n) per prefix, not 2^n.
-    """
-    succ, close = _live_links(n, link)
-    for a0 in range(1, n + 1):
-        reach = set()
-        for j in range(n, a0 - 1, -1):
-            if (a0, j) in close or any(k in reach for k, _ in succ[j]):
-                reach.add(j)
-        stack = [((a0,), ())] if a0 in reach else []
-        while stack:
-            chain, ws = stack.pop()
-            if (a0, chain[-1]) in close:
-                yield chain, ws + (close[a0, chain[-1]],)
-            stack += [(chain + (k,), ws + (w,))
-                      for k, w in reversed(succ[chain[-1]]) if k in reach]
-
-
-# -- the first page ------------------------------------------------------------
-
-
-class ChainTerm(namedtuple("ChainTerm", "chain degs factor_dims")):
-    """One tensor-product summand: a chain with a degree split.
-
-    degs lists the internal degrees, the twisted factor last.
-    """
-
-    __slots__ = ()
-
-    @property
-    def p(self):
-        return len(self.chain) - 1
-
-    @property
-    def mp(self):
-        return -self.p
-
-    @property
-    def q(self):
-        return sum(self.degs)
-
-    @property
-    def t(self):
-        return self.q - self.p
-
-    @property
-    def dim(self):
-        return math.prod(self.factor_dims)
-
-    def strides(self):
-        dims = self.factor_dims
-        return [math.prod(dims[i + 1:]) for i in range(len(dims))]
-
-    def letters(self):
-        """The word as ("A"|"N", i, j, deg) letters, the twisted one last."""
-        c, d, p = self.chain, self.degs, self.p
-        twisted = ("N", c[0], c[p], d[p])
-        return [("A", c[r], c[r + 1], d[r]) for r in range(p)] + [twisted]
-
-
-def enumerate_terms(spec):
-    """All nonzero chain terms of the bigraded space.
-
-    Only chains whose every Ext space is nonempty are visited (see
-    `live_chains`); terms come by chain in lexicographic order, then by
-    degree split.
-    """
-    terms = []
-    for chain, spaces in live_chains(spec.n, lambda *link: spec.space(*link) or None):
-        for degs in itertools.product(*[sorted(sp) for sp in spaces]):
-            dims = tuple(sp[d] for sp, d in zip(spaces, degs))
-            terms.append(ChainTerm(chain, tuple(degs), dims))
-    return terms
-
-
-def build_e1(spec):
-    """First-page table (-p, q) -> dim.
-
-    Needs exact dims; the minimal total degree of a nonzero entry is the
-    pseudoheight by construction.
-    """
-    if not spec.is_exact:
-        raise SpecError("the first page needs exact Ext dimensions")
-    table = {}
-    for term in enumerate_terms(spec):
-        key = (term.mp, term.q)
-        table[key] = table.get(key, 0) + term.dim
-    return table
-
-
-# -- the chain engine ----------------------------------------------------------
-
-
 class PhBounds(namedtuple("PhBounds", "lower upper witness_chain", defaults=(None,))):
     """Anticanonical pseudoheight interval with the chain attaining the cap."""
 
@@ -194,25 +89,27 @@ def _links(spec):
     for its anticanonical se-interval, and is dead (None) when that starts
     at +inf.  Exact dims pin the interval, so an exact document without
     dims has every Ext zero; otherwise the statuses and the flags'
-    deductions bound it (`qualitative.Deductions.se_interval`, after a
+    deductions bound it (`intervals.se_intervals`, after a
     clash has raised SpecError), filed under the link's `model.link_key`.
     """
     _check_n(spec.n)  # the cap is reported before any clash
-    reader = None
+    se_interval = None
     if not spec.is_exact:  # only three-valued knowledge compiles its rules
+        from .intervals import se_intervals
         from .qualitative import Deductions
         reader = Deductions(spec)
         message = reader.clash()
         if message is not None:
             raise SpecError(message)
+        se_interval = se_intervals(reader)
 
     def link(kind, i, j):
         src, dst, shift = link_key(spec, kind, i, j)
-        if reader is None:
+        if se_interval is None:
             se = rel_height(spec.space(kind, i, j)) - shift
             iv = (se, se)
         else:
-            iv = reader.se_interval(src, dst)
+            iv = se_interval(src, dst)
         return None if iv[0] == INF else iv
 
     return link

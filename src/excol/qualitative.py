@@ -4,8 +4,9 @@ A document may state, per (src, dst, deg) of the anticanonically extended
 collection, that an Ext space is ZERO or NONZERO (`QualitativeExtTable`); on
 a surface of line bundles its flags deduce more.  `Deductions` holds both
 and is the one place a status is read: the chain walks read each link's
-se-interval from it (`pseudoheight._links`), and `validate` the status at
-each key it checks (`validation._check_qualitative`).  Only the jobs that
+se-interval through it (`intervals.se_intervals`, which only
+`pseudoheight._links` loads), and `validate` the status at each key it
+checks (`validation._check_qualitative`).  Only the jobs that
 read such knowledge compile this module: `model.parse` for a document with
 a `qualitative` section, `pseudoheight` for a spec without exact dims, and
 `validate` for a spec with statuses or flags.
@@ -15,7 +16,7 @@ NONZEROs, but a deduction can clash only with a stated status, so no
 reader lists the deductions: `Deductions` reads them one key at a time.
 """
 
-from .model import INF, NONZERO, UNKNOWN, ZERO, Record, SpecError, _list, _require, is_int
+from .model import NONZERO, UNKNOWN, ZERO, Record, SpecError, _list, _require, is_int
 
 
 class QualitativeExtTable(Record):
@@ -106,10 +107,6 @@ class Deductions:
             _require(len(self.degrees) == 2 * n,
                      "need one degree per object of the extended collection")
         self.h2 = bool(surface and flags.get("h2_anticanonical_nonzero") and n > 0)
-        self.stated_nonzero = {}  # (src, dst) -> the degrees stated NONZERO
-        for (src, dst, deg), st in self.table.statuses.items():
-            if st == NONZERO:
-                self.stated_nonzero.setdefault((src, dst), []).append(deg)
 
     def status(self, key):
         """The status at key: deduced, else stated, else the degree window's."""
@@ -119,23 +116,6 @@ class Deductions:
         if deg == 2 and self.h2 and 1 <= src == dst - self.n <= self.n:
             return NONZERO
         return self.table.status(src, dst, deg)
-
-    def se_interval(self, src, dst):
-        """Interval [lo, hi] for the minimal degree with nonzero Ext(src, dst).
-
-        hi is the first degree of the window known NONZERO (+inf if none):
-        stated, or deduced at degree 2.  lo is the first degree of the window
-        not known ZERO (+inf when every degree is ZERO), found by stepping
-        over the known ZEROs only, so a wide window costs no more than a
-        narrow one.  Without a window lo is -inf: finitely many statuses
-        cannot bound the first possible nonvanishing from below.
-        """
-        lo, top = self.table.degree_window or (-INF, INF)
-        known = [d for d in self.stated_nonzero.get((src, dst), []) + [2]
-                 if lo <= d <= top and self.status((src, dst, d)) == NONZERO]
-        while lo <= top and self.status((src, dst, lo)) == ZERO:  # no window: -inf is UNKNOWN
-            lo += 1
-        return (lo if lo <= top else INF, min(known, default=INF))
 
     def clash(self):
         """The message of the first deduction clashing with the table, or None.

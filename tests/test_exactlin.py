@@ -9,7 +9,6 @@ from excol.exactlin import (
     ContainmentError,
     ExactLinError,
     Matrix,
-    PrimeField,
     QQ,
     Subspace,
     field_by_name,
@@ -17,6 +16,7 @@ from excol.exactlin import (
     rref,
     subquotient_dim,
 )
+from excol.primefield import PrimeField
 
 
 def test_rref_identity():

@@ -266,18 +266,17 @@ def test_full_check_refuses_pairing_on_the_empty_chain():
 
 
 def test_fullness_command_refuses_pairing_on_the_empty_chain(tmp_path, capsys):
-    # validate accepts the document; the verdict must end in an error, not
-    # in an IndexError from reading the chain's first object
+    # the parse checks the certificate against the dims, so every command
+    # refuses the document as malformed (exit 2), validate included, and
+    # none reads the empty chain's first object
     doc = fixtures.fixture_document("beilinson_p1")
     doc["fullness"]["pairings"][0]["terms"][0]["chain"] = []
     path = tmp_path / "empty_chain.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert cli_main(["validate", str(path)]) == 0
-    capsys.readouterr()
-    assert cli_main(["fullness", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: cochain names a zero term: chain () degs (0, 1)\n"
+    for command in ("validate", "pseudoheight", "e1", "ss", "height", "report", "fullness"):
+        assert cli_main([command, str(path)]) == 2, command
+        assert capsys.readouterr() == ("", "error: bad collection document: cochain "
+                                       "names a zero term: chain () degs (0, 1)\n")
 
 
 def _as_cochain(cx, t, vec):

@@ -8,17 +8,19 @@ shipped fixture files, and `data/sparse15.json`, an exact document without
 products, so that no product code is compiled for it.  The probe also
 reports `dataclasses`, `inspect`, `fractions`, `argparse`, `gettext` and
 `locale`; no command loads any of them but `fractions`, so every expected
-set below, which never names them, pins their absence as well.  Nine jobs
-have a budget of lines of code (blank and comment-only lines are not
+set below, which never names them, pins their absence as well.  Eleven
+jobs have a budget of lines of code (blank and comment-only lines are not
 counted, docstrings are), since with bytecode writing off each job
 compiles every line it loads: `height` and `fullness` on an exact document
 with products load the whole engine, so a faster engine cannot pay for
-itself in compile time unseen, `e1` and `pseudoheight` load only the
-chain walk, `validate` and `pseudoheight` on a qualitative surface load the
-three-valued reader as well, and `fixture beilinson_p3` writes its document
-without the parser.  Each run is made once and read by every pin that names it.
-The README's load table and library imports, and the `excol.pseudoheight`
-submodule, are checked here too.
+itself in compile time unseen, `pseudoheight` loads only the chain walk's
+bounds and `e1` the first page besides, on `beilinson_p1` and on
+`sparse15` (the shapes of the benchmark's chain documents), `validate` and
+`pseudoheight` on a qualitative surface load the three-valued reader as
+well, and `fixture beilinson_p3` writes its document without the parser.
+Each run is made once and read by every pin that names it.  The README's
+load table and library imports, and the `excol.pseudoheight` submodule,
+are checked here too.
 """
 
 import functools
@@ -80,11 +82,17 @@ PRODUCTS = {"products"}
 RELATIONS = PRODUCTS | {"relations"}
 # the statuses of a `qualitative` section, and the flags' deductions
 QUAL = {"qualitative"}
+# the chain walks' se-intervals from those statuses
+LINKS = {"intervals"}
+# the `fullness` certificate, checked at parse (EXACT has one)
+CERT = {"certificate"}
 VALIDATE = PARSE | {"validation"}
-# the pseudoheight and the first page need the chain walk and nothing more
+# the pseudoheight needs the chain walk's bounds and nothing more
 CHAINS = PARSE | {"pseudoheight", "views"}
-ANALYSIS = CHAINS | {"heights"}
-ENGINE = ANALYSIS | {"nhh", "exactlin"}
+# the first page lists the live chains
+E1 = CHAINS | {"firstpage"}
+ANALYSIS = CHAINS | {"heights", "analysis_views"}
+ENGINE = ANALYSIS | {"nhh", "exactlin", "firstpage"}
 EXACT, QUALITATIVE, SPARSE, FLAGGED = "beilinson_p1", "burniat", "sparse15", "godeaux"
 PATHS = {
     EXACT: DOCS / f"{EXACT}.json",
@@ -92,36 +100,39 @@ PATHS = {
     SPARSE: ROOT / "tests" / "data" / f"{SPARSE}.json",
     FLAGGED: DOCS / f"{FLAGGED}.json",
 }
-# fractions loads only for a value that is not an integer, products only
-# for a document with products (EXACT and FLAGGED have them), qualitative
-# only for a document with a `qualitative` section (QUALITATIVE), and for
-# validate on one with flags too (FLAGGED: exact, with surface flags)
+# fractions loads only for a value that is not an integer, primefield only
+# for an F<p> field, products only for a document with products (EXACT and
+# FLAGGED have them), certificate only for one with a `fullness` section
+# (EXACT), qualitative only for a document with a `qualitative` section
+# (QUALITATIVE), and for validate on one with flags too (FLAGGED: exact,
+# with surface flags)
 
 CASES = [
-    ("validate", EXACT, VALIDATE | RELATIONS),
+    ("validate", EXACT, VALIDATE | RELATIONS | CERT),
     ("validate", QUALITATIVE, VALIDATE | QUAL),
     ("validate", SPARSE, VALIDATE),
     ("validate", FLAGGED, VALIDATE | RELATIONS | QUAL),
-    ("pseudoheight", EXACT, CHAINS | PRODUCTS),
-    ("pseudoheight", QUALITATIVE, CHAINS | QUAL),
+    ("pseudoheight", EXACT, CHAINS | PRODUCTS | CERT),
+    ("pseudoheight", QUALITATIVE, CHAINS | QUAL | LINKS),
     ("pseudoheight", SPARSE, CHAINS),
     ("pseudoheight", FLAGGED, CHAINS | PRODUCTS),
-    ("e1", EXACT, CHAINS | PRODUCTS),
-    ("e1", QUALITATIVE, CHAINS | QUAL),
-    ("e1", SPARSE, CHAINS),
-    ("ss", EXACT, ENGINE | RELATIONS),
+    ("e1", EXACT, E1 | PRODUCTS | CERT),
+    # the first page refuses statuses before it reads a link
+    ("e1", QUALITATIVE, E1 | QUAL),
+    ("e1", SPARSE, E1),
+    ("ss", EXACT, ENGINE | RELATIONS | CERT),
     ("ss", QUALITATIVE, ENGINE | QUAL),
     ("ss", SPARSE, ENGINE),
-    ("height", EXACT, ENGINE | RELATIONS),
-    ("height", QUALITATIVE, ANALYSIS | QUAL),
+    ("height", EXACT, ENGINE | RELATIONS | CERT),
+    ("height", QUALITATIVE, ANALYSIS | QUAL | LINKS),
     ("height", SPARSE, ENGINE),
     ("height", FLAGGED, ENGINE | RELATIONS),
-    ("report", EXACT, ENGINE | RELATIONS),
-    ("report", QUALITATIVE, ANALYSIS | QUAL),
+    ("report", EXACT, ENGINE | RELATIONS | CERT),
+    ("report", QUALITATIVE, ANALYSIS | QUAL | LINKS),
     ("report", SPARSE, ENGINE),
-    ("fullness", EXACT, ENGINE | RELATIONS | {"fullness"}),
+    ("fullness", EXACT, ENGINE | RELATIONS | CERT | {"fullness"}),
     # a qualitative verdict needs no complex: neither nhh nor exactlin
-    ("fullness", QUALITATIVE, ANALYSIS | QUAL | {"fullness"}),
+    ("fullness", QUALITATIVE, ANALYSIS | QUAL | LINKS | {"fullness"}),
     ("fullness", SPARSE, ENGINE | {"fullness"}),
 ]
 ENGINE_CASES = [(cmd, name) for cmd, name, _ in CASES if cmd != "validate"]
@@ -134,17 +145,20 @@ def test_command_loads_only_its_modules(cmd, name, expected):
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["validate", str(PATHS[SPARSE]), "--json"], 754),
-    (["fixture", "--list"], 231),
-    (["fixture", "beilinson_p3"], 849),
-    (["height", str(PATHS[EXACT]), "--json"], 1946),
-    (["fullness", str(PATHS[EXACT]), "--json"], 2059),
-    (["e1", str(PATHS[EXACT]), "--json"], 1181),
-    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1181),
-    (["validate", str(PATHS[QUALITATIVE]), "--json"], 891),
-    (["pseudoheight", str(PATHS[QUALITATIVE]), "--json"], 1140),
+    (["validate", str(PATHS[SPARSE]), "--json"], 679),
+    (["fixture", "--list"], 230),
+    (["fixture", "beilinson_p3"], 848),
+    (["height", str(PATHS[EXACT]), "--json"], 1945),
+    (["fullness", str(PATHS[EXACT]), "--json"], 2042),
+    (["e1", str(PATHS[EXACT]), "--json"], 1087),
+    (["pseudoheight", str(PATHS[EXACT]), "--json"], 1003),
+    (["validate", str(PATHS[QUALITATIVE]), "--json"], 798),
+    (["pseudoheight", str(PATHS[QUALITATIVE]), "--json"], 909),
+    (["pseudoheight", str(PATHS[SPARSE]), "--json"], 762),
+    (["e1", str(PATHS[SPARSE]), "--json"], 846),
 ], ids=["validate-sparse15", "fixture-list", "fixture-p3", "height-p1", "fullness-p1",
-        "e1-p1", "pseudoheight-p1", "validate-burniat", "pseudoheight-burniat"])
+        "e1-p1", "pseudoheight-p1", "validate-burniat", "pseudoheight-burniat",
+        "pseudoheight-sparse15", "e1-sparse15"])
 def test_job_source_line_budget(argv, budget):
     # every line of code a job loads is compiled again when no bytecode is written
     assert probe(*argv)[1] <= budget
@@ -167,6 +181,25 @@ def test_engine_commands_load_no_validation(cmd, name):
     assert "validation" not in loaded_modules(cmd, str(PATHS[name]), "--json")
 
 
+@pytest.mark.parametrize("cmd, name", [(cmd, name) for cmd, name, _ in CASES],
+                         ids=[f"{c}-{n}" for c, n, _ in CASES])
+def test_a_document_over_q_loads_no_prime_field(cmd, name):
+    assert "primefield" not in loaded_modules(cmd, str(PATHS[name]), "--json")
+
+
+def test_a_prime_field_loads_the_prime_field():
+    argv = ("height", str(PATHS[SPARSE]), "--json", "--field", "F1009")
+    assert loaded_modules(*argv) == ENGINE | {"primefield"}
+
+
+@pytest.mark.parametrize("name", [EXACT, QUALITATIVE, SPARSE, FLAGGED])
+def test_each_chain_command_loads_only_its_own_answers(name):
+    # the bounds list no chains, and the first page reads no Analysis
+    assert "firstpage" not in loaded_modules("pseudoheight", str(PATHS[name]), "--json")
+    e1 = loaded_modules("e1", str(PATHS[name]), "--json")
+    assert not e1 & {"analysis_views", "heights"}
+
+
 @pytest.mark.parametrize("cmd, name", [
     (cmd, name) for cmd, name, _ in CASES
     if name in (EXACT, SPARSE) or (name == FLAGGED and cmd != "validate")
@@ -184,8 +217,10 @@ README_JOBS = {
     "`fixture <name>`, surfaces and `point`": ["fixture", "burniat"],
     "`fixture <name>`, Beilinson": ["fixture", "beilinson_p3"],
     "`validate`": ["validate", str(PATHS[SPARSE]), "--json"],
-    "`pseudoheight`, `e1`": ["pseudoheight", str(PATHS[SPARSE]), "--json"],
+    "`pseudoheight`": ["pseudoheight", str(PATHS[SPARSE]), "--json"],
+    "`e1`": ["e1", str(PATHS[SPARSE]), "--json"],
     "`ss`; exact `height`, `report`": ["ss", str(PATHS[SPARSE]), "--json"],
+    "exact `height --field F<p>`": ["height", str(PATHS[SPARSE]), "--json", "--field", "F1009"],
     "exact `fullness`": ["fullness", str(PATHS[SPARSE]), "--json"],
     "qualitative `height`, `report`": ["height", str(PATHS[QUALITATIVE]), "--json"],
     "qualitative `fullness`": ["fullness", str(PATHS[QUALITATIVE]), "--json"],
@@ -315,7 +350,8 @@ print(key[0], "excol.model" in sys.modules, "excol.fields" in sys.modules)
 
 
 def test_fixture_name_as_input_loads_fixtures():
-    assert loaded_modules("validate", "point") == VALIDATE | {"fixtures"}
+    # `point` has a `fullness` section, whose certificate the parse checks
+    assert loaded_modules("validate", "point") == VALIDATE | CERT | {"fixtures"}
 
 
 def test_import_excol_loads_no_submodule():
@@ -329,10 +365,10 @@ def test_import_excol_loads_no_submodule():
 
 def test_first_page_lives_beside_the_chain_walk():
     # the tracer wraps these on `nhh`; they must be the very same objects
-    from excol import nhh, pseudoheight
+    from excol import firstpage, nhh
 
     for name in ("ChainTerm", "enumerate_terms", "build_e1"):
-        assert getattr(nhh, name) is getattr(pseudoheight, name), name
+        assert getattr(nhh, name) is getattr(firstpage, name), name
 
 
 def test_library_first_page_loads_no_complex_code():
@@ -345,7 +381,8 @@ print(*sorted(m for m in sys.modules if m.startswith("excol.")))
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     ).stdout
-    assert out.split() == ["excol.fields", "excol.model", "excol.pseudoheight"]
+    assert out.split() == ["excol.fields", "excol.firstpage", "excol.model",
+                           "excol.pseudoheight"]
 
 
 def test_pseudoheight_attribute_is_the_submodule():

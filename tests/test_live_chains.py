@@ -20,10 +20,10 @@ import pytest
 from _specgen import random_spec
 from _three_valued import brute_cyclic, chain_links, link_reading, merged_statuses
 from excol.model import INF, NONZERO, ZERO, CollectionSpec, SpecError
+from excol.firstpage import live_chains
 from excol.nhh import ChainTerm, enumerate_terms
 from excol.pseudoheight import (
     iter_chains,
-    live_chains,
     pseudoheight,
     qualitative_ph_bounds,
     rel_height,

@@ -21,6 +21,7 @@ from excol.model import (
     validate,
 )
 from excol.fixtures import serialize
+from excol.intervals import se_intervals
 from excol.nhh import ChainTerm
 from excol.pseudoheight import qualitative_ph_bounds
 from excol.qualitative import Deductions, QualitativeExtTable
@@ -483,12 +484,12 @@ def test_qualitative_window_semantics():
     assert table.status(1, 2, 5) == ZERO  # outside the window
     assert table.status(1, 2, 0) == UNKNOWN
     reader = Deductions(CollectionSpec(n=2, dim_x=2, qualitative=table))
-    assert reader.se_interval(1, 2) == (0, 1)
+    assert se_intervals(reader)(1, 2) == (0, 1)
 
 
 def test_qualitative_windowless_interval_unbounded_below():
     table = QualitativeExtTable(2, {(1, 2, 1): NONZERO}, None)
-    lo, hi = Deductions(CollectionSpec(n=2, dim_x=2, qualitative=table)).se_interval(1, 2)
+    lo, hi = se_intervals(Deductions(CollectionSpec(n=2, dim_x=2, qualitative=table)))(1, 2)
     assert lo == -model.INF and hi == 1
 
 

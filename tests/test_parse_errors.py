@@ -29,6 +29,7 @@ AN = ("products", 0)  # beilinson_p1's AN product, chain (1, 2) degrees (0, 1)
 NA = ("products", 1)  # beilinson_p1's NA product, from 2
 ENTRY = (*AN, "entries", 0)
 XI = ("fullness", "xi", "terms", 0)
+PAIRING = ("fullness", "pairings", 0, "terms", 0)
 
 
 def _at(doc, path):
@@ -53,6 +54,14 @@ def _drop(*path):
     def edit(doc):
         box, key = _at(doc, path)
         del box[key]
+
+    return edit
+
+
+def _each(*edits):
+    def edit(doc):
+        for one in edits:
+            one(doc)
 
     return edit
 
@@ -230,6 +239,32 @@ CASES = [
     ("pairing-duplicate-obj", P1, _duplicate("fullness", "pairings", 0),
      "duplicate pairing obj: {'obj': 1, 'terms': [{'chain': [1, 2], 'degs': [0, 1], "
      "'values': [[1, '1'], [2, '-1']]}]}"),
+    # a certificate must name terms of the complex, checked against the dims:
+    # each of these passed validate and failed only the fullness command
+    ("certificate-pairing-chain-short", P2, _set(*PAIRING, "chain", [2, 3]),
+     "cochain names a zero term: chain (2, 3) degs (0, 0, 2)"),
+    ("certificate-xi-chain-short", P2, _set("fullness", "xi", "terms", 0, "chain", [1, 2]),
+     "cochain names a zero term: chain (1, 2) degs (0, 0, 2)"),
+    ("certificate-index-out-of-range", P2,
+     _set("fullness", "xi", "terms", 0, "values", 0, [10**30, "1"]),
+     f"cochain index {10**30} out of range on (1, 2, 3)"),
+    ("certificate-mixed-total-degrees", P1, _set("fullness", "xi", "terms", [
+        {"chain": [1, 2], "degs": [0, 1], "values": [[1, "1"]]},
+        {"chain": [1], "degs": [1], "values": [[0, "1"]]}]),
+     "cochain mixes total degrees [0, 1]"),
+    # with Ext^1(E_1, E_2) added, (1,) and (1, 2) both have terms in degree 1
+    ("certificate-mixed-chain-lengths", P1, _each(
+        _set("ext", [{"src": 1, "dst": 2, "deg": 0, "dim": 2},
+                     {"src": 1, "dst": 2, "deg": 1, "dim": 1}]),
+        _set("fullness", "xi", "terms", [
+            {"chain": [1], "degs": [1], "values": [[0, "1"]]},
+            {"chain": [1, 2], "degs": [1, 1], "values": [[0, "1"]]}])),
+     "cochain mixes chain lengths [0, 1]"),
+    ("certificate-pairing-off-degree-0", P1, _set("fullness", "pairings", 0, "terms", [
+        {"chain": [1], "degs": [1], "values": [[0, "1"]]}]),
+     "cochain has total degrees [1], want 0"),
+    ("certificate-pairing-off-its-object", P1, _set("fullness", "pairings", 0, "obj", 2),
+     "pairing for object 2 names a chain starting at 1"),
     # objects and flags
     ("object-unknown-key", SURFACE, _set("objects", 0, "colour", "red"),
      "unknown object keys ['colour'] in {'canonical_degree': 3, 'label': 'L1', 'colour': 'red'}"),
