@@ -5,7 +5,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# the built-in fixtures, here so that `fixture --list` compiles no builder
+# the built-in fixtures, here so that `fixture --list` loads no other module
 FIXTURE_NAMES = (
     "beilinson_p1",
     "beilinson_p2",
@@ -21,8 +21,8 @@ FIXTURE_NAMES = (
 # so `import excol` loads no submodule, and no public name is a submodule's name
 _EXPORTS = {
     "exactlin": "Matrix Subspace kernel_basis rref subquotient_dim",
+    "documents": "beilinson_fixture serialize",
     "firstpage": "build_e1",
-    "fixtures": "beilinson_fixture serialize",
     "fullness": "full_check not_full_check",
     "heights": "Analysis build_report height heph_shortcut",
     "model": "CollectionSpec parse validate",

@@ -34,8 +34,9 @@ def parse_fullness(rec, spec):
     fullness = FullnessData(_parse_cochain(rec["xi"]) if "xi" in rec else None)
     for prec in _list(rec.get("pairings", []), "pairings"):
         ok = isinstance(prec, dict) and is_int(prec.get("obj"))
-        _require(ok and prec["obj"] not in fullness.pairings, "{}: {!r}",
-                 "duplicate pairing obj" if ok else "pairing needs obj", prec)
+        _require(ok, "pairing needs obj: {!r}", prec)
+        _require(1 <= prec["obj"] <= spec.n, "pairing obj {} outside 1..{}", prec["obj"], spec.n)
+        _require(prec["obj"] not in fullness.pairings, "duplicate pairing obj: {!r}", prec)
         fullness.pairings[prec["obj"]] = _parse_cochain(prec)
     check_certificate(spec, fullness)
     return fullness

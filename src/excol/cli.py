@@ -98,10 +98,9 @@ def cmd_fixture(args):
         return 0
     from . import fixtures
     try:
-        doc = fixtures.fixture_document(args.input)  # built in canonical form
+        _write(fixtures.fixture_document(args.input))  # stored in canonical form
     except KeyError:
         raise CliFormatError(f"unknown fixture {args.input!r}") from None
-    _write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     return 0
 
 

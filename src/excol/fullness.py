@@ -16,7 +16,7 @@ For the standard collection O, O(1), ..., O(n-1) on projective (n-1)-space
 everything is explicit: the degree-0 page is cut out of n-fold tensors of
 the linear forms by cyclic-adjacent symmetrizations, the surviving line is
 the fully antisymmetric tensor, and the pairing is exterior contraction
-(a determinant); `fixtures.beilinson_fixture` puts this exact certificate
+(a determinant); `documents.beilinson_fixture` puts this exact certificate
 in its spec.
 """
 

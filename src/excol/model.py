@@ -16,7 +16,7 @@ dimension dim_x:
 
 Ext(E_i, E_i) = k.id is implicit and never stored; documents mentioning a
 backwards Ext space are rejected.  Unspecified spaces are zero, unspecified
-products are zero maps.  The canonical writer is `fixtures.serialize`:
+products are zero maps.  The canonical writer is `documents.serialize`:
 sorted keys, sorted entry lists, rationals as "p/q" strings, so serialize .
 parse is the identity on canonical documents.  Product records are read by
 `products`, which only a document with products loads, the `qualitative`

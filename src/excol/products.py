@@ -3,7 +3,7 @@
 Only code that handles product tables loads this module: `model.parse`
 reads their records here, `validate` checks their shapes here, the
 assembly (`nhh`) and the relation check (`relations`) read their keys here,
-and `fixtures` keys Beilinson's tables by the parser-free `window_key`.
+and `documents` keys Beilinson's tables by `window_key`.
 
 A product block collapses consecutive tensor factors of a chain word.  Three
 kinds occur:

@@ -17,7 +17,7 @@ from test_heights import hkr_total
 from excol import fixtures
 from excol.cli import main as cli_main
 from excol.exactlin import Subspace
-from excol.fixtures import antisymmetrizer_line, beilinson_fixture
+from excol.documents import antisymmetrizer_line, beilinson_fixture
 from excol.fullness import FULL, NOT_FULL
 from excol.heights import Analysis, build_report, height
 from excol.model import NONZERO, CollectionSpec, validate

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from excol import FIXTURE_NAMES, cli, exactlin, fixtures, model, nhh
+from excol import FIXTURE_NAMES, cli, documents, exactlin, fixtures, model, nhh
 from excol.cli import main
 
 
@@ -68,7 +68,7 @@ def test_malformed_document_is_format_error(tmp_path, capsys):
 
 
 def _long_coefficient():
-    doc = fixtures.fixture_document("beilinson_p1")
+    doc = json.loads(fixtures.fixture_document("beilinson_p1"))
     doc["products"][0]["entries"][0][-1] = "1" * 5000
     return json.dumps(doc).encode()
 
@@ -171,7 +171,7 @@ def test_bad_hoh_list(capsys):
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):
-    doc = fixtures.fixture_document("beilinson_p1")
+    doc = json.loads(fixtures.fixture_document("beilinson_p1"))
     # a status contradicting the exact dims is a validation failure
     doc["qualitative"] = {"statuses": [
         {"src": 1, "dst": 2, "deg": 0, "status": "ZERO"}]}
@@ -203,7 +203,7 @@ def _set_window(lo, hi):
     (_set_window(0, 1), "NONZERO status at (1, 7, 2) outside degree window"),
 ], ids=["degree-criterion", "h2-cap", "window"])
 def test_validate_refuses_what_the_engine_refuses(tmp_path, capsys, edit, message):
-    doc = fixtures.fixture_document("burniat")
+    doc = json.loads(fixtures.fixture_document("burniat"))
     edit(doc)
     path = tmp_path / "burniat.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -239,7 +239,7 @@ def _window_without_degree_0(doc):
 def test_validate_checks_every_status_against_exact_dims(
     tmp_path, capsys, name, edit, message
 ):
-    doc = fixtures.fixture_document(name)
+    doc = json.loads(fixtures.fixture_document(name))
     edit(doc)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -257,29 +257,50 @@ def test_env_fixture_directory(tmp_path, capsys, monkeypatch):
     target.mkdir()
     for name in FIXTURE_NAMES:
         (target / f"{name}.json").write_text(
-            fixtures.serialize(fixtures.fixture_spec(name)), encoding="utf-8")
+            documents.serialize(fixtures.fixture_spec(name)), encoding="utf-8")
     monkeypatch.setenv("EXCOL_FIXTURES", str(target))
     code, out, _ = run(capsys, "height", "fixtures/beilinson_p1", "--json")
     assert code == 0
     assert json.loads(out)["nhh"] == {"0": 1, "1": 3}
 
 
+DATA = os.path.join(os.path.dirname(fixtures.__file__), "data")
+
+
 def test_shipped_fixture_files_match_registry():
+    # the stored documents are the registry, each the shipped file byte for byte
+    assert sorted(os.listdir(DATA)) == sorted(f"{name}.json" for name in FIXTURE_NAMES)
     root = os.path.join(os.path.dirname(__file__), "..", "fixtures")
     for name in FIXTURE_NAMES:
         path = os.path.join(root, f"{name}.json")
         assert os.path.isfile(path), f"missing shipped fixture {path}"
-        with open(path, encoding="utf-8") as fh:
-            on_disk = fh.read()
-        assert on_disk == fixtures.serialize(fixtures.fixture_spec(name))
+        with open(os.path.join(DATA, f"{name}.json"), "rb") as stored, \
+                open(path, "rb") as shipped:
+            assert stored.read() == shipped.read(), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stored_beilinson_fixtures_are_the_builder_output(n):
+    stored = fixtures.fixture_document(f"beilinson_p{n - 1}")
+    assert stored == documents.serialize(documents.beilinson_fixture(n))
+
+
+@pytest.mark.parametrize("name", ["../fixtures/point", "data", "point.json", ""])
+def test_fixture_refuses_other_names_before_opening_a_file(capsys, monkeypatch, name):
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"opened {args}")
+
+    monkeypatch.setattr(fixtures, "open", no_open, raising=False)
+    code, out, err = run(capsys, "fixture", name)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown fixture {name!r}\n"
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixture_documents_are_built_canonical(capsys, name):
-    # `fixture <name>` prints the built document without a parse round trip
-    doc = fixtures.fixture_document(name)
-    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    assert fixtures.serialize(model.parse(doc)) == text
+    # `fixture <name>` prints the stored document without a parse round trip
+    text = fixtures.fixture_document(name)
+    assert documents.serialize(model.parse(text)) == text
     assert run(capsys, "fixture", name)[1] == text
 
 
@@ -332,7 +353,7 @@ def test_field_override(capsys):
 
 
 def test_coefficient_the_field_cannot_hold_is_format_error(tmp_path, capsys):
-    doc = json.loads(fixtures.serialize(fixtures.fixture_spec("beilinson_p2")))
+    doc = json.loads(documents.serialize(fixtures.fixture_spec("beilinson_p2")))
     doc["products"][0]["entries"][0][-1] = "1/3"
     path = tmp_path / "third.json"
     path.write_text(json.dumps(dict(doc, field="F3")), encoding="utf-8")
@@ -396,7 +417,7 @@ def test_negative_hoh_is_format_error(capsys):
 
 def _beilinson_p2(field, factor):
     """beilinson_p2 over `field`, its first AA coefficient multiplied by factor."""
-    doc = json.loads(fixtures.serialize(fixtures.fixture_spec("beilinson_p2")))
+    doc = json.loads(documents.serialize(fixtures.fixture_spec("beilinson_p2")))
     entry = doc["products"][0]["entries"][0]
     assert doc["products"][0]["kind"] == "AA" and entry[-1] == "1"
     entry[-1] = str(factor)

@@ -44,7 +44,7 @@ def excol(*argv, unbuffered=True, **kwargs):
 
 def _failing_document(tmp_path):
     # beilinson_p2 with its first AA coefficient doubled: associativity fails
-    doc = json.loads(fixtures.serialize(fixtures.fixture_spec("beilinson_p2")))
+    doc = json.loads(fixtures.fixture_document("beilinson_p2"))
     doc["products"][0]["entries"][0][-1] = "2"
     path = tmp_path / "failing.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -11,7 +11,7 @@ from _matrices import d_matrix
 from excol import FIXTURE_NAMES, fixtures
 from excol.cli import main as cli_main
 from excol.exactlin import Matrix, Subspace, kernel_basis
-from excol.fixtures import antisymmetrizer_line, beilinson_fixture
+from excol.documents import antisymmetrizer_line, beilinson_fixture
 from excol.fullness import FULL, INCONCLUSIVE, NOT_FULL, full_check, not_full_check
 from excol.heights import Height, height
 from excol.model import Cochain, CollectionSpec, FullnessData, SpecError, parse, validate
@@ -269,7 +269,7 @@ def test_fullness_command_refuses_pairing_on_the_empty_chain(tmp_path, capsys):
     # the parse checks the certificate against the dims, so every command
     # refuses the document as malformed (exit 2), validate included, and
     # none reads the empty chain's first object
-    doc = fixtures.fixture_document("beilinson_p1")
+    doc = json.loads(fixtures.fixture_document("beilinson_p1"))
     doc["fullness"]["pairings"][0]["terms"][0]["chain"] = []
     path = tmp_path / "empty_chain.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -277,6 +277,19 @@ def test_fullness_command_refuses_pairing_on_the_empty_chain(tmp_path, capsys):
         assert cli_main([command, str(path)]) == 2, command
         assert capsys.readouterr() == ("", "error: bad collection document: cochain "
                                        "names a zero term: chain () degs (0, 1)\n")
+
+
+@pytest.mark.parametrize("obj", [0, 3, 99])
+def test_every_command_refuses_a_pairing_outside_the_objects(tmp_path, capsys, obj):
+    # an empty pairing names no chain, so only the range check refuses it
+    doc = json.loads(fixtures.fixture_document("beilinson_p1"))
+    doc["fullness"]["pairings"].append({"obj": obj, "terms": []})
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("validate", "pseudoheight", "e1", "ss", "height", "report", "fullness"):
+        assert cli_main([command, str(path)]) == 2, command
+        assert capsys.readouterr() == ("", "error: bad collection document: "
+                                       f"pairing obj {obj} outside 1..2\n")
 
 
 def _as_cochain(cx, t, vec):

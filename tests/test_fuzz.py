@@ -45,7 +45,7 @@ def _keys(node, out):
     return out
 
 
-DOCS = {name: fixtures.fixture_document(name) for name in FIXTURE_NAMES}
+DOCS = {name: json.loads(fixtures.fixture_document(name)) for name in FIXTURE_NAMES}
 KEYS = sorted(set().union(*(_keys(doc, set()) for doc in DOCS.values())))
 
 WORDS = ["Q", "F4", "F7", "F\u00b2", "F1000000000000000001", "1/0", "x",

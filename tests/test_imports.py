@@ -17,7 +17,7 @@ itself in compile time unseen, `pseudoheight` loads only the chain walk's
 bounds and `e1` the first page besides, on `beilinson_p1` and on
 `sparse15` (the shapes of the benchmark's chain documents), `validate` and
 `pseudoheight` on a qualitative surface load the three-valued reader as
-well, and `fixture beilinson_p3` writes its document without the parser.
+well, and `fixture beilinson_p3` prints its stored document.
 Each run is made once and read by every pin that names it.  The README's
 load table and library imports, and the `excol.pseudoheight` submodule,
 are checked here too.
@@ -146,8 +146,8 @@ def test_command_loads_only_its_modules(cmd, name, expected):
 
 @pytest.mark.parametrize("argv, budget", [
     (["validate", str(PATHS[SPARSE]), "--json"], 679),
-    (["fixture", "--list"], 230),
-    (["fixture", "beilinson_p3"], 848),
+    (["fixture", "--list"], 229),
+    (["fixture", "beilinson_p3"], 252),
     (["height", str(PATHS[EXACT]), "--json"], 1945),
     (["fullness", str(PATHS[EXACT]), "--json"], 2042),
     (["e1", str(PATHS[EXACT]), "--json"], 1087),
@@ -171,7 +171,7 @@ def test_job_source_line_budget(argv, budget):
     ["fixture", "beilinson_p3"],
 ], ids=["e1", "pseudoheight", "fixture-p2", "fixture-p3"])
 def test_beilinson_chain_jobs_load_no_checks(argv):
-    # the chain walk reads exact dims alone and the builder writes its tables
+    # the chain walk reads exact dims alone and `fixture` parses nothing
     assert not probe(*argv)[0] & {"relations", "validation", "qualitative"}
 
 
@@ -214,8 +214,7 @@ def test_a_document_without_statuses_loads_no_qualitative(cmd, name):
 # document without products or statuses, the qualitative ones on burniat
 README_JOBS = {
     "`fixture --list`": ["fixture", "--list"],
-    "`fixture <name>`, surfaces and `point`": ["fixture", "burniat"],
-    "`fixture <name>`, Beilinson": ["fixture", "beilinson_p3"],
+    "`fixture <name>`": ["fixture", "beilinson_p3"],
     "`validate`": ["validate", str(PATHS[SPARSE]), "--json"],
     "`pseudoheight`": ["pseudoheight", str(PATHS[SPARSE]), "--json"],
     "`e1`": ["e1", str(PATHS[SPARSE]), "--json"],
@@ -327,12 +326,13 @@ def test_fixture_list_loads_only_the_cli():
 
 @pytest.mark.parametrize("name", ["beilinson_p2", "beilinson_p3", QUALITATIVE, "point"])
 def test_fixture_document_loads_no_engine(name):
-    # every document is written as built, without the parser: the Beilinson
-    # builder keys its tables by the window rule alone, and emits ints
-    expected = {"cli", "fixtures"}
-    if name.startswith("beilinson"):
-        expected |= PRODUCTS
-    assert loaded_modules("fixture", name) == expected
+    # every document is printed as stored: no builder, no parser
+    assert loaded_modules("fixture", name) == {"cli", "fixtures"}
+
+
+def test_fixture_name_as_input_loads_no_builder():
+    # the stored document is parsed; the Beilinson builder is not compiled
+    assert "documents" not in loaded_modules("height", "beilinson_p3", "--json")
 
 
 def test_window_rule_loads_no_parser():

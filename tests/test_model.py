@@ -20,7 +20,7 @@ from excol.model import (
     parse,
     validate,
 )
-from excol.fixtures import serialize
+from excol.documents import serialize
 from excol.intervals import se_intervals
 from excol.nhh import ChainTerm
 from excol.pseudoheight import qualitative_ph_bounds
@@ -314,7 +314,7 @@ def test_coefficient_the_field_cannot_hold_rejected(field, value):
 
 
 def test_cochain_value_the_field_cannot_hold_rejected():
-    doc = fixtures.fixture_document("point")
+    doc = json.loads(fixtures.fixture_document("point"))
     doc = dict(doc, field="F3")
     doc["fullness"]["xi"]["terms"][0]["values"] = [[0, "2/3"]]
     with pytest.raises(SpecError, match="coefficient 2/3 in field F3"):

@@ -250,7 +250,7 @@ def test_cyclic_connectivity_exact_without_dims():
 def test_exact_dims_decide_over_clashing_statuses():
     # one exact Hom(E_1, E_2) and a NONZERO status there that the degree
     # criterion contradicts: validate fails, the walks read the dims alone
-    doc = fixtures.fixture_document("burniat")
+    doc = json.loads(fixtures.fixture_document("burniat"))
     doc["ext"] = [{"src": 1, "dst": 2, "deg": 0, "dim": 1}]
     doc["qualitative"]["statuses"].append(
         {"src": 1, "dst": 2, "deg": 0, "status": "NONZERO"})

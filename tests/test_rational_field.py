@@ -19,7 +19,8 @@ import pytest
 from excol import exactlin, heights, nhh
 from excol import relations as rel
 from excol.exactlin import QQ
-from excol.fixtures import FIXTURE_NAMES, beilinson_fixture, fixture_spec
+from excol.documents import beilinson_fixture
+from excol.fixtures import FIXTURE_NAMES, fixture_spec
 from excol.model import parse
 
 from _dd_oracle import assemble_unchecked, check_square_zero

@@ -14,7 +14,8 @@ from math import comb
 import pytest
 
 from _restrict import restrict
-from excol.fixtures import beilinson_fixture, fixture_spec
+from excol.documents import beilinson_fixture
+from excol.fixtures import fixture_spec
 from excol.heights import Analysis, Height
 from excol.model import INF, ZERO, validate
 
