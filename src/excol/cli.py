@@ -10,7 +10,6 @@ stderr can be written.  `main(argv)` returns the code; a process runs
 `entry()`, which flushes the output and ends at once with `os._exit`.
 """
 
-import json
 import os
 import sys
 
@@ -40,7 +39,7 @@ def _load_document(path):
             raise CliFormatError(f"cannot read {cand}: {exc}") from exc
     from . import fixtures
     try:
-        return fixtures.fixture_document(base)
+        return fixtures.fixture_document(path.removeprefix("fixtures/").removesuffix(".json"))
     except KeyError:
         raise CliFormatError(f"no such input: {path} (not a file, not in "
                              "EXCOL_FIXTURES, not a built-in fixture)") from None
@@ -65,6 +64,7 @@ def _load_spec(args):
 
 def _emit(payload, as_json, lines):
     if as_json:
+        import json  # here only, so that `fixture <name>` loads no JSON codec
         lines = [json.dumps(payload, sort_keys=True, separators=(",", ":"))]
     _write("".join(f"{line}\n" for line in lines))
 

@@ -28,8 +28,9 @@ the reduction reads d_t as assembled.  Each pivot pairs a coordinate of T^t
 with one of T^{t+1} across a gap g = mp(row) - mp(col), the pair lives on
 the pages E_1 .. E_g, and the unpaired coordinates are the limit page and
 the cohomology (the persistence pairing of the filtration, as in
-Edelsbrunner-Harer, Computational Topology, ch. VII).  Each d_t is built
-and reduced on first use, in increasing t, with clearing and a cochain per
+Edelsbrunner-Harer, Computational Topology, ch. VII); only the pairs are
+stored, and `spectral_sequence` derives the gaps.  Each d_t is built and
+reduced on first use, in increasing t, with clearing and a cochain per
 column (`FilteredReduction`): the reduced columns span the image, and the
 unpaired coordinates' cochains complete them to a kernel basis, which
 `survivors` returns filed by level.  `spectral_sequence` stops at the page
@@ -37,13 +38,14 @@ r = width + 1, which is the limit page; `heights.Analysis.pages` holds it
 once per spec, and the `ss` command pads it out to `--max-page`.
 
 Each d_t is stored once, as columns {col: {row: value}} that only this module
-reads.  `perfbench/tracing.py` wraps functions here by name, the re-exported
-first-page ones too, and reads `diffs` only while it is empty: the README
-lists what a change here keeps for it, the module-level `exactlin` import too.
+reads, each entry written once.  `perfbench/tracing.py` wraps functions here
+by name, the re-exported first-page ones too, and reads `diffs` only while
+it is empty: the README lists what a change here keeps for it, the
+module-level `exactlin` import too.
 """
 
 import itertools
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 
 from .exactlin import axpy
 from .fields import ExactLinError, field_by_name
@@ -99,7 +101,7 @@ def _term_blocks(spec, term, term_lookup):
 
 
 def _block_entries(spec, block, placement, fld):
-    """Yield (target_index, source_index, coefficient) over the block."""
+    """Yield (target_index, source_index, coefficient) of each nonzero entry of the block."""
     term, target = block.source, block.target
     consumed, out_pos = placement
     kept = [i for i in range(term.p + 1) if i not in consumed]
@@ -114,9 +116,14 @@ def _block_entries(spec, block, placement, fld):
         )
         for rest in itertools.product(*[range(term.factor_dims[i]) for i in kept])
     ]
+    ranges = [range(term.factor_dims[i]) for i in consumed]
+    in_target = range(target.factor_dims[out_pos]).__contains__
     for src_combo, row in spec.product_table(block.key).items():
+        if not (all(map(range.__contains__, ranges, src_combo)) and all(map(in_target, row))):
+            raise ExactLinError(f"{block.key} index {src_combo} -> {list(row)} out of bounds")
         src_off = sum(b * src_strides[i] for i, b in zip(consumed, src_combo))
-        outs = [(out * out_stride, fld.of(block.sign * c)) for out, c in row.items()]
+        outs = [(out * out_stride, v) for out, c in row.items()
+                if not fld.is_zero(v := fld.of(block.sign * c))]
         for src_base, tgt_base in rests:
             for tgt_off, coeff in outs:
                 yield tgt_base + tgt_off, src_base + src_off, coeff
@@ -139,31 +146,26 @@ class NormalComplex:
         self.t_dims = t_dims
         self.diffs = diffs  # t -> d_t as columns {col: {row: value}}, as built so far
         self._mp_cache = {}
-        self._reduction = FilteredReduction(self)
+        self._reduction = FilteredReduction()
 
     def differential(self, t):
-        """The columns of d_t, summed from the blocks leaving T^t's terms on first use."""
+        """The columns of d_t from the blocks leaving T^t's terms, built on first use.
+
+        Two windows of one word remove different objects, so no two blocks
+        leaving a term reach one target term: each entry is written once.
+        """
         got = self.diffs.get(t)
         if got is not None:
             return got
-        spec, fld = self.spec, self.field
-        cols = defaultdict(dict)  # col -> {row: field element}, summed as the blocks arrive
+        spec = self.spec
+        cols = defaultdict(dict)  # col -> {row: field element}
         for tm in self.by_t.get(t, ()) if spec.products or spec.higher else ():
             src_off = self.term_offset(tm)
             for block, placement in _term_blocks(spec, tm, self.term_lookup):
                 tgt_off = self.term_offset(block.target)
-                for ti, si, coeff in _block_entries(spec, block, placement, fld):
-                    col, r = cols[src_off + si], tgt_off + ti
-                    col[r] = fld.add(col[r], coeff) if r in col else coeff
+                for ti, si, coeff in _block_entries(spec, block, placement, self.field):
+                    cols[src_off + si][tgt_off + ti] = coeff
         cols.default_factory = None  # from here a read never adds a column
-        rows, width = self.t_dims.get(t + 1, 0), self.t_dims.get(t, 0)
-        if bad := next(((r, c) for c, col in cols.items() for r in col
-                        if not (0 <= r < rows and 0 <= c < width)), None):
-            raise ExactLinError(f"index {bad} out of bounds")
-        for c, r in [(c, r) for c, col in cols.items() for r, v in col.items() if fld.is_zero(v)]:
-            del cols[c][r]  # in place: a filtered copy would double the peak
-            if not cols[c]:
-                del cols[c]
         self.diffs[t] = cols
         return cols
 
@@ -192,9 +194,6 @@ class NormalComplex:
             red.pairs[t], red.image[t], red.cycles[t] = _reduce(
                 self, t, cleared=red.image.get(t - 1, {})
             )
-            mp, mp_next = self.coordinate_mp(t), self.coordinate_mp(t + 1)
-            for c, r in red.pairs[t].items():
-                red.gaps[t][c] = red.gaps[t + 1][r] = mp_next[r] - mp[c]
         return red
 
 
@@ -283,12 +282,12 @@ def _reduce(cx, t, cleared=()):
 class FilteredReduction:
     """The persistence pairing of every d_t under the column filtration.
 
-    pairs[t] maps a column of T^t to its low row of T^{t+1}; gaps[t] maps
-    every paired coordinate of T^t to g = mp(row) - mp(col) >= 1.  A paired
-    coordinate lives on the pages E_1 .. E_g and is killed by d_g; an
-    unpaired one lives on every page, E_inf included.  image[t] maps each
-    low row to its reduced column, a basis of im d_t, and cycles[t] maps
-    each unpaired coordinate of T^t to its cocycle; together, cycles[t] and
+    pairs[t] maps a column of T^t to its low row of T^{t+1}.  Both live on
+    the pages E_1 .. E_g, g = mp(row) - mp(col) >= 1, and are killed by d_g
+    (`spectral_sequence` derives g; no gap is stored); an unpaired
+    coordinate lives on every page, E_inf included.  image[t] maps each low
+    row to its reduced column, a basis of im d_t, and cycles[t] maps each
+    unpaired coordinate of T^t to its cocycle; together, cycles[t] and
     image[t-1] are a basis of ker d_t with one low per vector, and a vector
     lies in F^j exactly when its low's level is >= j.
 
@@ -299,9 +298,8 @@ class FilteredReduction:
     is skipped; that reduced column is its cocycle.
     """
 
-    def __init__(self, cx):
+    def __init__(self):
         self.pairs, self.image, self.cycles = {}, {}, {}
-        self.gaps = {t: {} for t in cx.t_dims}
 
 
 # -- spectral sequence -------------------------------------------------------
@@ -342,24 +340,26 @@ class SpectralSequencePages:
 def spectral_sequence(cx):
     """The column-filtration spectral sequence, read off the reduction.
 
-    E_r at (mp, q) counts the coordinates of that bidegree that are unpaired
-    or paired with a gap >= r.  Pages run through r = width + 1, where only
-    the unpaired coordinates (the limit page) remain; `page` reads any later
-    page as the limit page.
+    E_1 at (mp, q) counts the coordinates of that bidegree.  A pair across
+    the gap g = mp(row) - mp(col) takes its two coordinates off every page
+    after E_g, so E_r is E_{r-1} less the coordinates paired across r - 1.
+    Pages run through r = width + 1, where only the unpaired coordinates
+    (the limit page) remain; `page` reads any later page as the limit page.
     """
-    gaps = cx.reduction().gaps
-    lives = {}  # (mp, q) -> the last page each coordinate lives on
-    for t in cx.t_dims:
-        for i, mp in enumerate(cx.coordinate_mp(t)):
-            lives.setdefault((mp, t - mp), []).append(gaps[t].get(i, INF))
-    if not lives:
-        return SpectralSequencePages({1: {}}, {}, 1, cx)
-    mps = [mp for mp, _ in lives]
+    page = Counter()
+    for tm in itertools.chain.from_iterable(cx.by_t.values()):
+        page[tm.mp, tm.q] += tm.dim
+    dying = defaultdict(Counter)  # g -> {(mp, q): coordinates there paired across g}
+    for t, pairs in cx.reduction().pairs.items():
+        mp, mp_next = cx.coordinate_mp(t), cx.coordinate_mp(t + 1)
+        for c, r in pairs.items():
+            lo, hi = mp[c], mp_next[r]
+            dying[hi - lo].update(((lo, t - lo), (hi, t + 1 - hi)))
+    mps = [mp for mp, _ in page] or [0]
     r_inf = max(mps) - min(mps) + 1
-    pages = {
-        r: {key: n for key, last in lives.items() if (n := sum(g >= r for g in last))}
-        for r in range(1, r_inf + 1)
-    }
-    infinity = pages[r_inf]
-    top_gap = max((g for gs in gaps.values() for g in gs.values()), default=0)
-    return SpectralSequencePages(pages, infinity, min(top_gap + 1, r_inf), cx)
+    pages = {1: dict(page)}
+    for r in range(2, r_inf + 1):
+        page -= dying.get(r - 1, Counter())
+        pages[r] = dict(page)
+    stable = min(max(dying, default=0) + 1, r_inf)
+    return SpectralSequencePages(pages, pages[r_inf], stable, cx)

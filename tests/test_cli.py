@@ -60,6 +60,26 @@ def test_missing_input_file(capsys):
     assert code == 2 and "no such input" in err
 
 
+def test_a_missing_path_named_like_a_fixture_is_no_such_input(capsys, monkeypatch, tmp_path):
+    # only a bare name or a leading `fixtures/` falls back to the built-in fixture
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EXCOL_FIXTURES", raising=False)
+    code, out, err = run(capsys, "pseudoheight", "/no/such/dir/burniat.json", "--json")
+    assert (code, out) == (2, "") and "no such input" in err
+    assert run(capsys, "pseudoheight", "elsewhere/burniat", "--json")[0] == 2
+
+
+@pytest.mark.parametrize("name", ["burniat", "burniat.json", "fixtures/burniat",
+                                  "fixtures/burniat.json"])
+def test_a_fixture_name_resolves_from_any_directory(capsys, monkeypatch, tmp_path, name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EXCOL_FIXTURES", raising=False)
+    stored = os.path.join(os.path.dirname(fixtures.__file__), "data", "burniat.json")
+    expected = run(capsys, "pseudoheight", stored, "--json")
+    assert expected[0] == 0
+    assert run(capsys, "pseudoheight", name, "--json") == expected
+
+
 def test_malformed_document_is_format_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{]", encoding="utf-8")

@@ -148,8 +148,8 @@ def test_command_loads_only_its_modules(cmd, name, expected):
     (["validate", str(PATHS[SPARSE]), "--json"], 679),
     (["fixture", "--list"], 229),
     (["fixture", "beilinson_p3"], 252),
-    (["height", str(PATHS[EXACT]), "--json"], 1945),
-    (["fullness", str(PATHS[EXACT]), "--json"], 2042),
+    (["height", str(PATHS[EXACT]), "--json"], 1944),
+    (["fullness", str(PATHS[EXACT]), "--json"], 2041),
     (["e1", str(PATHS[EXACT]), "--json"], 1087),
     (["pseudoheight", str(PATHS[EXACT]), "--json"], 1003),
     (["validate", str(PATHS[QUALITATIVE]), "--json"], 798),
@@ -322,6 +322,25 @@ def test_fixture_list_loads_only_the_cli():
     # the names live in the package itself: no builder is compiled
     assert loaded_modules("fixture", "--list") == {"cli"}
     assert loaded_modules("fixture", "--list", "--json") == {"cli"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["fixture", "beilinson_p3"], False),
+    (["fixture", "--list", "--json"], True),
+], ids=["fixture-p3", "fixture-list-json"])
+def test_only_a_json_answer_loads_the_json_codec(argv, loaded):
+    # `fixture <name>` prints stored text; the codec loads where JSON is written
+    code = f"""
+import sys
+from excol.cli import main
+main({argv!r})
+print("json" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    ).stdout
+    assert out.split()[-1] == str(loaded)
 
 
 @pytest.mark.parametrize("name", ["beilinson_p2", "beilinson_p3", QUALITATIVE, "point"])

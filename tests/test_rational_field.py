@@ -75,7 +75,6 @@ def _outcome(spec):
     verdict = analysis.fullness
     out.update(
         pairs=red.pairs,
-        gaps=red.gaps,
         columns={t: (red.image[t], red.cycles[t]) for t in cx.t_dims},
         pages=(ss.pages, ss.infinity, ss.stable_page),
         cohomology=nhh.total_cohomology(cx),
