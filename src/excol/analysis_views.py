@@ -33,7 +33,7 @@ def cmd_height(spec, args):
     a = Analysis(spec)
     h = a.height
     if a.spec.is_exact:
-        payload = {"ph": _jval(a.ph), "ph_ac": _jval(a.ph_ac)}
+        payload = {"ph": _jval(a.bounds.ph(spec.dim_x)), "ph_ac": _jval(a.bounds.ph_ac)}
         payload["nhh"] = _nhh_json(a.cohomology)
         lines = [
             f"pseudoheight: {payload['ph']} (witness {a.bounds.witness_chain})",
@@ -58,9 +58,10 @@ def cmd_report(spec, args):
     used_shortcut = a.used_shortcut  # the chain walk's SpecError comes first
     h, h_ac = a.height, a.height.shifted(spec.dim_x)
     cmp = comparison_report(h, args.hoh or None)  # `--hoh=` gives no dims
+    ph, ph_ac = a.bounds.ph(spec.dim_x), a.bounds.ph_ac
     payload = {
-        "ph": _jval(a.ph),
-        "ph_ac": _jval(a.ph_ac),
+        "ph": _jval(ph),
+        "ph_ac": _jval(ph_ac),
         "he_lo": _jval(h.lo),
         "he_hi": _jval(h.hi),
         "he_ac_lo": _jval(h_ac.lo),
@@ -76,10 +77,10 @@ def cmd_report(spec, args):
     if cmp.hoh_a_dims is not None:
         payload["hoh_x"] = args.hoh
         payload["hoh_a"] = cmp.hoh_a_dims
-    if a.ph is None:
+    if ph is None:
         ph_line = _interval(a.bounds)[1]
     else:
-        ph_line = f"pseudoheight: {_jval(a.ph)} (anticanonical {_jval(a.ph_ac)})"
+        ph_line = f"pseudoheight: {_jval(ph)} (anticanonical {_jval(ph_ac)})"
     lines = [
         ph_line,
         f"height: {h} (anticanonical {h_ac})",

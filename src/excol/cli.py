@@ -25,12 +25,12 @@ class UsageError(CliFormatError):
 
 
 def _load_document(path):
-    base = os.path.basename(path).removesuffix(".json")
+    name = path.removeprefix("fixtures/").removesuffix(".json")
     candidates = [path, path + ".json"]
     env_dir = os.environ.get("EXCOL_FIXTURES")
-    if env_dir:
+    if env_dir and not os.path.dirname(name):  # a bare name, as for the built-ins
         candidates += [os.path.join(env_dir, os.path.basename(path)),
-                       os.path.join(env_dir, base + ".json")]
+                       os.path.join(env_dir, name + ".json")]
     for cand in filter(os.path.isfile, candidates):
         try:
             with open(cand, "rb") as fh:
@@ -39,7 +39,7 @@ def _load_document(path):
             raise CliFormatError(f"cannot read {cand}: {exc}") from exc
     from . import fixtures
     try:
-        return fixtures.fixture_document(path.removeprefix("fixtures/").removesuffix(".json"))
+        return fixtures.fixture_document(name)
     except KeyError:
         raise CliFormatError(f"no such input: {path} (not a file, not in "
                              "EXCOL_FIXTURES, not a built-in fixture)") from None

@@ -154,10 +154,10 @@ def to_document(spec):
         doc["ext"] = _graded_records(spec.a_dims, ("src", "dst"))
     if spec.n_dims:
         doc["serre_ext"] = _graded_records(spec.n_dims, ("twist_src", "from"))
-    if spec.products:
-        doc["products"] = _product_records(spec.products, with_arity=False)
-    if spec.higher:
-        doc["higher_products"] = _product_records(spec.higher, with_arity=True)
+    for name, higher in (("products", False), ("higher_products", True)):
+        tables = {k: t for k, t in spec.tables.items() if (len(k[3]) != 2) == higher}
+        if tables:  # the two record lists split the tables on arity
+            doc[name] = _product_records(tables, with_arity=higher)
     if spec.qualitative is not None:
         q = {}
         if spec.qualitative.degree_window is not None:

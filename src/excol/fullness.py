@@ -10,7 +10,7 @@ it amounts to knowing the higher product structure at that arity.
 `full_check` takes only the complex: the candidate and its pairings are its
 spec's `fullness_data`, and the candidate's depth and the pairings'
 vanishing on coboundaries are read off the complex's one filtered reduction
-(`nhh.FilteredReduction`) through degree 0, not the pages.
+(`nhh.NormalComplex.reduction`) through degree 0, not the pages.
 
 For the standard collection O, O(1), ..., O(n-1) on projective (n-1)-space
 everything is explicit: the degree-0 page is cut out of n-fold tensors of

@@ -86,15 +86,6 @@ class Analysis:
         return qualitative_ph_bounds(self.spec)
 
     @property
-    def ph_ac(self):
-        """The anticanonical pseudoheight when the bounds pin it, else None."""
-        return self.bounds.ph_ac
-
-    @property
-    def ph(self):
-        return self.bounds.ph(self.spec.dim_x)
-
-    @property
     def shortcut(self):
         """Height equals pseudoheight on pinned bounds with a length-0 witness.
 
@@ -103,7 +94,7 @@ class Analysis:
         """
         witness = self.bounds.witness_chain
         if witness is not None and len(witness) == 1 and self.bounds.pinned:
-            return self.ph
+            return self.bounds.ph(self.spec.dim_x)
         return None
 
     @property

@@ -96,17 +96,17 @@ class FullnessData(Record):
 
 class CollectionSpec(Record):
     def __init__(
-        self, n, dim_x, field_name="Q", a_dims=None, n_dims=None, products=None,
-        higher=None, qualitative=None, labels=None, canonical_degrees=None,
-        flags=None, metadata=None, fullness_data=None,
+        self, n, dim_x, field_name="Q", a_dims=None, n_dims=None, tables=None,
+        qualitative=None, labels=None, canonical_degrees=None, flags=None,
+        metadata=None, fullness_data=None,
     ):
         self.n = n
         self.dim_x = dim_x
         self.field_name = field_name
         self.a_dims = {} if a_dims is None else a_dims  # (i, j) -> {deg: dim}, i < j
         self.n_dims = {} if n_dims is None else n_dims  # (i, j) -> {deg: dim}, i <= j
-        self.products = {} if products is None else products  # arity-2 key -> table
-        self.higher = {} if higher is None else higher  # arity >= 3 key -> table
+        # product key -> table, every arity; the arity is len(key[3])
+        self.tables = {} if tables is None else tables
         self.qualitative = qualitative  # QualitativeExtTable or None
         self.labels = labels
         self.canonical_degrees = canonical_degrees
@@ -126,11 +126,6 @@ class CollectionSpec(Record):
     def space_dim(self, kind, i, j, deg):
         return self.space(kind, i, j).get(deg, 0)
 
-    def product_table(self, key):
-        if len(key[3]) == 2:  # the arity: one degree per source letter
-            return self.products.get(key)
-        return self.higher.get(key)
-
     @property
     def is_exact(self):
         """Exact dims are the primary data whenever any are supplied."""
@@ -138,9 +133,7 @@ class CollectionSpec(Record):
 
     @property
     def max_arity(self):
-        if not self.higher:
-            return 2
-        return max(len(k[3]) for k in self.higher)
+        return max((len(k[3]) for k in self.tables), default=2)
 
     @property
     def higher_complete(self):
@@ -180,8 +173,7 @@ def check_field_name(name):
 def check_coefficients(spec):
     """Refuse a product coefficient or cochain value the spec's field cannot hold."""
     fld = field_by_name(spec.field_name)
-    tables = (*spec.products.values(), *spec.higher.values())
-    values = [c for table in tables for row in table.values() for c in row.values()]
+    values = [c for table in spec.tables.values() for row in table.values() for c in row.values()]
     fd = spec.fullness_data or FullnessData()
     for cochain in filter(None, (fd.xi, *fd.pairings.values())):
         values += [v for _, _, vals in cochain.terms for v in vals.values()]
@@ -266,16 +258,14 @@ def parse(document):
         document.get("serre_ext", ()), n, ("twist_src", "from"), True
     )
 
-    prods, higher = spec.products, spec.higher
     if document.get("products") or document.get("higher_products"):
         from . import products as pr  # compiled only for a document with products
-        for name, tables in (("products", prods), ("higher_products", higher)):
+        for name, what in (("products", "product"), ("higher_products", "higher product")):
             for rec in document.get(name, ()):
-                key, table = pr.parse_product(rec, n, spec.space_dim, tables is prods)
-                what = "product" if tables is prods else "higher product"
-                _require(key not in tables, "duplicate {} {}", what, key)
+                key, table = pr.parse_product(rec, n, spec.space_dim, name == "products")
+                _require(key not in spec.tables, "duplicate {} {}", what, key)
                 if table:
-                    tables[key] = table
+                    spec.tables[key] = table
 
     if "qualitative" in document:
         from .qualitative import parse_qualitative  # only a qualitative document

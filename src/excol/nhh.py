@@ -31,8 +31,8 @@ the cohomology (the persistence pairing of the filtration, as in
 Edelsbrunner-Harer, Computational Topology, ch. VII); only the pairs are
 stored, and `spectral_sequence` derives the gaps.  Each d_t is built and
 reduced on first use, in increasing t, with clearing and a cochain per
-column (`FilteredReduction`): the reduced columns span the image, and the
-unpaired coordinates' cochains complete them to a kernel basis, which
+column (`NormalComplex.reduction`): the reduced columns span the image, and
+the unpaired coordinates' cochains complete them to a kernel basis, which
 `survivors` returns filed by level.  `spectral_sequence` stops at the page
 r = width + 1, which is the limit page; `heights.Analysis.pages` holds it
 once per spec, and the `ss` command pads it out to `--max-page`.
@@ -86,7 +86,7 @@ def _term_blocks(spec, term, term_lookup):
     blocks = []
     for consumed, out_pos in _windows(p, spec.max_arity):
         key = pr.window_key([letters[i] for i in consumed])
-        if not spec.product_table(key):
+        if not spec.tables.get(key):
             continue
         word = [x for i, x in enumerate(letters) if i not in consumed]
         word.insert(out_pos, pr.target_space(key))
@@ -118,7 +118,7 @@ def _block_entries(spec, block, placement, fld):
     ]
     ranges = [range(term.factor_dims[i]) for i in consumed]
     in_target = range(target.factor_dims[out_pos]).__contains__
-    for src_combo, row in spec.product_table(block.key).items():
+    for src_combo, row in spec.tables[block.key].items():
         if not (all(map(range.__contains__, ranges, src_combo)) and all(map(in_target, row))):
             raise ExactLinError(f"{block.key} index {src_combo} -> {list(row)} out of bounds")
         src_off = sum(b * src_strides[i] for i, b in zip(consumed, src_combo))
@@ -146,7 +146,7 @@ class NormalComplex:
         self.t_dims = t_dims
         self.diffs = diffs  # t -> d_t as columns {col: {row: value}}, as built so far
         self._mp_cache = {}
-        self._reduction = FilteredReduction()
+        self.pairs, self.image, self.cycles = {}, {}, {}  # t -> the reduction of d_t
 
     def differential(self, t):
         """The columns of d_t from the blocks leaving T^t's terms, built on first use.
@@ -159,7 +159,7 @@ class NormalComplex:
             return got
         spec = self.spec
         cols = defaultdict(dict)  # col -> {row: field element}
-        for tm in self.by_t.get(t, ()) if spec.products or spec.higher else ():
+        for tm in self.by_t.get(t, ()) if spec.tables else ():
             src_off = self.term_offset(tm)
             for block, placement in _term_blocks(spec, tm, self.term_lookup):
                 tgt_off = self.term_offset(block.target)
@@ -188,13 +188,28 @@ class NormalComplex:
         return got
 
     def reduction(self, through=INF):
-        """The filtered column reduction, carried in increasing t through `through`."""
-        red = self._reduction
-        for t in sorted(t for t in self.t_dims if t <= through and t not in red.pairs):
-            red.pairs[t], red.image[t], red.cycles[t] = _reduce(
-                self, t, cleared=red.image.get(t - 1, {})
+        """The persistence pairing of every d_t through `through`; returns the complex.
+
+        pairs[t] maps a column of T^t to its low row of T^{t+1}.  Both live on
+        the pages E_1 .. E_g, g = mp(row) - mp(col) >= 1, and are killed by d_g
+        (`spectral_sequence` derives g; no gap is stored); an unpaired
+        coordinate lives on every page, E_inf included.  image[t] maps each low
+        row to its reduced column, a basis of im d_t, and cycles[t] maps each
+        unpaired coordinate of T^t to its cocycle; together, cycles[t] and
+        image[t-1] are a basis of ker d_t with one low per vector, and a vector
+        lies in F^j exactly when its low's level is >= j.
+
+        T^t is reduced once a reader asks for it, after every lower degree,
+        with clearing (Chen and Kerber, "Persistent homology computation with
+        a twist", EuroCG 2011): the low row of a reduced column of d_{t-1} is
+        a coboundary, so as a column of d_t it reduces to zero and is skipped;
+        that reduced column is its cocycle.
+        """
+        for t in sorted(t for t in self.t_dims if t <= through and t not in self.pairs):
+            self.pairs[t], self.image[t], self.cycles[t] = _reduce(
+                self, t, cleared=self.image.get(t - 1, {})
             )
-        return red
+        return self
 
 
 def assemble_differential(spec):
@@ -206,10 +221,9 @@ def assemble_differential(spec):
     """
     fld = field_by_name(spec.field_name)
     terms = enumerate_terms(spec)
-    tables = {**spec.products, **spec.higher}
-    if tables:  # relations.py is compiled only for a spec with tables
+    if spec.tables:  # relations.py is compiled only for a spec with tables
         from .relations import describe, failing_relations
-        failing = failing_relations(tables, fld)
+        failing = failing_relations(spec.tables, fld)
         if failing:  # a window failing on two outputs is named once
             named = dict.fromkeys(describe(window) for window, _ in failing)
             raise DifferentialError(
@@ -279,29 +293,6 @@ def _reduce(cx, t, cleared=()):
     return pairs, image, cycles
 
 
-class FilteredReduction:
-    """The persistence pairing of every d_t under the column filtration.
-
-    pairs[t] maps a column of T^t to its low row of T^{t+1}.  Both live on
-    the pages E_1 .. E_g, g = mp(row) - mp(col) >= 1, and are killed by d_g
-    (`spectral_sequence` derives g; no gap is stored); an unpaired
-    coordinate lives on every page, E_inf included.  image[t] maps each low
-    row to its reduced column, a basis of im d_t, and cycles[t] maps each
-    unpaired coordinate of T^t to its cocycle; together, cycles[t] and
-    image[t-1] are a basis of ker d_t with one low per vector, and a vector
-    lies in F^j exactly when its low's level is >= j.
-
-    `NormalComplex.reduction` reduces T^t once a reader asks for it, after
-    every lower degree, with clearing (Chen and Kerber, "Persistent homology
-    computation with a twist", EuroCG 2011): the low row of a reduced column
-    of d_{t-1} is a coboundary, so as a column of d_t it reduces to zero and
-    is skipped; that reduced column is its cocycle.
-    """
-
-    def __init__(self):
-        self.pairs, self.image, self.cycles = {}, {}, {}
-
-
 # -- spectral sequence -------------------------------------------------------
 
 
@@ -329,10 +320,9 @@ class SpectralSequencePages:
         if (mp, q) not in self.pages[1]:
             return None
         t = mp + q
-        red = self._cx.reduction(t)
-        mps = self._cx.coordinate_mp(t)
-        cycles = red.cycles[t]
-        border = [col for low, col in red.image.get(t - 1, {}).items() if mps[low] >= mp]
+        cx = self._cx.reduction(t)
+        mps, cycles = cx.coordinate_mp(t), cx.cycles[t]
+        border = [col for low, col in cx.image.get(t - 1, {}).items() if mps[low] >= mp]
         border += [v for c, v in cycles.items() if mps[c] > mp]
         return border + [v for c, v in cycles.items() if mps[c] == mp], border
 

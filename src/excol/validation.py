@@ -107,14 +107,13 @@ def validate(spec):
         return not problems
 
     structure_ok = report("exceptionality", _check_structure(spec))
-    tables = {**spec.products, **spec.higher}
     messages, sound = [], {}
-    if tables:  # the product code is compiled only for a spec with product tables
+    if spec.tables:  # the product code is compiled only for a spec with product tables
         from . import products as pr
         from . import relations as rel
         checked = {
             key: pr.product_problems(key, table, spec.space_dim, spec.n)
-            for key, table in tables.items()
+            for key, table in spec.tables.items()
         }
         messages = [msg for msgs, _ in checked.values() for msg in msgs]
         # the relations of the well-shaped products, on the basis vectors only
@@ -131,7 +130,7 @@ def validate(spec):
             (len(w) == 3, f"fails on {rel.describe(w)}") for w in failing
         )
         report("associativity", [msg for short, msg in named if short], 5)
-        if spec.higher and structure_ok:
+        if spec.max_arity > 2 and structure_ok:
             report("a_infinity", [msg for short, msg in named if not short], 5)
     report("qualitative_consistency", _check_qualitative(spec), 5)
     return ValidationReport(checks)

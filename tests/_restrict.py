@@ -48,8 +48,7 @@ def restrict(spec, keep):
         field_name=spec.field_name,
         a_dims=pairs(spec.a_dims),
         n_dims=pairs(spec.n_dims),
-        products=tables(spec.products),
-        higher=tables(spec.higher),
+        tables=tables(spec.tables),
         qualitative=qualitative,
         labels=None if spec.labels is None else [spec.labels[i - 1] for i in kept],
         canonical_degrees=(

@@ -190,5 +190,5 @@ def random_spec(rng, n=None):
         field_name="Q",
         a_dims=a_dims,
         n_dims=n_dims,
-        products=products,
+        tables=products,
     )

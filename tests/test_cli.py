@@ -273,15 +273,23 @@ def test_validate_checks_every_status_against_exact_dims(
 
 
 def test_env_fixture_directory(tmp_path, capsys, monkeypatch):
+    # run away from the checkout, on a document that is no built-in fixture
     target = tmp_path / "corpus"
     target.mkdir()
-    for name in FIXTURE_NAMES:
-        (target / f"{name}.json").write_text(
-            documents.serialize(fixtures.fixture_spec(name)), encoding="utf-8")
+    (target / "line.json").write_text(
+        documents.serialize(documents.beilinson_fixture(2)), encoding="utf-8")
+    (target / "burniat.json").write_text(
+        fixtures.fixture_document("burniat"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("EXCOL_FIXTURES", str(target))
-    code, out, _ = run(capsys, "height", "fixtures/beilinson_p1", "--json")
-    assert code == 0
-    assert json.loads(out)["nhh"] == {"0": 1, "1": 3}
+    for name in ["line", "line.json", "fixtures/line", "fixtures/line.json"]:
+        code, out, _ = run(capsys, "height", name, "--json")
+        assert code == 0, name
+        assert json.loads(out)["nhh"] == {"0": 1, "1": 3}, name
+    # only a bare name is looked up there, as for the built-in fixtures
+    for path in ["/no/such/dir/burniat.json", "elsewhere/line", "corpus/../line"]:
+        code, out, err = run(capsys, "pseudoheight", path, "--json")
+        assert (code, out) == (2, "") and "no such input" in err, path
 
 
 DATA = os.path.join(os.path.dirname(fixtures.__file__), "data")

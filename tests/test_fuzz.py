@@ -5,7 +5,7 @@ Each example edits a shipped fixture document in one to three places
 `model.parse` or to `cli.main`.  A JSON boolean in place of any integer
 must be refused, although Python counts it as one, and so must a flag value
 of the wrong type.  Whatever `validate` accepts, the bounds walk reads
-without raising.
+without raising, and no engine command refuses it but by design.
 """
 
 import contextlib
@@ -175,3 +175,20 @@ def test_cli_exits_only_0_1_2(tmp_path, data):
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2)
+
+
+@SETTINGS
+@given(st.data())
+def test_no_engine_command_refuses_what_validate_accepts(tmp_path, data):
+    doc = _corrupted(data, CLI_FIXTURES, _values(SMALL))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        if main(["validate", str(path)]) != 0:
+            return
+        refused = [cmd for cmd in CLI_COMMANDS[1:] if main([cmd, str(path)]) == 1]
+    spec = model.parse(json.dumps(doc))
+    # by design: the first page needs exact dims, and the chain walks cap n
+    allowed = {"e1"} if not spec.is_exact else set()
+    assert set(refused) <= (set(CLI_COMMANDS) if spec.n > MAX_N else allowed)

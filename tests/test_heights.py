@@ -13,8 +13,10 @@ from excol.heights import (
     height,
     heph_shortcut,
 )
-from excol.model import INF, CollectionSpec
+from excol.model import INF, NONZERO, ZERO, CollectionSpec, link_key
 from excol.nhh import assemble_differential, total_cohomology
+from excol.pseudoheight import pseudoheight, qualitative_ph_bounds
+from excol.qualitative import QualitativeExtTable
 
 
 def _length_zero_toy():
@@ -203,7 +205,7 @@ def test_burniat_report_flags():
     spec = fixtures.fixture_spec("burniat")
     a, rep = Analysis(spec), build_report(spec)
     assert a.used_shortcut == "qualitative"
-    assert a.ph_ac == 2 and a.ph == 4
+    assert a.bounds.ph_ac == 2 and a.bounds.ph(spec.dim_x) == 4
     assert a.height.lo == 4 and a.height.shifted(spec.dim_x).lo == 2
     assert rep.deformation_equivalent
     assert rep.iso_range == 2 and rep.mono_degree == 3
@@ -211,7 +213,7 @@ def test_burniat_report_flags():
 
 def test_godeaux_report_uses_exact_route():
     a = Analysis(fixtures.fixture_spec("godeaux"))
-    assert a.ph == 3 and a.ph_ac == 1
+    assert a.bounds.ph(a.spec.dim_x) == 3 and a.bounds.ph_ac == 1
     assert a.height.lo == 4
     assert a.bounds.witness_chain == (2, 3)
     assert a.used_shortcut == "none"
@@ -225,3 +227,43 @@ def test_pseudoheight_bounds_height_on_fixtures():
         spec = fixtures.fixture_spec(name)
         h, _ = height(spec)
         assert pseudoheight(spec).ph(spec.dim_x) <= h.lo
+
+
+def _abstraction(spec, rng, drop):
+    """The exact spec's dims as statuses, without the dims.
+
+    Every link key at every degree of the window gets the status its dims
+    give; the window spans the nonzero degrees, widened by 0 or 1 at each
+    end, and a share `drop` of the statuses is left out (UNKNOWN).
+    """
+    nonzero = set()
+    for kind, spaces in (("A", spec.a_dims), ("N", spec.n_dims)):
+        for (i, j), dims in spaces.items():
+            src, dst, shift = link_key(spec, kind, i, j)
+            nonzero.update((src, dst, d - shift) for d, m in dims.items() if m > 0)
+    degrees = [deg for _, _, deg in nonzero] or [0]
+    window = (min(degrees) - rng.randint(0, 1), max(degrees) + rng.randint(0, 1))
+    n = spec.n
+    links = [link_key(spec, "A", i, j)[:2] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    links += [link_key(spec, "N", i, j)[:2] for i in range(1, n + 1) for j in range(i, n + 1)]
+    statuses = {
+        (src, dst, deg): NONZERO if (src, dst, deg) in nonzero else ZERO
+        for src, dst in links for deg in range(window[0], window[1] + 1)
+    }
+    for key in rng.sample(sorted(statuses), round(drop * len(statuses))):
+        del statuses[key]
+    return CollectionSpec(n, spec.dim_x, qualitative=QualitativeExtTable(n, statuses, window))
+
+
+def test_three_valued_bounds_stay_below_the_exact_route():
+    # the qualitative NOT_FULL verdicts rest on lower + dim_x <= height
+    rng = random.Random(12)
+    positive = 0
+    for _ in range(300):
+        exact = _specgen.random_spec(rng)
+        ph_ac, height_lo = pseudoheight(exact).ph_ac, Analysis(exact).height.lo
+        for drop in (0, 0.3, 0.7):
+            lower = qualitative_ph_bounds(_abstraction(exact, rng, drop)).lower
+            assert lower <= ph_ac and lower + exact.dim_x <= height_lo
+            positive += lower > 0
+    assert positive > 100

@@ -153,8 +153,7 @@ SPEC_FIELDS = {
     "field_name": "Q",
     "a_dims": {(1, 2): {0: 1}},
     "n_dims": {(1, 1): {1: 1}},
-    "products": {AN_KEY: {(0, 0): {0: 1}}},
-    "higher": {},
+    "tables": {AN_KEY: {(0, 0): {0: 1}}},
     "qualitative": QualitativeExtTable(2, {(1, 2, 0): NONZERO}, (0, 2)),
     "labels": ["E1", "E2"],
     "canonical_degrees": [0, 1],
@@ -169,8 +168,7 @@ OTHER_VALUES = {
     "field_name": "F7",
     "a_dims": {(1, 2): {0: 2}},
     "n_dims": {(1, 1): {0: 1}},
-    "products": {AN_KEY: {(0, 0): {0: 2}}},
-    "higher": {pr.key_aa((1, 2, 3), (0, 0, 0)): {(0, 0, 0): {0: 1}}},
+    "tables": {AN_KEY: {(0, 0): {0: 2}}},
     "qualitative": QualitativeExtTable(2, {(1, 2, 0): NONZERO}, None),
     "labels": ["E1", "F"],
     "canonical_degrees": None,
@@ -291,7 +289,7 @@ def _one_product(value):
 ])
 def test_coefficients_are_ints_when_integral(value, expected):
     key = pr.key_aa((1, 2, 3), (0, 0))
-    got = parse(_one_product(value)).products[key][(0, 0)][0]
+    got = parse(_one_product(value)).tables[key][(0, 0)][0]
     assert got == expected and type(got) is type(expected)
 
 
@@ -310,7 +308,7 @@ def test_coefficient_the_field_cannot_hold_rejected(field, value):
     doc = dict(_one_product(value), field=field)
     with pytest.raises(SpecError, match=f"coefficient {value} in field {field}"):
         parse(doc)
-    assert parse(dict(doc, field="F5")).products  # a unit mod 5 is fine
+    assert parse(dict(doc, field="F5")).tables  # a unit mod 5 is fine
 
 
 def test_cochain_value_the_field_cannot_hold_rejected():
@@ -348,10 +346,10 @@ def test_validate_fixture_corpus_all_green():
 def test_validate_flags_broken_associativity():
     spec = fixtures.fixture_spec("beilinson_p2")
     key = pr.key_aa((1, 2, 3), (0, 0))
-    table = {src: dict(row) for src, row in spec.products[key].items()}
+    table = {src: dict(row) for src, row in spec.tables[key].items()}
     out = next(iter(table[(0, 0)]))
     table[(0, 0)][out] *= 2
-    spec.products[key] = table
+    spec.tables[key] = table
     report = validate(spec)
     assert not report.ok
     assert any(c.name == "associativity" for c in report.failures())
@@ -363,7 +361,7 @@ def test_validate_flags_product_into_missing_space():
         n=3, dim_x=0,
         a_dims={(1, 2): {0: 1}, (2, 3): {0: 1}},
         n_dims={},
-        products={pr.key_aa((1, 2, 3), (0, 0)): {(0, 0): {0: Fraction(1)}}},
+        tables={pr.key_aa((1, 2, 3), (0, 0)): {(0, 0): {0: Fraction(1)}}},
     )
     report = validate(spec)
     assert any(not c.passed and c.name == "degree_additivity" for c in report.checks)
@@ -374,8 +372,8 @@ def test_validate_flags_product_into_missing_space():
 def test_validate_reports_a_non_integer_twist(kind, bad):
     # built programmatically: the parser refuses such keys
     spec = fixtures.fixture_spec("beilinson_p1")
-    key = next(k for k in spec.products if k[0] == kind)
-    spec.products[(kind, bad, *key[2:])] = spec.products.pop(key)
+    key = next(k for k in spec.tables if k[0] == kind)
+    spec.tables[(kind, bad, *key[2:])] = spec.tables.pop(key)
     report = validate(spec)
     assert [c.name for c in report.failures()] == ["degree_additivity"]
     assert "must be integers" in report.failures()[0].detail
@@ -389,9 +387,9 @@ def test_validate_reports_a_field_it_cannot_evaluate_in(field, message):
     # built programmatically: the parser refuses both
     spec = fixtures.fixture_spec("beilinson_p2")
     key = pr.key_aa((1, 2, 3), (0, 0))
-    spec.products[key] = {src: dict(row) for src, row in spec.products[key].items()}
-    out = next(iter(spec.products[key][(0, 0)]))
-    spec.products[key][(0, 0)][out] = Fraction(1, 3)
+    spec.tables[key] = {src: dict(row) for src, row in spec.tables[key].items()}
+    out = next(iter(spec.tables[key][(0, 0)]))
+    spec.tables[key][(0, 0)][out] = Fraction(1, 3)
     spec.field_name = field
     report = validate(spec)
     assert [c.name for c in report.failures()] == ["associativity"]
@@ -418,7 +416,7 @@ def test_asymmetric_constants_are_fine():
     }
     spec = parse(doc)
     key = pr.key_aa((1, 2, 3), (0, 0))
-    assert spec.products[key][(0, 1)] != spec.products[key][(1, 0)]
+    assert spec.tables[key][(0, 1)] != spec.tables[key][(1, 0)]
     assert validate(spec).ok
 
 
@@ -583,8 +581,10 @@ def test_validate_reports_broken_higher_products():
         a_dims={(1, 2): {0: 1}, (2, 3): {0: 1}, (3, 4): {0: 1},
                 (1, 4): {-1: 1}},
         n_dims={(1, 4): {1: 1}, (1, 1): {0: 1}},
-        products={pr.key_an(1, (1, 4), (-1, 1)): {(0, 0): {0: Fraction(1)}}},
-        higher={pr.key_aa((1, 2, 3, 4), (0, 0, 0)): {(0, 0, 0): {0: Fraction(1)}}},
+        tables={
+            pr.key_an(1, (1, 4), (-1, 1)): {(0, 0): {0: Fraction(1)}},
+            pr.key_aa((1, 2, 3, 4), (0, 0, 0)): {(0, 0, 0): {0: Fraction(1)}},
+        },
     )
     report = validate(spec)
     assert not report.ok

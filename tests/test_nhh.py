@@ -168,7 +168,7 @@ def _arity_three_spec():
         n=4, dim_x=0,
         a_dims={(1, 2): {0: 1}, (2, 3): {0: 1}, (3, 4): {0: 1}, (1, 4): {-1: 1}},
         n_dims={(1, 4): {1: 1}, (1, 1): {0: 1}},
-        higher={
+        tables={
             pr.key_aa((1, 2, 3, 4), (0, 0, 0)): {(0, 0, 0): {0: Fraction(1)}}
         },
     )
@@ -197,10 +197,10 @@ def test_degenerate_no_twisted_spaces():
 def test_square_zero_violation_reported():
     spec = fixtures.fixture_spec("beilinson_p2")
     key = pr.key_aa((1, 2, 3), (0, 0))
-    table = {src: dict(row) for src, row in spec.products[key].items()}
+    table = {src: dict(row) for src, row in spec.tables[key].items()}
     out = next(iter(table[(0, 0)]))
     table[(0, 0)][out] *= 2
-    spec.products[key] = table
+    spec.tables[key] = table
     with pytest.raises(DifferentialError) as err:
         assemble_differential(spec)
     assert "chain (1, 2, 3)" in str(err.value)
@@ -223,7 +223,9 @@ def _rescaled(spec, rng):
         return (spec.a_space(i, j) if kind == "A" else spec.n_space(i, j))[deg]
 
     new_products = {}
-    for key, table in spec.products.items():
+    for key, table in spec.tables.items():
+        if len(key[3]) != 2:
+            continue  # only the arity-2 tables are rescaled
         srcs = pr.source_spaces(key)
         tk, ti, tj, tdeg = pr.target_space(key)
         s_out = scale_for(tk, ti, tj, tdeg, dim_of(tk, ti, tj, tdeg))
@@ -236,7 +238,7 @@ def _rescaled(spec, rng):
         new_products[key] = new_table
     return CollectionSpec(
         n=spec.n, dim_x=spec.dim_x, field_name=spec.field_name,
-        a_dims=spec.a_dims, n_dims=spec.n_dims, products=new_products,
+        a_dims=spec.a_dims, n_dims=spec.n_dims, tables=new_products,
     )
 
 
@@ -307,7 +309,7 @@ def test_all_three_arity_three_block_kinds():
         n=4, dim_x=0,
         a_dims={(1, 2): {0: 1}, (2, 3): {0: 1}, (3, 4): {0: 1}, (1, 4): {-1: 1}},
         n_dims={(1, 4): {1: 1}, (1, 1): {0: 1}, (1, 2): {0: 1}, (3, 4): {0: 1}},
-        higher={
+        tables={
             pr.key_aa((1, 2, 3, 4), (0, 0, 0)): {(0, 0, 0): {0: Fraction(1)}},
             pr.key_an(1, (2, 3, 4), (0, 0, 1)): {(0, 0, 0): {0: Fraction(1)}},
             pr.key_na(4, (1, 2, 3), (1, 0, 0)): {(0, 0, 0): {0: Fraction(1)}},
@@ -382,8 +384,8 @@ def test_second_page_matches_naive_oracle():
 def test_assembly_refuses_an_index_outside_the_matrix(index):
     # a spec built in code is not checked by parse: the assembly still refuses it
     spec = fixtures.fixture_spec("beilinson_p1")
-    key = min(spec.products)
-    spec.products[key] = {(0, 0): {index: 1}}
+    key = min(spec.tables)
+    spec.tables[key] = {(0, 0): {index: 1}}
     cx = assemble_unchecked(spec)
     with pytest.raises(ExactLinError, match="out of bounds"):
         for t in cx.t_dims:  # each d_t is checked as it is built
@@ -393,9 +395,9 @@ def test_assembly_refuses_an_index_outside_the_matrix(index):
 def test_a_coefficient_zero_in_the_field_leaves_no_entry():
     # one coefficient of P^1 becomes 1009: an entry over Q, zero over F_1009
     spec = fixtures.fixture_spec("beilinson_p1")
-    key = min(spec.products)
-    src = min(spec.products[key])
-    spec.products[key][src] = {out: 1009 * c for out, c in spec.products[key][src].items()}
+    key = min(spec.tables)
+    src = min(spec.tables[key])
+    spec.tables[key][src] = {out: 1009 * c for out, c in spec.tables[key][src].items()}
     over_q = assemble_unchecked(spec)
     spec.field_name = "F1009"
     over_p = assemble_unchecked(spec)

@@ -39,12 +39,13 @@ def _data_spec(name):
 
 
 def _corrupted(spec):
-    """The spec with its first product coefficient doubled, or None."""
-    if not spec.products:
+    """The spec with its first arity-2 product coefficient doubled, or None."""
+    arity_two = [key for key in spec.tables if len(key[3]) == 2]
+    if not arity_two:
         return None
     bad = copy.deepcopy(spec)
-    key = min(bad.products)
-    row = bad.products[key][min(bad.products[key])]
+    key = min(arity_two)
+    row = bad.tables[key][min(bad.tables[key])]
     out = min(row)
     row[out] = row[out] * 2
     return bad
@@ -52,8 +53,7 @@ def _corrupted(spec):
 
 def _outcome(spec):
     """Every stage the engine derives from spec, over the field in use."""
-    tables = {**spec.products, **spec.higher}
-    relations = rel.failing_relations(tables, nhh.field_by_name(spec.field_name))
+    relations = rel.failing_relations(spec.tables, nhh.field_by_name(spec.field_name))
     cx = assemble_unchecked(spec)
     try:
         check_square_zero(cx)

@@ -34,19 +34,17 @@ def _spec(name):
 
 
 def _entries(spec):
-    tables = {**spec.products, **spec.higher}
     return [
-        (key, src, out) for key, table in tables.items()
+        (key, src, out) for key, table in spec.tables.items()
         for src, row in table.items() for out in row
     ]
 
 
 def _doubled(spec, key, src, out):
     bad = copy.copy(spec)
-    bad.products, bad.higher = dict(spec.products), dict(spec.higher)
-    tables = bad.products if key in bad.products else bad.higher
-    tables[key] = {s: dict(r) for s, r in tables[key].items()}
-    tables[key][src][out] *= 2
+    bad.tables = dict(spec.tables)
+    bad.tables[key] = {s: dict(r) for s, r in spec.tables[key].items()}
+    bad.tables[key][src][out] *= 2
     return bad
 
 
@@ -56,11 +54,10 @@ def _failing(spec, key, relations):
     The others keep the base document's tables, where every relation holds,
     so the order is that of `relations.failing_relations`.
     """
-    tables = {**spec.products, **spec.higher}
     return [
         window for window, pairs in relations.items()
         if any(key in pair[1:3] for pair in pairs)
-        and rel.relation_map(tables, pairs, QQ)
+        and rel.relation_map(spec.tables, pairs, QQ)
     ]
 
 
@@ -92,8 +89,8 @@ def _refusals(spec):
 def test_checker_and_oracle_refuse_every_doubled_entry(name, entries, sample):
     # the checker judges every entry; the assembly and the oracle a sample
     base = _spec(name)
-    assert rel.failing_relations({**base.products, **base.higher}, QQ) == []
-    relations = rel.relations({**base.products, **base.higher})
+    assert rel.failing_relations(base.tables, QQ) == []
+    relations = rel.relations(base.tables)
     cases = _entries(base)
     assert len(cases) == entries
     sampled = set(random.Random(3).sample(range(entries), sample))
@@ -112,7 +109,7 @@ def test_neither_refuses_entries_that_act_on_no_relation():
     cases = 0
     for name in ["beilinson_p1", "beauville_I0", "arity3.json"]:
         base = _spec(name)
-        relations = rel.relations({**base.products, **base.higher})
+        relations = rel.relations(base.tables)
         for key, src, out in _entries(base):
             bad = _doubled(base, key, src, out)
             assert not _failing(bad, key, relations)
@@ -144,7 +141,7 @@ def _with_arity_three(spec, rng):
         for _ in range(3):
             src = tuple(rng.randrange(d) for d in dims)
             table.setdefault(src, {})[rng.randrange(out_dim)] = rng.choice([1, -1, 2])
-        spec.higher[key] = table
+        spec.tables[key] = table
     return spec
 
 
@@ -196,10 +193,9 @@ def test_each_block_of_d_squared_is_a_relation_map():
     checked = 0
     for _ in range(200):
         spec = _with_arity_three(_specgen.random_spec(rng, n=rng.randint(3, 5)), rng)
-        tables = {**spec.products, **spec.higher}
         relations = {
             (frozenset(window), out): (window, pairs)
-            for (window, out), pairs in rel.relations(tables).items()
+            for (window, out), pairs in rel.relations(spec.tables).items()
         }
         cx = assemble_unchecked(spec)
         oracle = _d_squared_blocks(cx)
@@ -219,7 +215,7 @@ def test_each_block_of_d_squared_is_a_relation_map():
                     assert expected.setdefault((s, b2.target), relation) == relation
         for (s, t), (window, out) in expected.items():
             ordered, pairs = relations[(window, out)]
-            want = _tensored(s, t, ordered, rel.relation_map(tables, pairs, cx.field))
+            want = _tensored(s, t, ordered, rel.relation_map(spec.tables, pairs, cx.field))
             got = oracle.pop((s, t), {})
             assert got == want or got == {k: -v for k, v in want.items()}, (s, t)
             checked += bool(want)

@@ -58,7 +58,8 @@ def test_restriction_reindexes_every_record():
     assert spec.n == 2 and spec.labels == ["O(1)", "O(3)"]
     assert spec.a_dims == {(1, 2): {0: 10}}  # S^2 of four linear forms
     assert spec.n_dims == {(1, 1): {3: 35}, (1, 2): {3: 10}, (2, 2): {3: 35}}
-    objects = {x for key in spec.products for x in (*key[2], key[1]) if x is not None}
+    arity_two = [key for key in spec.tables if len(key[3]) == 2]
+    objects = {x for key in arity_two for x in (*key[2], key[1]) if x is not None}
     assert objects == {1, 2} and spec.fullness_data is None
     with pytest.raises(ValueError):
         restrict(spec, {3})
