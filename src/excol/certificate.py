@@ -8,17 +8,20 @@ this module.
 
 import math
 
-from .model import Cochain, FullnessData, SpecError, _frac, _int_tuple, _list, _require, is_int
+from .model import (Cochain, FullnessData, SpecError, _frac, _int_tuple, _known, _list,
+                    _require, is_int)
 
 
-def _parse_cochain(rec):
+def _parse_cochain(rec, keys=("terms",)):
     _require(isinstance(rec, dict) and "terms" in rec, "bad cochain {!r}", rec)
+    _known(rec, keys)
     terms = []
     for t in _list(rec["terms"], "cochain terms"):
         try:
             chain, degs, values = t["chain"], t["degs"], t["values"]
         except (KeyError, TypeError):
             raise SpecError(f"bad cochain term {t!r}") from None
+        _known(t, {"chain", "degs", "values"})
         vals = {}
         for pair in _list(values, "cochain values"):
             ok = isinstance(pair, list) and len(pair) == 2 and is_int(pair[0])
@@ -31,13 +34,14 @@ def _parse_cochain(rec):
 
 def parse_fullness(rec, spec):
     """The `FullnessData` of a document's `fullness` record, checked against spec's dims."""
+    _known(rec, {"xi", "pairings"}, "unknown fullness keys {}")
     fullness = FullnessData(_parse_cochain(rec["xi"]) if "xi" in rec else None)
     for prec in _list(rec.get("pairings", []), "pairings"):
         ok = isinstance(prec, dict) and is_int(prec.get("obj"))
         _require(ok, "pairing needs obj: {!r}", prec)
         _require(1 <= prec["obj"] <= spec.n, "pairing obj {} outside 1..{}", prec["obj"], spec.n)
         _require(prec["obj"] not in fullness.pairings, "duplicate pairing obj: {!r}", prec)
-        fullness.pairings[prec["obj"]] = _parse_cochain(prec)
+        fullness.pairings[prec["obj"]] = _parse_cochain(prec, ("obj", "terms"))
     check_certificate(spec, fullness)
     return fullness
 

@@ -4,16 +4,15 @@ An input is a document on disk, a file under EXCOL_FIXTURES or a built-in
 fixture; `fixture` without one (or with `--list`) lists the fixtures.  The
 grammar is fixed (`parse_args`): options in any order, names matched whole,
 and a command refuses an option it does not read (`READ_BY`).  JSON output
-is canonical.  Exit codes: 0 success, 1 validation or engine failure, 2
-usage, I/O or format error (output write errors included), whether or not
-stderr can be written.  `main(argv)` returns the code; a process runs
-`entry()`, which flushes the output and ends at once with `os._exit`.
+is canonical.  Exit codes: 0 success, 1 failed validation or `fields.EngineError`,
+2 usage, I/O or format error (`CliFormatError`, output write errors too),
+whether or not stderr can be written.  `main(argv)` returns the code; a
+process runs `entry()`, which flushes the output and ends with `os._exit`.
 """
 
+import importlib
 import os
 import sys
-
-_ENGINE_ERRORS = {"model": "SpecError", "nhh": "DifferentialError", "fields": "ExactLinError"}
 
 
 class CliFormatError(Exception):
@@ -105,15 +104,17 @@ def cmd_fixture(args):
 
 
 def run_view(args):
-    """An engine command: `views` formats its answer, loaded only for these."""
+    """An engine command: the module `VIEWS` names formats its answer."""
     spec = _load_spec(args)
-    from . import views
+    views = importlib.import_module(f".{VIEWS[args.command]}", __package__)
     payload, lines = getattr(views, f"cmd_{args.command}")(spec, args)
     _emit(payload, args.json, lines)
     return 0
 
 
-VIEWS = ("pseudoheight", "e1", "ss", "height", "report", "fullness")
+# engine command -> the module that formats its answer, loaded only for it
+VIEWS = {"pseudoheight": "views", "e1": "views", "ss": "analysis_views",
+         "height": "analysis_views", "report": "analysis_views", "fullness": "analysis_views"}
 COMMANDS = {"validate": cmd_validate, **dict.fromkeys(VIEWS, run_view), "fixture": cmd_fixture}
 
 
@@ -122,9 +123,9 @@ USAGE = (
     "             [--json] [--list] [--max-page R] [--anticanonical]\n"
     "             [--hoh d0,d1,...] [--field Q|Fp]"
 )
-SWITCHES = ("--json", "--anticanonical", "--list")
 VALUED = ("--max-page", "--hoh", "--field")
-# option -> the commands that read it; every other command refuses it
+# option -> the commands that read it; every other command refuses it.  An
+# option outside VALUED is a switch
 READ_BY = {
     "--json": tuple(COMMANDS),
     "--field": ("validate", *VIEWS),
@@ -153,13 +154,13 @@ def parse_args(argv):
             continue
         name, eq, value = arg.partition("=")
         given.append(name)
-        if name in SWITCHES and not eq:
-            setattr(args, name[2:], True)
-        elif name in VALUED:
+        if name in VALUED:
             value = value if eq else next(rest, None)
             if value is None:
                 raise UsageError(f"{name} needs a value")
             setattr(args, name[2:].replace("-", "_"), value)
+        elif name in READ_BY and not eq:  # a switch
+            setattr(args, name[2:], True)
         else:
             raise UsageError(f"unknown option {arg!r}")
     if not positionals:
@@ -194,12 +195,6 @@ def parse_args(argv):
     return args
 
 
-def _engine_errors():
-    """The errors that exit 1; a submodule not loaded cannot have raised one."""
-    loaded = vars(sys.modules[__package__])
-    return tuple(getattr(loaded[m], cls) for m, cls in _ENGINE_ERRORS.items() if m in loaded)
-
-
 def _fail(code, message):
     """Report on stderr and return the exit code, which a failed write there keeps."""
     try:
@@ -221,7 +216,8 @@ def main(argv=None):
         return _fail(2, f"{USAGE}\nerror: {exc}")
     except CliFormatError as exc:
         return _fail(2, f"error: {exc}")
-    except _engine_errors() as exc:
+    # `fields.EngineError` exits 1; a job that never loaded `fields` raised none
+    except getattr(sys.modules.get(f"{__package__}.fields"), "EngineError", ()) as exc:
         return _fail(1, f"error: {exc}")
 
 

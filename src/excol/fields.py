@@ -3,15 +3,20 @@
 A scalar of Q is an `int` when it is integral and a `fractions.Fraction`
 only when it is not, so integral documents (Beilinson's constants are all
 +-1) run on small ints from parse to reduction and never load `fractions`.
-A document names its field by "Q" or "F<p>" (`field_by_name`); F_p lives
-in `primefield`, which loads only for an "F<p>" name, the way `fractions`
-loads only for a value that is not an integer.  Parsing and validating a
-document over Q needs only this module; the matrices over these fields are
-in `exactlin`.
+A document names its field by "Q" or "F<p>" (`field_by_name`), and a
+`Field` is known by that name alone; F_p lives in `primefield`, which loads
+only for an "F<p>" name, the way `fractions` loads only for a value that is
+not an integer.  Parsing and validating a document over Q needs only this
+module; the matrices over these fields are in `exactlin`.  `EngineError`
+is the one error class that `excol` exits 1 on.
 """
 
 
-class ExactLinError(ValueError):
+class EngineError(ValueError):
+    """Exit code 1: the engine cannot answer for this input."""
+
+
+class ExactLinError(EngineError):
     pass
 
 
@@ -20,7 +25,22 @@ def _integral(q):
     return q.numerator if q.denominator == 1 else q
 
 
-class RationalField:
+class Field:
+    """A scalar field, named "Q" or "F<p>": fields with equal names are equal."""
+
+    zero, one = 0, 1
+
+    def __repr__(self):
+        return self.name
+
+    def __eq__(self, other):
+        return isinstance(other, Field) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+class RationalField(Field):
     """Q, with each scalar an int when integral and a Fraction otherwise.
 
     Sums and products of ints stay ints; a result that involves a Fraction
@@ -29,8 +49,6 @@ class RationalField:
     """
 
     name = "Q"
-    zero = 0
-    one = 1
 
     def of(self, value):
         """Coerce an int, a Fraction or a rational string ("-3", "1/2")."""
@@ -69,15 +87,6 @@ class RationalField:
 
     def to_str(self, a):
         return str(a)
-
-    def __repr__(self):
-        return "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
 
 
 QQ = RationalField()

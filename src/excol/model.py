@@ -27,7 +27,7 @@ only for a document with one; the checks that `validate` runs live in
 
 import json
 
-from .fields import QQ, ExactLinError, field_by_name
+from .fields import QQ, EngineError, ExactLinError, field_by_name
 
 ZERO = "ZERO"
 NONZERO = "NONZERO"
@@ -45,7 +45,7 @@ KNOWN_FLAGS = {
 }
 
 
-class SpecError(ValueError):
+class SpecError(EngineError):
     """Malformed collection document."""
 
 
@@ -150,6 +150,12 @@ def _require(cond, msg, *args):
         raise SpecError(msg.format(*args))
 
 
+def _known(rec, keys, msg="unknown keys {} in {!r}"):
+    """Refuse a key of the record outside keys; msg is formatted only then."""
+    unknown = rec.keys() - keys  # a dict tree's keys may mix types: sorted as strings
+    _require(not unknown, msg, sorted(unknown, key=str), rec)
+
+
 def _list(value, what):
     _require(isinstance(value, list), "{} must be a list, got {!r}", what, value)
     return value
@@ -190,6 +196,7 @@ def _parse_graded(records, n, key_fields, lo_le_hi):
     fsrc, fdst = key_fields
     for rec in records:
         _require(isinstance(rec, dict), "bad record {!r}", rec)
+        _known(rec, {fsrc, fdst, "deg", "dim"})
         try:
             a, b, deg, dim = rec[fsrc], rec[fdst], rec["deg"], rec["dim"]
         except KeyError as exc:
@@ -207,20 +214,10 @@ def _parse_graded(records, n, key_fields, lo_le_hi):
     return out
 
 
-TOP_KEYS = {
-    "n",
-    "dim_x",
-    "field",
-    "objects",
-    "ext",
-    "serre_ext",
-    "products",
-    "higher_products",
-    "qualitative",
-    "flags",
-    "metadata",
-    "fullness",
-}
+# the top-level keys besides n, dim_x and field: the lists, then the objects
+LISTS = ("ext", "serre_ext", "products", "higher_products", "objects")
+OBJECTS = ("qualitative", "flags", "metadata", "fullness")
+TOP_KEYS = {"n", "dim_x", "field", *LISTS, *OBJECTS}
 
 
 def parse(document):
@@ -238,17 +235,16 @@ def parse(document):
         except (ValueError, RecursionError) as exc:
             raise SpecError(f"malformed JSON: {exc}") from None
     _require(isinstance(document, dict), "document must be a JSON object")
-    unknown = set(document) - TOP_KEYS
-    _require(not unknown, "unknown top-level keys {}", sorted(unknown))
+    _known(document, TOP_KEYS, "unknown top-level keys {}")
     n = document.get("n")
     dim_x = document.get("dim_x")
     _require(is_int(n) and n >= 1, "n must be a count >= 1, got {!r}", n)
     _require(is_int(dim_x) and dim_x >= 0, "dim_x must be >= 0, got {!r}", dim_x)
     field_name = document.get("field", "Q")
     check_field_name(field_name)
-    for key in ("ext", "serre_ext", "products", "higher_products", "objects"):
+    for key in LISTS:
         _require(isinstance(document.get(key, []), list), "{} must be a list", key)
-    for key in ("qualitative", "flags", "metadata", "fullness"):
+    for key in OBJECTS:
         _require(isinstance(document.get(key, {}), dict), "{} must be an object", key)
 
     # built first: the product records are checked against its dims
@@ -260,12 +256,13 @@ def parse(document):
 
     if document.get("products") or document.get("higher_products"):
         from . import products as pr  # compiled only for a document with products
+        read = {}  # every key read, also of a table that is all zeros
         for name, what in (("products", "product"), ("higher_products", "higher product")):
             for rec in document.get(name, ()):
                 key, table = pr.parse_product(rec, n, spec.space_dim, name == "products")
-                _require(key not in spec.tables, "duplicate {} {}", what, key)
-                if table:
-                    spec.tables[key] = table
+                _require(key not in read, "duplicate {} {}", what, key)
+                read[key] = table
+        spec.tables = {key: table for key, table in read.items() if table}
 
     if "qualitative" in document:
         from .qualitative import parse_qualitative  # only a qualitative document
@@ -276,8 +273,7 @@ def parse(document):
         _require(len(objs) == n, "objects must list n items")
         _require(all(isinstance(o, dict) for o in objs), "objects must be objects")
         for o in objs:
-            unknown = set(o) - {"label", "canonical_degree"}
-            _require(not unknown, "unknown object keys {} in {!r}", sorted(unknown), o)
+            _known(o, {"label", "canonical_degree"}, "unknown object keys {} in {!r}")
             _require(isinstance(o.get("label", ""), str), "label must be a string: {!r}", o)
         spec.labels = [o.get("label", f"E{i + 1}") for i, o in enumerate(objs)]
         if any("canonical_degree" in o for o in objs):
@@ -289,8 +285,7 @@ def parse(document):
             _require(all(map(is_int, spec.canonical_degrees)), "bad canonical degrees")
 
     flags = spec.flags = dict(document.get("flags", {}))
-    unknown = set(flags) - KNOWN_FLAGS
-    _require(not unknown, "unknown flags {}", sorted(unknown))
+    _known(flags, KNOWN_FLAGS, "unknown flags {}")
     for key, value in flags.items():
         kind = "an integer" if key == "k_squared" else "true or false"
         typed = is_int(value) if key == "k_squared" else isinstance(value, bool)

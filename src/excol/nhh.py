@@ -48,12 +48,12 @@ import itertools
 from collections import Counter, defaultdict, namedtuple
 
 from .exactlin import axpy
-from .fields import ExactLinError, field_by_name
+from .fields import EngineError, ExactLinError, field_by_name
 from .model import INF
 from .firstpage import ChainTerm, build_e1, enumerate_terms  # noqa: F401
 
 
-class DifferentialError(ValueError):
+class DifferentialError(EngineError):
     """d . d != 0: an A-infinity relation of the products fails."""
 
 

@@ -4,7 +4,7 @@ A scalar of F_p is a plain int in [0, p).  `fields.field_by_name` imports
 this module only for an "F<p>" name, so a document over Q never compiles it.
 """
 
-from .fields import ExactLinError
+from .fields import ExactLinError, Field
 
 MAX_PRIME = 1 << 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -24,14 +24,12 @@ def is_prime(p):
     return True
 
 
-class PrimeField:
+class PrimeField(Field):
     def __init__(self, p):
         if not (p < MAX_PRIME and is_prime(p)):
             raise ExactLinError(f"{p} is not a prime below 2^64")
         self.p = p
         self.name = f"F{p}"
-        self.zero = 0
-        self.one = 1 % p
 
     def of(self, value):
         if isinstance(value, int):
@@ -68,12 +66,3 @@ class PrimeField:
 
     def to_str(self, a):
         return str(a % self.p)
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))

@@ -36,11 +36,6 @@ def key_na(from_obj, chain, degs):
     return (NA, from_obj, tuple(chain), tuple(degs))
 
 
-def arity_of(key):
-    kind, _, chain, degs = key
-    return len(degs)
-
-
 def check_key_shape(key, n):
     """Raise ValueError unless key names a product window on objects 1..n.
 
@@ -173,7 +168,7 @@ def parse_product(rec, n, space_dim, arity_two):
 
     Each check builds its message only when it fails.
     """
-    from .model import SpecError, _frac, _int_tuple, _list, _require, is_int
+    from .model import SpecError, _frac, _int_tuple, _known, _list, _require, is_int
     _require(isinstance(rec, dict), "bad product record {!r}", rec)
     kind = rec.get("kind")
     _require(kind in (AA, AN, NA), "bad product kind {!r}", kind)
@@ -187,12 +182,15 @@ def parse_product(rec, n, space_dim, arity_two):
     else:
         _require(is_int(rec.get("from")), "NA product needs 'from': {!r}", rec)
         key = key_na(rec["from"], chain, degs)
-    arity = arity_of(key)
+    arity = len(key[3])
     if arity_two:
         _require(arity == 2, "products must have arity 2, got {}", arity)
     else:
         _require(arity >= 3, "higher products must have arity >= 3")
         _require(rec.get("arity") == arity, "arity field mismatch in {!r}", rec)
+    # AN reads its twist_src, NA its from and a higher product its arity too
+    keys = {"kind", "chain", "degs", "entries", {AN: "twist_src", NA: "from"}.get(kind, "kind")}
+    _known(rec, keys if arity_two else keys | {"arity"})
     table = {}
     for entry in _list(rec.get("entries", []), "entries"):
         if not (isinstance(entry, list) and len(entry) == arity + 2):

@@ -16,7 +16,7 @@ NONZEROs, but a deduction can clash only with a stated status, so no
 reader lists the deductions: `Deductions` reads them one key at a time.
 """
 
-from .model import NONZERO, UNKNOWN, ZERO, Record, SpecError, _list, _require, is_int
+from .model import NONZERO, UNKNOWN, ZERO, Record, SpecError, _known, _list, _require, is_int
 
 
 class QualitativeExtTable(Record):
@@ -45,6 +45,7 @@ class QualitativeExtTable(Record):
 
 def parse_qualitative(rec, n):
     """The table of a document's `qualitative` record on n objects."""
+    _known(rec, {"degree_window", "statuses"}, "unknown qualitative keys {}")
     window = rec.get("degree_window")
     if window is not None:
         ok = isinstance(window, list) and len(window) == 2 and all(map(is_int, window))
@@ -56,6 +57,7 @@ def parse_qualitative(rec, n):
             src, dst, deg, st = row["src"], row["dst"], row["deg"], row["status"]
         except (KeyError, TypeError):
             raise SpecError(f"bad qualitative row {row!r}") from None
+        _known(row, {"src", "dst", "deg", "status"})
         _require(st in (ZERO, NONZERO), "bad status {!r}", st)
         _require(all(map(is_int, (src, dst, deg))), "bad qualitative row {!r}", row)
         _require(1 <= src <= n and 1 <= dst <= 2 * n, "bad pair in {!r}", row)

@@ -37,7 +37,7 @@ whose window occurs in no term.  `tests/test_products.py` checks facts 1 to
 3 on every word with p <= 6 and arity <= 4, over all degree parities.
 """
 
-from .products import AA, AN, arity_of, source_spaces, target_space
+from .products import AA, AN, source_spaces, target_space
 
 
 # -- Koszul signs -----------------------------------------------------------
@@ -57,7 +57,7 @@ def block_sign(key, a_degs, n_deg, position):
     the cyclic wrap, is three moves: rotate the twisted letter to the front,
     apply the product there, rotate the output back past the kept letters.
     """
-    k, p = arity_of(key), len(a_degs)
+    k, p = len(key[3]), len(a_degs)
     red = [d - 1 for d in a_degs]
     if key[0] == AA:
         exp = sum(red[:position])

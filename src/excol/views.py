@@ -2,9 +2,9 @@
 
 Each `cmd_*(spec, args)` returns (JSON payload, text lines).  Here are the
 chain-walk answers and the shared helpers; the `Analysis` answers are in
-`analysis_views`, loaded on first access to their names (PEP 562), so
-`pseudoheight` and `e1` compile neither it nor `heights`.  `excol.cli`
-loads this module only for these six commands.
+`analysis_views`.  `cli.VIEWS` names each command's module, so only the six
+engine commands load this one, and `pseudoheight` and `e1` neither
+`analysis_views` nor `heights`.
 """
 
 
@@ -78,10 +78,3 @@ def cmd_e1(spec, args):
     lines = _grid_lines("first page", table)
     lines.append(f"minimal total degree: {payload['min_total_degree']}")
     return payload, lines
-
-
-def __getattr__(name):
-    if not name.startswith("cmd_"):  # `import` probes dunder names such as __path__
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import analysis_views
-    return getattr(analysis_views, name)

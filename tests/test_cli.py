@@ -1,9 +1,12 @@
+import importlib
 import json
 import os
+import pkgutil
 
 import pytest
 
-from excol import FIXTURE_NAMES, cli, documents, exactlin, fixtures, model, nhh
+import excol
+from excol import FIXTURE_NAMES, cli, documents, exactlin, fields, fixtures, model, nhh
 from excol.cli import main
 
 
@@ -161,6 +164,7 @@ def test_ill_typed_flag_is_format_error(tmp_path, capsys):
     (exactlin.ContainmentError("x"), 1),
     (ValueError("x"), None),
     (KeyError("x"), None),
+    (fields.EngineError("x"), 1),
 ])
 def test_only_engine_errors_exit_one(monkeypatch, capsys, error, code):
     def fail(args):
@@ -172,6 +176,22 @@ def test_only_engine_errors_exit_one(monkeypatch, capsys, error, code):
             main(["validate", "point"])
     else:
         assert run(capsys, "validate", "point")[0] == code
+
+
+def test_every_error_class_has_an_exit_code():
+    # `main` exits 1 on an EngineError and 2 on a CliFormatError; any other
+    # error class of the package would escape as a traceback
+    errors = {}
+    for info in pkgutil.iter_modules(excol.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"excol.{info.name}")
+        errors.update((cls.__qualname__, cls) for cls in vars(module).values()
+                      if isinstance(cls, type) and issubclass(cls, BaseException)
+                      and cls.__module__ == module.__name__)
+    assert {"SpecError", "ExactLinError", "DifferentialError", "UsageError"} <= errors.keys()
+    for name, cls in errors.items():
+        assert issubclass(cls, (fields.EngineError, cli.CliFormatError)), name
 
 
 def test_engine_precondition_is_exit_one(capsys):

@@ -2,10 +2,12 @@
 
 Each example edits a shipped fixture document in one to three places
 (replacing, deleting or adding an entry at any depth) and feeds it to
-`model.parse` or to `cli.main`.  A JSON boolean in place of any integer
-must be refused, although Python counts it as one, and so must a flag value
-of the wrong type.  Whatever `validate` accepts, the bounds walk reads
-without raising, and no engine command refuses it but by design.
+`model.parse` or to `cli.main`; the engine commands also read well-typed
+edits, which usually parse: one product coefficient or one dim changed.  A
+JSON boolean in place of any integer must be refused, although Python
+counts it as one, and so must a flag value of the wrong type.  Whatever
+`validate` accepts, the bounds walk reads without raising, and no engine
+command refuses it but by design.
 """
 
 import contextlib
@@ -26,6 +28,10 @@ from excol.pseudoheight import MAX_N, qualitative_ph_bounds  # noqa: E402
 # the CLI runs on the small fixtures only, so that no corruption is costly
 CLI_FIXTURES = ["point", "beilinson_p1", "godeaux", "burniat", "beauville_I1"]
 CLI_COMMANDS = ["validate", "pseudoheight", "e1", "ss", "height", "report", "fullness"]
+# the well-typed edits: small exact documents with products, and their new
+# values; beilinson_p2 is the one whose products meet in a relation
+EDITED = ["beilinson_p1", "beilinson_p2", "godeaux", "beauville_I0"]
+COEFFICIENTS = ["0", "1", "-1", "2", "1/2"]
 SETTINGS = settings(
     max_examples=200,
     derandomize=True,
@@ -98,6 +104,18 @@ def _corrupted(data, names, values):
     doc = copy.deepcopy(DOCS[data.draw(st.sampled_from(names))])
     for _ in range(data.draw(st.integers(1, 3))):
         _corrupt(data, doc, values)
+    return doc
+
+
+def _edited(data):
+    """A fixture with products, one coefficient set to a small value or one dim moved by 1."""
+    doc = copy.deepcopy(DOCS[data.draw(st.sampled_from(EDITED))])
+    entries = [entry for rec in doc["products"] for entry in rec["entries"]]
+    if data.draw(st.booleans()):
+        data.draw(st.sampled_from(entries))[-1] = data.draw(st.sampled_from(COEFFICIENTS))
+    else:
+        rec = data.draw(st.sampled_from(doc["ext"] + doc["serre_ext"]))
+        rec["dim"] += data.draw(st.sampled_from([-1, 1]))
     return doc
 
 
@@ -180,7 +198,10 @@ def test_cli_exits_only_0_1_2(tmp_path, data):
 @SETTINGS
 @given(st.data())
 def test_no_engine_command_refuses_what_validate_accepts(tmp_path, data):
-    doc = _corrupted(data, CLI_FIXTURES, _values(SMALL))
+    if data.draw(st.booleans()):
+        doc = _edited(data)
+    else:
+        doc = _corrupted(data, CLI_FIXTURES, _values(SMALL))
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()), \

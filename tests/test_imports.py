@@ -145,17 +145,17 @@ def test_command_loads_only_its_modules(cmd, name, expected):
 
 
 @pytest.mark.parametrize("argv, budget", [
-    (["validate", str(PATHS[SPARSE]), "--json"], 667),
-    (["fixture", "--list"], 229),
-    (["fixture", "beilinson_p3"], 252),
-    (["height", str(PATHS[EXACT]), "--json"], 1921),
-    (["fullness", str(PATHS[EXACT]), "--json"], 2018),
-    (["e1", str(PATHS[EXACT]), "--json"], 1077),
-    (["pseudoheight", str(PATHS[EXACT]), "--json"], 993),
-    (["validate", str(PATHS[QUALITATIVE]), "--json"], 786),
-    (["pseudoheight", str(PATHS[QUALITATIVE]), "--json"], 898),
-    (["pseudoheight", str(PATHS[SPARSE]), "--json"], 751),
-    (["e1", str(PATHS[SPARSE]), "--json"], 835),
+    (["validate", str(PATHS[SPARSE]), "--json"], 659),
+    (["fixture", "--list"], 225),
+    (["fixture", "beilinson_p3"], 248),
+    (["height", str(PATHS[EXACT]), "--json"], 1911),
+    (["fullness", str(PATHS[EXACT]), "--json"], 2008),
+    (["e1", str(PATHS[EXACT]), "--json"], 1067),
+    (["pseudoheight", str(PATHS[EXACT]), "--json"], 983),
+    (["validate", str(PATHS[QUALITATIVE]), "--json"], 780),
+    (["pseudoheight", str(PATHS[QUALITATIVE]), "--json"], 887),
+    (["pseudoheight", str(PATHS[SPARSE]), "--json"], 738),
+    (["e1", str(PATHS[SPARSE]), "--json"], 822),
 ], ids=["validate-sparse15", "fixture-list", "fixture-p3", "height-p1", "fullness-p1",
         "e1-p1", "pseudoheight-p1", "validate-burniat", "pseudoheight-burniat",
         "pseudoheight-sparse15", "e1-sparse15"])

@@ -260,6 +260,9 @@ def test_dangling_product_indices_rejected():
 def test_unknown_top_level_key_rejected():
     with pytest.raises(SpecError):
         parse({"n": 1, "dim_x": 0, "surprise": True})
+    # a dict tree's keys need not be strings, nor of one type
+    with pytest.raises(SpecError, match=r"unknown top-level keys \[1, 'x'\]"):
+        parse({"n": 1, "dim_x": 0, 1: 2, "x": 3})
 
 
 def test_malformed_json_rejected():

@@ -343,7 +343,7 @@ def _naive_second_page(cx):
     for tm in _terms(cx):
         skey = (tm.mp, tm.q)
         for block, placement in _term_blocks(cx.spec, tm, cx.term_lookup):
-            if pr.arity_of(block.key) != 2:
+            if len(block.key[3]) != 2:
                 continue
             tgt = block.target
             tkey = (tgt.mp, tgt.q)

@@ -58,6 +58,16 @@ def _drop(*path):
     return edit
 
 
+def _rename(*path_new):
+    *path, new = path_new
+
+    def edit(doc):
+        box, key = _at(doc, path)
+        box[new] = box.pop(key)
+
+    return edit
+
+
 def _each(*edits):
     def edit(doc):
         for one in edits:
@@ -70,6 +80,17 @@ def _duplicate(*path):
     def edit(doc):
         box, key = _at(doc, path)
         box.insert(key + 1, copy.deepcopy(box[key]))
+
+    return edit
+
+
+def _zeroed_ahead(keep):
+    """An all-zero copy of beilinson_p1's AN record ahead of it, or two in its place."""
+    def edit(doc):
+        box, key = _at(doc, AN)
+        zero = copy.deepcopy(box[key])
+        zero["entries"] = [[*entry[:-1], "0"] for entry in zero["entries"]]
+        box[key:key + 1] = [zero, box[key] if keep else copy.deepcopy(zero)]
 
     return edit
 
@@ -153,6 +174,11 @@ CASES = [
     ("arity-three-product", P1, _set(*AN, "degs", [0, 0, 1]),
      "products must have arity 2, got 3"),
     ("duplicate-product", P1, _duplicate("products", 0),
+     "duplicate product ('AN', 1, (1, 2), (0, 1))"),
+    # an all-zero table is not stored, but its key counts as read
+    ("duplicate-product-zero-first", P1, _zeroed_ahead(keep=True),
+     "duplicate product ('AN', 1, (1, 2), (0, 1))"),
+    ("duplicate-product-zero-twice", P1, _zeroed_ahead(keep=False),
      "duplicate product ('AN', 1, (1, 2), (0, 1))"),
     ("higher-arity-field-mismatch", HIGHER, _set("higher_products", 0, "arity", 4),
      "arity field mismatch in {'arity': 4, 'chain': [1, 2, 3, 4], 'degs': [0, 0, 0], "
@@ -280,6 +306,43 @@ CASES = [
      "flag is_surface must be true or false, got 1"),
     ("flag-k-squared-boolean", SURFACE, _set("flags", "k_squared", True),
      "flag k_squared must be an integer, got True"),
+    # every record but `metadata` refuses a key it does not read, or a typo
+    # would drop the data under the misspelt key: a `qualitative` record
+    # without `statuses` moves burniat's pseudoheight from [2, 2] to [1, 2]
+    ("ext-unknown-key", P2, _set("ext", 0, "degree", 1),
+     "unknown keys ['degree'] in {'deg': 0, 'dim': 3, 'dst': 2, 'src': 1, 'degree': 1}"),
+    ("serre-unknown-key", P1, _set("serre_ext", 0, "src", 1),
+     "unknown keys ['src'] in {'deg': 1, 'dim': 3, 'from': 1, 'twist_src': 1, 'src': 1}"),
+    ("product-stray-arity", P1, _set(*AN, "arity", 7),
+     "unknown keys ['arity'] in {'chain': [1, 2], 'degs': [0, 1], 'entries': [[0, 0, 0, '1'], "
+     "[0, 1, 1, '1'], [1, 0, 1, '1'], [1, 1, 2, '1']], 'kind': 'AN', 'twist_src': 1, "
+     "'arity': 7}"),
+    ("an-from", P1, _set(*AN, "from", 2),
+     "unknown keys ['from'] in {'chain': [1, 2], 'degs': [0, 1], 'entries': [[0, 0, 0, '1'], "
+     "[0, 1, 1, '1'], [1, 0, 1, '1'], [1, 1, 2, '1']], 'kind': 'AN', 'twist_src': 1, "
+     "'from': 2}"),
+    ("na-twist-src", P1, _set(*NA, "twist_src", 1),
+     "unknown keys ['twist_src'] in {'chain': [1, 2], 'degs': [1, 0], 'entries': "
+     "[[0, 0, 0, '1'], [0, 1, 1, '1'], [1, 0, 1, '1'], [1, 1, 2, '1']], 'from': 2, "
+     "'kind': 'NA', 'twist_src': 1}"),
+    ("higher-aa-twist-src", HIGHER, _set("higher_products", 0, "twist_src", 1),
+     "unknown keys ['twist_src'] in {'arity': 3, 'chain': [1, 2, 3, 4], 'degs': [0, 0, 0], "
+     "'entries': [[0, 0, 0, 0, '1']], 'kind': 'AA', 'twist_src': 1}"),
+    ("qualitative-typo", SURFACE, _rename("qualitative", "statuses", "status"),
+     "unknown qualitative keys ['status']"),
+    ("status-row-unknown-key", SURFACE, _set("qualitative", "statuses", 0, "dim", 1),
+     "unknown keys ['dim'] in {'deg': 1, 'dst': 2, 'src': 1, 'status': 'ZERO', 'dim': 1}"),
+    ("fullness-typo", P1, _rename("fullness", "pairings", "pairing"),
+     "unknown fullness keys ['pairing']"),
+    ("xi-unknown-key", P1, _set("fullness", "xi", "obj", 1),
+     "unknown keys ['obj'] in {'terms': [{'chain': [1, 2], 'degs': [0, 1], "
+     "'values': [[1, '1'], [2, '-1']]}], 'obj': 1}"),
+    ("pairing-unknown-key", P1, _set("fullness", "pairings", 0, "xi", 1),
+     "unknown keys ['xi'] in {'obj': 1, 'terms': [{'chain': [1, 2], 'degs': [0, 1], "
+     "'values': [[1, '1'], [2, '-1']]}], 'xi': 1}"),
+    ("cochain-term-unknown-key", P1, _set(*XI, "value", []),
+     "unknown keys ['value'] in {'chain': [1, 2], 'degs': [0, 1], "
+     "'values': [[1, '1'], [2, '-1']], 'value': []}"),
     # the top level
     ("n-boolean", P1, _set("n", True), "n must be a count >= 1, got True"),
     ("dim-x-negative", P1, _set("dim_x", -1), "dim_x must be >= 0, got -1"),
